@@ -2,4 +2,4 @@
 four variables: smoothability Pfaffians, cubic jump conditions, secant
 detection, Gale duality, and the associated Cremona transformations."""
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -235,9 +235,7 @@ def _attempt_certificate(plane: QuadricPlane, w) -> tuple | None:
     (w3, w2, w1).  Returns (F, d1, d2, d3) or None."""
     k = plane.field
     ds = [w[8:12], w[4:8], w[0:4]]
-    dmat = Matrix(k, np.stack([np.asarray(d) for d in ds])
-                  if k.kind == "prime" else _obj_rows(ds))
-    if dmat.rank() < 3:
+    if Matrix(k, ds).rank() < 3:
         return None
     a = _contraction_system(ds, k)
     b = np.concatenate([q.coeff_vector(2) for q in plane.basis_polys()])
@@ -251,13 +249,6 @@ def _attempt_certificate(plane: QuadricPlane, w) -> tuple | None:
         if contract(dp, f) != q:
             return None
     return (f, *dpolys)
-
-
-def _obj_rows(rows):
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = r
-    return out
 
 
 def recover_cubic(plane: QuadricPlane, seed: int = 0, budget: int = 200):

@@ -176,17 +176,25 @@ def criterion_7(k: Field, trials: int = 10, seed: int = 0) -> dict:
 
 
 def _roundtrips(k, f, g, rng, count):
+    """How many of ``count`` random points p satisfy g(f(p)) = p.
+
+    A point whose image lies on the base locus of g is skipped, and
+    drawn again, up to 50 draws per point."""
     ok = 0
     done = 0
-    while done < count:
+    for _ in range(50 * count):
         p = tuple(k.random_element(rng) for _ in range(f.source_vars))
         fp = cons.apply_map(f, p)
         if fp is None or all(c == k.zero for c in p):
             continue
-        done += 1
         gp = cons.apply_map(g, fp)
+        if gp is None:
+            continue
+        done += 1
         if gp == cons._normalize_projective(k, p):
             ok += 1
+        if done == count:
+            break
     return ok
 
 

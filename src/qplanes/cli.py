@@ -17,7 +17,7 @@ import sys
 from . import battery
 from . import constructions as cons
 from . import loci
-from .apolarity import DependentContractions, plane_from_cubic, QuadricPlane
+from .apolarity import plane_from_cubic, QuadricPlane
 from .fields import Field, PrimeField, RationalField, DEFAULT_PRIME
 from .poly import VARS_P3, parse_poly
 
@@ -71,7 +71,7 @@ def _load_plane(path: str, k: Field):
 def cmd_classify(args) -> int:
     k = _field_from_args(args)
     plane, digest = _load_plane(args.input, k)
-    c = loci.classify(plane, degree_bound=args.degree_bound)
+    c = loci.classify(plane)
     on_divisor = c.pfaffian_value == k.zero
     consistent = (c.jump_dim > 0) == (on_divisor or c.secant_hit)
     _emit({"op": "classify", "seed": args.seed, "input_digest": digest,
@@ -160,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed for all randomness")
         sp.add_argument("--samples", type=int, default=samples_default,
                         help="number of independent trials")
-        sp.add_argument("--degree-bound", type=int, default=7,
-                        dest="degree_bound",
-                        help="degree for the secant fullness test")
         sp.add_argument("--slow", action="store_true",
                         help="include the slow large-inversion checks")
 
@@ -200,10 +197,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, DependentContractions, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (cons.GenericityError, loci.GenericityError) as exc:
+    except loci.GenericityError as exc:
         sys.stderr.write(f"genericity failure: {exc}\n")
         return EXIT_GENERICITY
 

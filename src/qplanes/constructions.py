@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .apolarity import GradedIdeal, HilbertFunction, QuadricPlane
+from .apolarity import GradedIdeal, HilbertFunction, QuadricPlane, contract
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix
-from .poly import Poly, monomial_basis, monomial_index, parse_poly
-from .unipoly import UniPoly, interpolate, roots_in_field
-
-
-class GenericityError(RuntimeError):
-    """Random resampling failed to reach a generic configuration."""
+from .linalg import FormSpace, Matrix, ideal_piece_dim
+from .loci import (GenericityError, _pairing_row, jump_matrix,
+                   jump_matrix_from_quadrics, lperp)
+from .poly import (Poly, monomial_basis, mult_table, parse_poly,
+                   power_products, var_shift)
+from .unipoly import UniPoly, gcd, interpolate, roots_in_field, sylvester
 
 
 class NonGenericConfiguration(ValueError):
@@ -240,16 +238,8 @@ def forms_through(points: PointSet, d: int) -> FormSpace:
     k = points.field
     nvars = points.n + 1
     rows = [_monomial_values(k, nvars, d, p) for p in points.points]
-    data = np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-    ker = Matrix(k, data).right_kernel()
+    ker = Matrix(k, rows).right_kernel()
     return FormSpace.from_matrix(k, nvars, d, ker)
-
-
-def _obj_rows(rows):
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = r
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +278,7 @@ def initial_system(points: PointSet, require_143: bool = True):
         for p in points.points:
             rows.append(np.concatenate(
                 [_monomial_values(k, nvars, e, p) for e in cols]))
-        data = np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-        ker = Matrix(k, data).right_kernel()
+        ker = Matrix(k, rows).right_kernel()
         top = ker.data[:, sum(sizes[:-1]):]
         pieces[d] = FormSpace.from_matrix(k, nvars, d, Matrix(k, top))
         hf_vals.append(sizes[-1] - pieces[d].dim)
@@ -307,16 +296,8 @@ def initial_system(points: PointSet, require_143: bool = True):
 def _contraction_perp(duals: FormSpace) -> FormSpace:
     """Quadrics annihilated by every dual quadric of the given space."""
     k = duals.field
-    idx = monomial_index(duals.nvars, 2)
-    rows = []
-    for dq in duals.polys():
-        row = k.zeros(len(idx))
-        for e, c in dq.terms.items():
-            weight = k.of(2) if max(e) == 2 else k.one
-            row[idx[e]] = k.mul(weight, c)
-        rows.append(row)
-    data = np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-    ker = Matrix(k, data).right_kernel()
+    rows = [_pairing_row(dq) for dq in duals.polys()]
+    ker = Matrix(k, rows).right_kernel()
     return FormSpace.from_matrix(k, duals.nvars, 2, ker)
 
 
@@ -328,24 +309,13 @@ def _contraction_perp(duals: FormSpace) -> FormSpace:
 def _random_gl(k: Field, n: int, rng) -> np.ndarray:
     while True:
         m = k.array([[k.random_element(rng) for _ in range(n)]
-                     for _ in range(n)]) if k.kind == "prime" else \
-            _obj_rows([[k.random_element(rng) for _ in range(n)]
-                       for _ in range(n)])
+                     for _ in range(n)])
         if Matrix(k, m).rank() == n:
             return m
 
 
-def _inverse_mat(k: Field, m) -> np.ndarray:
-    n = m.shape[0]
-    aug = np.concatenate([m, Matrix.identity(k, n).data], axis=1)
-    r, pivots = Matrix(k, aug).rref()
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return r.data[:, n:]
-
-
-def _cubic_y_coeffs(c: Poly, x0) -> UniPoly:
-    """c(x0, y, 1) as a univariate cubic in y."""
+def _cubic_y_coeffs(c: Poly, x0) -> list:
+    """Coefficients of c(x0, y, 1) in y, low to high, of formal degree 3."""
     k = c.field
     coeffs = [k.zero] * 4
     for e, v in c.terms.items():
@@ -353,7 +323,7 @@ def _cubic_y_coeffs(c: Poly, x0) -> UniPoly:
         for _ in range(e[0]):
             t = k.mul(t, x0)
         coeffs[e[1]] = k.add(coeffs[e[1]], t)
-    return UniPoly(k, coeffs)
+    return coeffs
 
 
 def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
@@ -373,7 +343,7 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
     rng = random.Random(seed)
     for _ in range(10):
         g = _random_gl(k, 3, rng)
-        ginv = _inverse_mat(k, g)
+        ginv = Matrix(k, g).inverse().data
         # c(g x) = 0 at y iff c = 0 at g y; known points move by g^{-1}
         t1, t2 = c1.substitute_linear(g), c2.substitute_linear(g)
         if (t1.coefficient((0, 3, 0)) == k.zero
@@ -393,7 +363,7 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
         samples = []
         for x0 in range(11):
             f, gg = _cubic_y_coeffs(t1, x0), _cubic_y_coeffs(t2, x0)
-            samples.append((x0, _sylvester_cubic_det(k, f, gg)))
+            samples.append((x0, sylvester(k, f, gg).det()))
         res = interpolate(k, samples)
         if res.degree() != 9:
             continue
@@ -409,9 +379,8 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
         if bad or rem.degree() != 1:
             continue
         x9 = k.div(k.neg(rem.coeffs[0]), rem.coeffs[1])
-        f, gg = _cubic_y_coeffs(t1, x9), _cubic_y_coeffs(t2, x9)
-        from .unipoly import gcd as ugcd
-        common = ugcd(f, gg)
+        common = gcd(UniPoly(k, _cubic_y_coeffs(t1, x9)),
+                     UniPoly(k, _cubic_y_coeffs(t2, x9)))
         if common.degree() != 1:
             continue
         y9 = k.div(k.neg(common.coeffs[0]), common.coeffs[1])
@@ -424,18 +393,6 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
                 "ninth base point coincides with a known point")
         return q
     raise GenericityError("ninth_base_point: no usable coordinate change")
-
-
-def _sylvester_cubic_det(k: Field, f: UniPoly, g: UniPoly):
-    """Formal 6x6 Sylvester determinant of two cubics (formal degree 3)."""
-    fc = list(f.coeffs) + [k.zero] * (4 - len(f.coeffs))
-    gc = list(g.coeffs) + [k.zero] * (4 - len(g.coeffs))
-    data = k.zeros((6, 6))
-    for i in range(3):
-        for j in range(4):
-            data[i, i + (3 - j)] = fc[j]
-            data[3 + i, i + (3 - j)] = gc[j]
-    return Matrix(k, data).det()
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +468,9 @@ class EllipticMember:
 def _cubic_is_smooth(c: Poly) -> bool:
     """Base-point-freeness of the partials, certified at the Macaulay
     bound degree 4."""
-    from .apolarity import contract
-
     k = c.field
     partials = [contract(Poly.variable(k, 3, i), c) for i in range(3)]
-    rows = []
-    for g in partials:
-        if g.is_zero():
-            return False
-        for m in monomial_basis(3, 2):
-            rows.append((Poly.monomial(k, m) * g).coeff_vector(4))
-    data = np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-    return Matrix(k, data).rank() == len(monomial_basis(3, 4))
+    return ideal_piece_dim(partials, 4) == len(monomial_basis(3, 4))
 
 
 def elliptic_member(c1: Poly, c2: Poly, q, s, count: int = 40,
@@ -543,7 +491,7 @@ def elliptic_member(c1: Poly, c2: Poly, q, s, count: int = 40,
     images = []
     seen = set()
     for x0 in range(k.p):
-        f = _cubic_y_coeffs(cs, x0)
+        f = UniPoly(k, _cubic_y_coeffs(cs, x0))
         if f.is_zero():
             continue
         for y0 in set(roots_in_field(f)):
@@ -578,8 +526,6 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
     Every output cubic is checked to lie in the kernel of the jump
     matrix of the plane.
     """
-    from .loci import jump_matrix_from_quadrics, lperp
-
     k = plane.field
     restricted = [q.set_var_zero(4) for q in member.quadrics.polys()]
     perp = lperp(plane)
@@ -602,7 +548,6 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
     lifts = []
     z_subs = [Poly(k, 7, {tuple(1 if t == j else 0 for t in range(7)): incl[i][j]
                           for j in range(7)}) for i in range(5)]
-    from .loci import jump_matrix
     jm = jump_matrix(plane)
     for r_i in range(ker.rows):
         cubic5 = Poly.from_coeff_vector(k, 5, 3, ker.data[r_i])
@@ -632,17 +577,7 @@ def octic_surface(z: PointSet):
     embed = RationalMap(quartics.polys())
     # quadrics through the image: kernel of Sym^2 of the quartic space
     # into degree-8 plane forms
-    qs = quartics.polys()
-    cols = []
-    for e in monomial_basis(7, 2):
-        i = next(t for t, ei in enumerate(e) if ei > 0)
-        rest = list(e)
-        rest[i] -= 1
-        j = next(t for t, ei in enumerate(rest) if ei > 0)
-        cols.append((qs[i] * qs[j]).coeff_vector(8))
-    data = (np.stack(cols, axis=1) if k.kind == "prime"
-            else _obj_cols(cols))
-    ker = Matrix(k, data).right_kernel()
+    ker = Matrix(k, power_products(quartics.polys(), 2).T).right_kernel()
     quadrics = FormSpace.from_matrix(k, 7, 2, ker)
     if quadrics.dim != 7:
         raise NonGenericConfiguration(
@@ -651,70 +586,9 @@ def octic_surface(z: PointSet):
     return embed, quadrics, cremona
 
 
-def _obj_cols(cols):
-    out = np.empty((len(cols[0]), len(cols)), dtype=object)
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Inverses of Cremona transformations
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _mult_table(nvars: int, d1: int, d2: int) -> np.ndarray:
-    """Index table: (i, j) -> position of basis_d1[i] * basis_d2[j] in
-    the degree-(d1+d2) basis."""
-    b1, b2 = monomial_basis(nvars, d1), monomial_basis(nvars, d2)
-    idx = monomial_index(nvars, d1 + d2)
-    t = np.empty((len(b1), len(b2)), dtype=np.int64)
-    for i, e1 in enumerate(b1):
-        for j, e2 in enumerate(b2):
-            t[i, j] = idx[tuple(a + b for a, b in zip(e1, e2))]
-    return t
-
-
-def _dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
-    table = _mult_table(nvars, d1, d2)
-    out = k.zeros(len(monomial_basis(nvars, d1 + d2)))
-    np.add.at(out, table.ravel(), np.outer(a, b).ravel())
-    return k.reduce(out)
-
-
-def _power_products(k: Field, forms: list[Poly], d2: int) -> np.ndarray:
-    """Dense coefficient vectors of all degree-d2 monomials in the given
-    degree-d forms, as rows indexed by monomial_basis(len(forms), d2)."""
-    n = len(forms)
-    nvars = forms[0].nvars
-    d = forms[0].degree()
-    layers = {(0,) * n: k.zeros(len(monomial_basis(nvars, 0)))}
-    layers[(0,) * n][0] = k.one
-    for level in range(1, d2 + 1):
-        new = {}
-        for e in monomial_basis(n, level):
-            i = next(t for t, ei in enumerate(e) if ei > 0)
-            prev = list(e)
-            prev[i] -= 1
-            base = layers_prev[tuple(prev)] if level > 1 else layers[(0,) * n]
-            new[e] = _dense_mul(k, base, forms[i].coeff_vector(d),
-                                nvars, d * (level - 1), d)
-        layers_prev = new
-    rows = [layers_prev[e] for e in monomial_basis(n, d2)]
-    return np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-
-
-def _var_shift(k: Field, vec, nvars: int, d: int, var: int):
-    """Multiply a dense degree-d vector by the variable x_var."""
-    b = monomial_basis(nvars, d)
-    idx = monomial_index(nvars, d + 1)
-    out = k.zeros(len(monomial_basis(nvars, d + 1)))
-    for i, e in enumerate(b):
-        e2 = list(e)
-        e2[var] += 1
-        out[idx[tuple(e2)]] = vec[i]
-    return out
 
 
 def find_inverse(f: RationalMap, d2: int, seed: int = 0,
@@ -759,7 +633,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
     ker = Matrix(k, np.stack(rows)).right_kernel()
     if ker.rows == 0:
         return None
-    prods = _power_products(k, f.forms, d2)  # len(mono_y) x dim Sym^{d1 d2}
+    prods = power_products(f.forms, d2)  # len(mono_y) x dim Sym^{d1 d2}
 
     def composites(coeffs):
         out = []
@@ -774,7 +648,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
         if lam is None:
             return None
         for i in range(1, nv):
-            if np.any(k.reduce(_var_shift(k, lam, nv, d1 * d2 - 1, i)
+            if np.any(k.reduce(var_shift(k, lam, nv, d1 * d2 - 1, i)
                                - comp[i]) != k.zero):
                 return None
         if not np.any(lam != k.zero):
@@ -797,8 +671,8 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
     for i in range(1, nv):
         block = []
         for r in range(ker.rows):
-            col = k.reduce(_var_shift(k, comp_basis[r][i], nv, d1 * d2, 0)
-                           - _var_shift(k, comp_basis[r][0], nv, d1 * d2, i))
+            col = k.reduce(var_shift(k, comp_basis[r][i], nv, d1 * d2, 0)
+                           - var_shift(k, comp_basis[r][0], nv, d1 * d2, i))
             block.append(col)
         big_rows.append(np.stack(block, axis=1))
     small_ker = Matrix(k, np.concatenate(big_rows, axis=0)).right_kernel()
@@ -813,18 +687,12 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
 def _exact_var_quotient(k: Field, vec, nvars: int, d: int, var: int):
     """Quotient of a dense degree-d vector by x_var, or None when the
     division is not exact."""
-    b = monomial_basis(nvars, d)
-    idx = monomial_index(nvars, d - 1)
-    out = k.zeros(len(monomial_basis(nvars, d - 1)))
-    for i, e in enumerate(b):
-        if e[var] == 0:
-            if vec[i] != k.zero:
-                return None
-            continue
-        e2 = list(e)
-        e2[var] -= 1
-        out[idx[tuple(e2)]] = vec[i]
-    return out
+    shifted = mult_table(nvars, d - 1, 1)[:, var]
+    rest = np.ones(len(vec), dtype=bool)
+    rest[shifted] = False
+    if np.any(vec[rest] != k.zero):
+        return None
+    return vec[shifted]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .poly import Poly, monomial_basis
+from .poly import Poly, monomial_basis, mult_table
 
 
 def _rref(a: np.ndarray, field: Field):
@@ -133,6 +133,17 @@ class Matrix:
             a = field.reduce(a)
         return acc
 
+    def inverse(self) -> "Matrix":
+        n = self.rows
+        if n != self.cols:
+            raise ValueError("inverse of a non-square matrix")
+        aug = np.concatenate([self.data, Matrix.identity(self.field, n).data],
+                             axis=1)
+        r, pivots = Matrix(self.field, aug).rref()
+        if pivots != list(range(n)):
+            raise ValueError("matrix not invertible")
+        return Matrix(self.field, r.data[:, n:])
+
     def solve(self, rhs):
         """One solution of Mx = rhs, or None if inconsistent."""
         field = self.field
@@ -251,9 +262,7 @@ class FormSpace:
                 if not p.is_zero() and (not p.is_homogeneous() or p.degree() != degree):
                     raise ValueError("forms must be homogeneous of one degree")
             rows = [p.coeff_vector(degree) for p in polys]
-            mat = Matrix(field, np.array(rows, dtype=field.dtype)
-                         if field.kind == "prime" else _stack_obj(rows))
-            return cls.from_matrix(field, nvars, degree, mat)
+            return cls.from_matrix(field, nvars, degree, Matrix(field, rows))
         raise ValueError("use empty() for the zero space")
 
     @classmethod
@@ -311,8 +320,18 @@ class FormSpace:
                 f"nvars={self.nvars})")
 
 
-def _stack_obj(rows):
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = r
-    return out
+def ideal_piece_dim(gens: list[Poly], d: int) -> int:
+    """Dimension of the degree-d piece of the ideal generated by forms
+    of one degree.
+
+    The rows x^m * g are the coefficient vectors of g moved by the index
+    table of the monomial m."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return 0
+    k, nvars, e = gens[0].field, gens[0].nvars, gens[0].degree()
+    table = mult_table(nvars, d - e, e)
+    rows = k.zeros((len(gens), table.shape[0], len(monomial_basis(nvars, d))))
+    for g, block in zip(gens, rows):
+        block[np.arange(table.shape[0])[:, None], table] = g.coeff_vector(e)
+    return Matrix(k, rows.reshape(-1, rows.shape[-1])).rank()

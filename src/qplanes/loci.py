@@ -23,9 +23,10 @@ import numpy as np
 
 from .apolarity import QuadricPlane, annihilator
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, pfaffian
-from .poly import Poly, monomial_basis, monomial_index
-from .unipoly import UniPoly, interpolate, squarefree_and_power
+from .linalg import FormSpace, Matrix, ideal_piece_dim, pfaffian
+from .poly import Poly, monomial_basis, monomial_index, power_products
+from .unipoly import (UniPoly, gcd, interpolate, roots_any_degree,
+                      squarefree_and_power, sylvester)
 
 
 class GenericityError(RuntimeError):
@@ -111,37 +112,7 @@ def lperp(plane: QuadricPlane) -> FormSpace:
 def jump_matrix_from_quadrics(duals: list[Poly]) -> Matrix:
     """Multiplication matrix: cubic monomials in the given quadrics,
     expanded over the 84 sextic monomials in 4 variables."""
-    k = duals[0].field
-    n = len(duals)
-    pair_products: dict[tuple[int, ...], Poly] = {}
-    one = Poly.constant(k, 4, 1)
-    pair_products[(0,) * n] = one
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        pair_products[tuple(e)] = duals[i]
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            pair_products[tuple(e)] = duals[i] * duals[j]
-    cols = []
-    for e in monomial_basis(n, 3):
-        i = next(idx for idx, ei in enumerate(e) if ei > 0)
-        rest = list(e)
-        rest[i] -= 1
-        prod = pair_products[tuple(rest)] * duals[i]
-        cols.append(prod.coeff_vector(6))
-    data = np.stack(cols, axis=1) if k.kind == "prime" else _obj_cols(cols)
-    return Matrix(k, data)
-
-
-def _obj_cols(cols):
-    out = np.empty((len(cols[0]), len(cols)), dtype=object)
-    for j, c in enumerate(cols):
-        out[:, j] = c
-    return out
+    return Matrix(duals[0].field, power_products(duals, 3).T)
 
 
 def jump_matrix(plane: QuadricPlane) -> Matrix:
@@ -193,61 +164,42 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
-def _ideal_piece_dim(gens: list[Poly], d: int) -> int:
-    """Dimension of the degree-d piece of the ideal the cubics generate."""
-    k = gens[0].field
-    rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        for m in monomial_basis(3, d - 3):
-            rows.append((Poly.monomial(k, m) * g).coeff_vector(d))
-    if not rows:
-        return 0
-    data = np.stack(rows) if k.kind == "prime" else _obj_rows(rows)
-    return Matrix(k, data).rank()
+# Three general combinations of cubics in 3 variables without a common
+# zero form a regular sequence, whose quotient vanishes from degree
+# 3 * (3 - 1) + 1 on.
+MACAULAY_BOUND = 7
 
 
-def _obj_rows(rows):
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, r in enumerate(rows):
-        out[i, :] = r
-    return out
-
-
-def secant_intersects(plane: QuadricPlane, degree_bound: int = 7,
-                      extra_degrees: tuple[int, ...] = (8, 9)):
+def secant_intersects(plane: QuadricPlane):
     """Whether the plane contains a rank <= 2 quadric over the closure.
 
     The rank <= 2 locus in the plane is the common zero set of the 16
     cubic minors; the plane misses it iff those cubics generate the
-    full degree-d piece for d at the Macaulay bound 7 (checked also at
-    the extra degrees, which must agree).  Over F_p this certifies
+    full degree-d piece for d at the Macaulay bound 7.  The degrees
+    3, 4, ..., 7 are checked in turn, stopping at the first full piece,
+    since I_d = S_d implies I_{d+1} = S_{d+1}.  Over F_p this certifies
     emptiness over the closure of F_p.
 
     Returns (hit, certificate) where the certificate records the piece
-    dimensions and, when one is found among basis elements and a small
-    probe set, an explicit rank <= 2 element of the plane.
+    dimensions of the degrees checked and, when one is found among
+    basis elements and a small probe set, an explicit rank <= 2 element
+    of the plane.
     """
     minors = _minor_cubics(plane)
-    verdicts = {}
-    for d in [degree_bound, *extra_degrees]:
-        full = len(monomial_basis(3, d))
-        got = _ideal_piece_dim(minors, d)
-        verdicts[d] = (got, full)
-    answers = {got < full for got, full in verdicts.values()}
-    if len(answers) != 1:
-        raise GenericityError(f"secant piece tests disagree: {verdicts}")
-    hit = answers.pop()
-    cert = {"piece_dims": verdicts, "element": None}
+    dims = {}
+    for d in range(3, MACAULAY_BOUND + 1):
+        got, full = ideal_piece_dim(minors, d), len(monomial_basis(3, d))
+        dims[d] = (got, full)
+        if got == full:
+            break
+    hit = got < full
+    cert = {"piece_dims": dims, "element": None}
     if hit:
-        elem = _find_rank_le2(plane)
-        if elem is not None:
-            cert["element"] = elem
+        cert["element"] = _find_rank_le2(plane, minors)
     return hit, cert
 
 
-def _find_rank_le2(plane: QuadricPlane):
+def _find_rank_le2(plane: QuadricPlane, minors: list[Poly]):
     """Explicit rank <= 2 element of the plane, if one exists over the
     ground field.
 
@@ -266,7 +218,7 @@ def _find_rank_le2(plane: QuadricPlane):
             return q
     if not isinstance(k, PrimeField):
         return None
-    minors = [m for m in _minor_cubics(plane) if not m.is_zero()]
+    minors = [m for m in minors if not m.is_zero()]
     for chart in (2, 1, 0):
         got = _rank_le2_on_chart(plane, minors, chart)
         if got is not None:
@@ -292,9 +244,6 @@ def _biv_to_unipoly(biv: dict, k: PrimeField, a0: int) -> UniPoly:
 
 
 def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
-    from .unipoly import gcd as ugcd
-    from .unipoly import interpolate, roots_any_degree
-
     k: PrimeField = plane.field
     basis = plane.basis_polys()
     u1, u2 = [i for i in range(3) if i != chart]
@@ -319,7 +268,7 @@ def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
         for f in polys:
             if f.is_zero():
                 continue
-            g = f.monic() if g is None else ugcd(g, f)
+            g = f.monic() if g is None else gcd(g, f)
         if g is None:
             return list(range(4))  # whole fiber vanishes; probe a few
         if g.degree() == 0:
@@ -341,7 +290,7 @@ def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
         samples = []
         for a0 in range(25):
             f, g = combo(c1, a0), combo(c2, a0)
-            samples.append((a0, _sylvester33_det(k, f, g)))
+            samples.append((a0, sylvester(k, f, g).det()))
         res = interpolate(k, samples)
         if res.is_zero():
             continue
@@ -359,19 +308,6 @@ def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
             if got is not None:
                 return got
     return None
-
-
-def _sylvester33_det(k: PrimeField, f: list, g: list):
-    """Determinant of the formal 6x6 Sylvester matrix of two cubic
-    coefficient lists (low to high), keeping the formal degree 3."""
-    data = k.zeros((6, 6))
-    for i in range(3):
-        for j, c in enumerate(f):
-            data[i, i + (3 - j)] = c
-    for i in range(3):
-        for j, c in enumerate(g):
-            data[3 + i, i + (3 - j)] = c
-    return Matrix(k, data).det()
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +332,12 @@ def rank_le2_adapted_change(q: Poly):
         # q = c * l^2 with l spanning the row space
         row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
         u = row
-        rows = _complete_basis(k, [u])
-        m = Matrix(k, np.stack(rows) if k.kind == "prime" else _obj_rows(rows))
-        minv = _inverse(m)
+        minv = Matrix(k, _complete_basis(k, [u])).inverse()
         qn = q.substitute_linear(minv.data)
         c = qn.coefficient((2, 0, 0, 0))
         return minv.data, 1, c
     # rank 2: find two independent isotropic vectors in a complement of rad
-    comp = _complement_vectors(k, rad)
-    c1, c2 = comp
+    c1, c2 = _complete_basis(k, list(rad.data))[rad.rows:]
     q11 = _eval_form(k, a, c1, c1)
     q12 = _eval_form(k, a, c1, c2)
     q22 = _eval_form(k, a, c2, c2)
@@ -419,9 +352,7 @@ def rank_le2_adapted_change(q: Poly):
     span1 = np.concatenate([e1.reshape(1, -1), rad.data], axis=0)
     u = Matrix(k, span2).right_kernel().data[0]
     v = Matrix(k, span1).right_kernel().data[0]
-    rows = _complete_basis(k, [u, v])
-    m = Matrix(k, np.stack(rows) if k.kind == "prime" else _obj_rows(rows))
-    minv = _inverse(m)
+    minv = Matrix(k, _complete_basis(k, [u, v])).inverse()
     qn = q.substitute_linear(minv.data)
     c = qn.coefficient((1, 1, 0, 0))
     expected = Poly(k, 4, {(1, 1, 0, 0): c})
@@ -432,30 +363,13 @@ def rank_le2_adapted_change(q: Poly):
 
 def _complete_basis(k, rows):
     """Extend the given independent row vectors to a basis of k^4."""
-    out = [np.asarray(r) for r in rows]
+    out = list(rows)
     for i in range(4):
         cand = k.zeros(4)
         cand[i] = k.one
-        test = np.stack(out + [cand]) if k.kind == "prime" else \
-            _obj_rows(out + [cand])
-        if Matrix(k, test).rank() == len(out) + 1:
+        if Matrix(k, out + [cand]).rank() == len(out) + 1:
             out.append(cand)
         if len(out) == 4:
-            break
-    return out
-
-
-def _complement_vectors(k, rad: Matrix):
-    out = []
-    base = [rad.data[i] for i in range(rad.rows)]
-    for i in range(4):
-        cand = k.zeros(4)
-        cand[i] = k.one
-        test = base + out + [cand]
-        m = np.stack(test) if k.kind == "prime" else _obj_rows(test)
-        if Matrix(k, m).rank() == len(test):
-            out.append(cand)
-        if len(out) == 2:
             break
     return out
 
@@ -517,16 +431,6 @@ def _isotropic_pair(k, q11, q12, q22):
     return ((s1, k.one), (s2, k.one))
 
 
-def _inverse(m: Matrix) -> Matrix:
-    k = m.field
-    n = m.rows
-    aug = np.concatenate([m.data, Matrix.identity(k, n).data], axis=1)
-    r, pivots = Matrix(k, aug).rref()
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return Matrix(k, r.data[:, n:])
-
-
 def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
     """Witness sextics annihilated by all cubic products of the
     perpendicular space, in coordinates adapted to the supplied
@@ -536,37 +440,31 @@ def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
     up to scalar.  Returns the witnesses; raises if the element has
     rank > 2 or the adapted-coordinate check fails."""
     k = plane.field
-    if symmetric_rank(element) > 2:
+    rank = symmetric_rank(element)
+    if rank > 2:
         raise ValueError("supplied element has rank > 2")
     if not plane.space.contains(element):
         raise ValueError("element does not lie in the plane")
     moved = element.substitute_linear(change)
-    rank = symmetric_rank(element)
     if rank == 2:
         expect = (1, 1, 0, 0)
-        witnesses = [Poly.monomial(k, (5, 1, 0, 0)),
-                     Poly.monomial(k, (3, 3, 0, 0)),
-                     Poly.monomial(k, (1, 5, 0, 0))]
+        betas = [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     else:
         expect = (2, 0, 0, 0)
-        witnesses = [Poly.monomial(k, (6, 0, 0, 0)),
-                     Poly.monomial(k, (5, 1, 0, 0)),
-                     Poly.monomial(k, (5, 0, 1, 0))]
+        betas = [(6, 0, 0, 0), (5, 1, 0, 0), (5, 0, 1, 0)]
     c = moved.coefficient(expect)
     if c == k.zero or moved != Poly(k, 4, {expect: c}):
         raise ValueError("change does not normalize the element")
     moved_plane = QuadricPlane.from_polys(
         [q.substitute_linear(change) for q in plane.basis_polys()])
-    perp = lperp(moved_plane).polys()
-    from .apolarity import contract
-    for i in range(len(perp)):
-        for j in range(i, len(perp)):
-            for l in range(j, len(perp)):
-                op = perp[i] * perp[j] * perp[l]
-                for w in witnesses:
-                    if not contract(op, w).is_zero():
-                        raise AssertionError("witness sextic not annihilated")
-    return witnesses
+    # a cubic product of the perpendicular quadrics sends x^beta to
+    # beta! times its x^beta coefficient, and beta! is a unit (p > 6):
+    # x^beta is annihilated by all 84 products iff row beta is zero
+    jm = jump_matrix(moved_plane).data
+    idx = monomial_index(4, 6)
+    if any(np.any(jm[idx[b]] != k.zero) for b in betas):
+        raise AssertionError("witness sextic not annihilated")
+    return [Poly.monomial(k, b) for b in betas]
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +481,11 @@ class Classification:
     certificates: dict
 
 
-def classify(plane: QuadricPlane, degree_bound: int = 7) -> Classification:
+def classify(plane: QuadricPlane) -> Classification:
     """Run all three conditions and assemble the verdict."""
     pf = smoothable_pfaffian(plane)
     k = plane.field
-    hit, secant_cert = secant_intersects(plane, degree_bound)
+    hit, secant_cert = secant_intersects(plane)
     dim, cubics = jump_dimension(plane)
     on_divisor = pf == k.zero
     if on_divisor and hit:
@@ -631,7 +529,7 @@ def _pairing_row(q: Poly) -> np.ndarray:
     """Row of the contraction pairing of a quadric against dual
     quadric monomials: entry m!*coeff_q(m)."""
     k = q.field
-    idx = monomial_index(4, 2)
+    idx = monomial_index(q.nvars, 2)
     row = k.zeros(len(idx))
     for e, c in q.terms.items():
         weight = k.of(2) if max(e) == 2 else k.one
@@ -683,7 +581,7 @@ def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
     mj = Matrix(k, rows0[:, j_cols])
     if mj.rank() != 3:
         return None
-    mj_inv = _inverse(mj)
+    mj_inv = mj.inverse()
     detj = mj.det()
     free_cols = [c for c in range(10) if c not in j_cols]
     # frame vectors: v_c(t) = base_c + t * dir_c, with v_c[c] = det(M_J)

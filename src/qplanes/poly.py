@@ -37,6 +37,64 @@ def monomial_index(nvars: int, d: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomial_basis(nvars, d))}
 
 
+# ---------------------------------------------------------------------------
+# Dense products over index tables
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def mult_table(nvars: int, d1: int, d2: int) -> np.ndarray:
+    """Index table: (i, j) -> position of basis_d1[i] * basis_d2[j] in
+    the degree-(d1+d2) basis."""
+    b1, b2 = monomial_basis(nvars, d1), monomial_basis(nvars, d2)
+    idx = monomial_index(nvars, d1 + d2)
+    t = np.empty((len(b1), len(b2)), dtype=np.int64)
+    for i, e1 in enumerate(b1):
+        for j, e2 in enumerate(b2):
+            t[i, j] = idx[tuple(a + b for a, b in zip(e1, e2))]
+    t.flags.writeable = False  # one cached array is shared by all callers
+    return t
+
+
+def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
+    """Product of dense coefficient vectors of degrees d1 and d2."""
+    table = mult_table(nvars, d1, d2)
+    out = k.zeros(len(monomial_basis(nvars, d1 + d2)))
+    # reduce each product first so the sums stay within int64
+    np.add.at(out, table.ravel(), k.reduce(np.outer(a, b)).ravel())
+    return k.reduce(out)
+
+
+def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
+    """Dense coefficient vectors of all degree-d2 monomials in the given
+    forms of one degree, as rows indexed by monomial_basis(len(forms), d2)."""
+    k = forms[0].field
+    n = len(forms)
+    nvars = forms[0].nvars
+    d = max(f.degree() for f in forms)
+    vecs = [f.coeff_vector(d) for f in forms]
+    prev = {(0,) * n: k.array([k.one])}
+    for level in range(1, d2 + 1):
+        cur = {}
+        for e in monomial_basis(n, level):
+            i = next(t for t, ei in enumerate(e) if ei > 0)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+            cur[e] = dense_mul(k, prev[rest], vecs[i], nvars, d * (level - 1), d)
+        prev = cur
+    basis = monomial_basis(n, d2)
+    out = k.zeros((len(basis), len(monomial_basis(nvars, d * d2))))
+    for r, e in enumerate(basis):
+        out[r] = prev[e]
+    return out
+
+
+def var_shift(k: Field, vec, nvars: int, d: int, var: int):
+    """Multiply a dense degree-d vector by the variable x_var."""
+    out = k.zeros(len(monomial_basis(nvars, d + 1)))
+    out[mult_table(nvars, d, 1)[:, var]] = vec
+    return out
+
+
 class Poly:
     """A multivariate polynomial; ``terms`` maps exponent tuple -> coeff."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field, PrimeField
+from .linalg import Matrix
 
 
 class UniPoly:
@@ -192,27 +193,23 @@ def interpolate(field: Field, samples: list[tuple]) -> UniPoly:
     return result
 
 
+def sylvester(field: Field, f: list, g: list) -> Matrix:
+    """Sylvester matrix of two coefficient lists (low to high), read as
+    polynomials of the formal degrees len(f) - 1 and len(g) - 1."""
+    m, n = len(f) - 1, len(g) - 1
+    data = field.zeros((m + n, m + n))
+    for i in range(n):
+        data[i, i:i + m + 1] = f[::-1]
+    for i in range(m):
+        data[n + i, i:i + n + 1] = g[::-1]
+    return Matrix(field, data)
+
+
 def resultant(f: UniPoly, g: UniPoly):
     """Sylvester-matrix resultant; zero iff f, g share a root in the closure."""
-    from .linalg import Matrix
-
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    field = f.field
-    m, n = f.degree(), g.degree()
-    if m == 0:
-        return field.of(f.coeffs[0]) ** n if field.kind == "rationals" else pow(f.coeffs[0], n, field.p)
-    if n == 0:
-        return field.of(g.coeffs[0]) ** m if field.kind == "rationals" else pow(g.coeffs[0], m, field.p)
-    size = m + n
-    data = field.zeros((size, size))
-    for i in range(n):
-        for j, c in enumerate(f.coeffs):
-            data[i, i + (m - j)] = c
-    for i in range(m):
-        for j, c in enumerate(g.coeffs):
-            data[n + i, i + (n - j)] = c
-    return Matrix(field, data).det()
+    return sylvester(f.field, f.coeffs, g.coeffs).det()
 
 
 def squarefree_and_power(f: UniPoly, k: int):

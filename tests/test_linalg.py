@@ -33,6 +33,16 @@ def test_det_known():
     assert singular.det() == 0
 
 
+def test_inverse():
+    rng = random.Random(20)
+    for k in (K, RationalField()):
+        m = _random_matrix(k, rng, 4, 4)
+        assert m.rank() == 4
+        assert m.matmul(m.inverse()) == Matrix.identity(k, 4)
+    with pytest.raises(ValueError):
+        Matrix.from_rows(K, [[1, 2], [2, 4]]).inverse()
+
+
 def test_solve():
     m = Matrix.from_rows(K, [[1, 1], [1, 2]])
     x = m.solve([3, 5])

@@ -3,9 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
+from qplanes.linalg import Matrix, ideal_piece_dim
 from qplanes.poly import Poly, monomial_basis, parse_poly
 
 K = PrimeField()
@@ -118,7 +122,67 @@ def test_secant_generic_false():
     for _ in range(5):
         hit, cert = loci.secant_intersects(_random_plane(rng))
         assert not hit
-        assert cert["piece_dims"][7] == (36, 36)
+        got, full = list(cert["piece_dims"].values())[-1]
+        assert got == full
+
+
+def _secant_plane(rng, k=K):
+    """A plane through l1*l2, as criterion 4 builds it."""
+    l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
+    return QuadricPlane.from_polys(
+        [l1 * l2, _random_form(k, rng, 4, 2), _random_form(k, rng, 4, 2)])
+
+
+def _rank1_plane(rng, k=K):
+    l1 = _random_form(k, rng, 4, 1)
+    return QuadricPlane.from_polys(
+        [l1 * l1, _random_form(k, rng, 4, 2), _random_form(k, rng, 4, 2)])
+
+
+PLANES = {"general": _random_plane, "secant": _secant_plane,
+          "rank1": _rank1_plane}
+
+
+def _dict_piece_dim(gens, d):
+    """Piece dimension from rows built with dict Poly products."""
+    k = gens[0].field
+    rows = [(Poly.monomial(k, m) * g).coeff_vector(d)
+            for g in gens if not g.is_zero()
+            for m in monomial_basis(g.nvars, d - g.degree())]
+    return Matrix(k, rows).rank() if rows else 0
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(PLANES)))
+@settings(max_examples=12, deadline=None)
+def test_ideal_piece_dim_matches_dict_rows(seed, kind):
+    minors = loci._minor_cubics(PLANES[kind](random.Random(seed)))
+    for d in range(3, 10):
+        assert ideal_piece_dim(minors, d) == _dict_piece_dim(minors, d)
+
+
+def test_ideal_piece_dim_rationals():
+    q = RationalField()
+    rng = random.Random(18)
+    gens = [_random_form(q, rng, 3, 2) for _ in range(2)] + [Poly.zero(q, 3)]
+    for d in range(2, 6):
+        assert ideal_piece_dim(gens, d) == _dict_piece_dim(gens, d)
+
+
+def test_secant_early_exit_matches_degrees_7_to_9():
+    """The ascending check stops at the first full piece; its verdict
+    must equal fullness at the Macaulay bound 7 and above."""
+    rng = random.Random(19)
+    for kind in ["general"] * 3 + ["secant"] * 3 + ["rank1"] * 2:
+        plane = PLANES[kind](rng)
+        hit, cert = loci.secant_intersects(plane)
+        assert hit == (kind != "general")
+        dims = cert["piece_dims"]
+        assert list(dims) == list(range(3, 3 + len(dims)))
+        assert all(got < full for got, full in list(dims.values())[:-1])
+        minors = loci._minor_cubics(plane)
+        for d in (7, 8, 9):
+            full = len(monomial_basis(3, d))
+            assert hit == (ideal_piece_dim(minors, d) < full)
 
 
 def test_secant_detects_rank2():

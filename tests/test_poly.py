@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
-from qplanes.poly import Poly, monomial_basis, monomial_index, parse_poly
+from qplanes.poly import (Poly, dense_mul, monomial_basis, monomial_index,
+                          parse_poly, power_products, var_shift)
 
 K = PrimeField()
 V3 = ["x0", "x1", "x2"]
@@ -117,3 +118,46 @@ def test_rational_coefficients():
     q = RationalField()
     f = parse_poly("x0^2 - 2*x1^2", V3, q)
     assert f.evaluate((q.of(3), q.of(1), q.of(0))) == q.of(7)
+
+
+# -- the dense product kernel against dict Poly.__mul__ -----------------
+
+FIELDS = st.sampled_from([K, RationalField()])
+
+
+def _random_form(k, rng, nvars, d):
+    """A homogeneous form with about half of its coefficients zero."""
+    return Poly(k, nvars, {e: rng.choice([0, k.random_element(rng)])
+                           for e in monomial_basis(nvars, d)})
+
+
+@given(st.integers(0, 10**6), FIELDS, st.integers(1, 4), st.integers(0, 3),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_dense_mul_matches_poly_mul(seed, k, nvars, d1, d2):
+    rng = random.Random(seed)
+    f, g = _random_form(k, rng, nvars, d1), _random_form(k, rng, nvars, d2)
+    got = dense_mul(k, f.coeff_vector(d1), g.coeff_vector(d2), nvars, d1, d2)
+    assert Poly.from_coeff_vector(k, nvars, d1 + d2, got) == f * g
+    var = rng.randrange(nvars)
+    shifted = var_shift(k, f.coeff_vector(d1), nvars, d1, var)
+    assert (Poly.from_coeff_vector(k, nvars, d1 + 1, shifted)
+            == f * Poly.variable(k, nvars, var))
+
+
+@given(st.integers(0, 10**6), FIELDS, st.integers(1, 4), st.integers(1, 2),
+       st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_power_products_match_poly_mul(seed, k, nvars, d, n, d2):
+    rng = random.Random(seed)
+    forms = [_random_form(k, rng, nvars, d) for _ in range(n)]
+    forms[0] = forms[0] + Poly.variable(k, nvars, 0, d)  # fixes the degree
+    rows = power_products(forms, d2)
+    basis = monomial_basis(n, d2)
+    assert rows.shape == (len(basis), len(monomial_basis(nvars, d * d2)))
+    for row, e in zip(rows, basis):
+        prod = Poly.constant(k, nvars, 1)
+        for form, ei in zip(forms, e):
+            for _ in range(ei):
+                prod = prod * form
+        assert Poly.from_coeff_vector(k, nvars, d * d2, row) == prod

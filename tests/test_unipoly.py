@@ -4,7 +4,7 @@ import pytest
 
 from qplanes.fields import PrimeField, RationalField
 from qplanes.unipoly import (UniPoly, gcd, interpolate, resultant,
-                             roots_in_field, squarefree_and_power)
+                             roots_in_field, squarefree_and_power, sylvester)
 
 K = PrimeField()
 
@@ -64,6 +64,14 @@ def test_resultant_common_root():
     assert resultant(f, g) == 0
     h = UniPoly(K, [3, 1])
     assert resultant(UniPoly(K, [1, 1]), h) != 0
+
+
+def test_sylvester_formal_degree():
+    # cubics of formal degree 3 whose leading coefficients both vanish
+    f, g = [1, 2, 0, 0], [3, 1, 0, 0]
+    assert sylvester(K, f, g).det() == 0
+    assert sylvester(K, f[:2], g[:2]).det() == \
+        resultant(UniPoly(K, f), UniPoly(K, g)) == 5
 
 
 def test_squarefree_and_power():
