@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix
-from .poly import Poly, monomial_basis, monomial_index
+from .poly import Poly, contraction_rows, dot, monomial_basis
 
 
 class DependentContractions(ValueError):
@@ -23,25 +23,22 @@ class DependentContractions(ValueError):
 
 def contract(d: Poly, f: Poly) -> Poly:
     """Apply the dual polynomial d to f as a constant-coefficient
-    differential operator.  Linear in both arguments."""
+    differential operator.  Linear in both arguments; each pair of
+    homogeneous parts contracts through the weight table."""
     if d.nvars != f.nvars:
         raise ValueError("variable count mismatch")
     if d.field != f.field:
         raise ValueError("field mismatch")
-    k = f.field
+    k, n = f.field, f.nvars
     if isinstance(k, PrimeField) and k.p <= f.degree():
         raise ValueError("field too small: p must exceed deg f")
-    out = Poly.zero(k, f.nvars)
-    for alpha, cd in d.terms.items():
-        for beta, cf in f.terms.items():
-            if any(a > b for a, b in zip(alpha, beta)):
-                continue
-            c = k.mul(cd, cf)
-            for a, b in zip(alpha, beta):
-                for step in range(a):
-                    c = k.mul(c, k.of(b - step))
-            gamma = tuple(b - a for a, b in zip(alpha, beta))
-            out = out + Poly(k, f.nvars, {gamma: c})
+    out = Poly.zero(k, n)
+    fparts = f.homogeneous_vectors()
+    for a, dvec in d.homogeneous_vectors().items():
+        for b, fvec in fparts.items():
+            if b >= a:
+                vec = dot(k, dvec, contraction_rows(k, fvec, n, a, b - a))
+                out = out + Poly.from_coeff_vector(k, n, b - a, vec)
     return out
 
 
@@ -121,25 +118,12 @@ class QuadricPlane:
 
 def _contraction_constraint_matrix(space: FormSpace, d: int) -> Matrix:
     """Rows = linear constraints on a degree-d dual operator D from
-    requiring D(q) = 0 for every q in the space."""
-    k = space.field
-    nvars = space.nvars
-    cols = monomial_basis(nvars, d)
-    rows = []
-    for q in space.polys():
-        dq = space.degree
-        if d > dq:
-            continue
-        tgt_idx = monomial_index(nvars, dq - d)
-        block = k.zeros((len(tgt_idx), len(cols)))
-        for j, alpha in enumerate(cols):
-            res = contract(Poly.monomial(k, alpha), q)
-            for gamma, c in res.terms.items():
-                block[tgt_idx[gamma], j] = c
-        rows.append(block)
-    if not rows:
-        return Matrix.zeros(k, 0, len(cols))
-    return Matrix(k, np.concatenate(rows, axis=0))
+    requiring D(q) = 0 for every q in the space: one row per basis form
+    and monomial of degree deg(q) - d."""
+    rows = contraction_rows(space.field, space.basis.data, space.nvars, d,
+                            space.degree - d)
+    return Matrix(space.field,
+                  rows.swapaxes(-1, -2).reshape(-1, rows.shape[-2]))
 
 
 def annihilator(space: FormSpace, up_to: int) -> GradedIdeal:
@@ -212,22 +196,9 @@ def _contraction_system(ds: list, k: Field):
     ds are length-4 coefficient vectors of linear dual operators; the
     30x20 result maps cubic coefficients to three quadric coefficient
     vectors stacked."""
-    cubes = monomial_basis(4, 3)
-    quads = monomial_index(4, 2)
-    a = k.zeros((30, 20))
-    for col, beta in enumerate(cubes):
-        for j in range(4):
-            if beta[j] == 0:
-                continue
-            gamma = tuple(b - (1 if idx == j else 0)
-                          for idx, b in enumerate(beta))
-            row_in_block = quads[gamma]
-            for i in range(3):
-                w = ds[i][j]
-                if w != k.zero:
-                    a[10 * i + row_in_block, col] = k.add(
-                        a[10 * i + row_in_block, col], k.mul(w, k.of(beta[j])))
-    return a
+    # contractions of every basis cubic by the four dual variables
+    rows = contraction_rows(k, k.array(np.eye(20, dtype=np.int64)), 4, 1, 2)
+    return np.concatenate([dot(k, d, rows).T for d in ds])
 
 
 def _attempt_certificate(plane: QuadricPlane, w) -> tuple | None:

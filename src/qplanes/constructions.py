@@ -17,14 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apolarity import GradedIdeal, HilbertFunction, QuadricPlane, contract
+from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
+                        annihilator, contract)
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, ideal_piece_dim
-from .loci import (GenericityError, _pairing_row, jump_matrix,
-                   jump_matrix_from_quadrics, lperp)
-from .poly import (Poly, monomial_basis, mult_table, parse_poly,
-                   power_products, var_shift)
-from .unipoly import UniPoly, gcd, interpolate, roots_in_field, sylvester
+from .loci import (GenericityError, jump_matrix, jump_matrix_from_quadrics,
+                   lperp)
+from .poly import (Poly, dot, line_restriction, monomial_basis, mult_table,
+                   parse_poly, power_products, var_shift)
+from .unipoly import UniPoly, chart_resultant, gcd, roots_in_field
+from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
 class NonGenericConfiguration(ValueError):
@@ -286,19 +288,11 @@ def initial_system(points: PointSet, require_143: bool = True):
     hf = HilbertFunction(hf_vals)
     plane = None
     if hf == [1, 4, 3]:
-        plane = QuadricPlane(_contraction_perp(pieces[2]))
+        plane = QuadricPlane(annihilator(pieces[2], 2).piece(2))
     elif require_143:
         raise NonGenericConfiguration(
             f"limit Hilbert function is {hf}, not (1, 4, 3)", hf=hf)
     return ideal, hf, plane
-
-
-def _contraction_perp(duals: FormSpace) -> FormSpace:
-    """Quadrics annihilated by every dual quadric of the given space."""
-    k = duals.field
-    rows = [_pairing_row(dq) for dq in duals.polys()]
-    ker = Matrix(k, rows).right_kernel()
-    return FormSpace.from_matrix(k, duals.nvars, 2, ker)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +306,6 @@ def _random_gl(k: Field, n: int, rng) -> np.ndarray:
                      for _ in range(n)])
         if Matrix(k, m).rank() == n:
             return m
-
-
-def _cubic_y_coeffs(c: Poly, x0) -> list:
-    """Coefficients of c(x0, y, 1) in y, low to high, of formal degree 3."""
-    k = c.field
-    coeffs = [k.zero] * 4
-    for e, v in c.terms.items():
-        t = v
-        for _ in range(e[0]):
-            t = k.mul(t, x0)
-        coeffs[e[1]] = k.add(coeffs[e[1]], t)
-    return coeffs
 
 
 def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
@@ -360,11 +342,8 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
             moved.append((k.mul(q[0], inv), k.mul(q[1], inv)))
         if not ok or len({m[0] for m in moved}) != 8:
             continue
-        samples = []
-        for x0 in range(11):
-            f, gg = _cubic_y_coeffs(t1, x0), _cubic_y_coeffs(t2, x0)
-            samples.append((x0, sylvester(k, f, gg).det()))
-        res = interpolate(k, samples)
+        v1, v2 = t1.coeff_vector(3), t2.coeff_vector(3)
+        res = chart_resultant(k, v1, v2, 2)
         if res.degree() != 9:
             continue
         rem = res
@@ -379,8 +358,9 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
         if bad or rem.degree() != 1:
             continue
         x9 = k.div(k.neg(rem.coeffs[0]), rem.coeffs[1])
-        common = gcd(UniPoly(k, _cubic_y_coeffs(t1, x9)),
-                     UniPoly(k, _cubic_y_coeffs(t2, x9)))
+        line = line_restriction(k, 3, 2, x9)
+        common = gcd(UniPoly(k, dot(k, v1, line)),
+                     UniPoly(k, dot(k, v2, line)))
         if common.degree() != 1:
             continue
         y9 = k.div(k.neg(common.coeffs[0]), common.coeffs[1])
@@ -490,8 +470,9 @@ def elliptic_member(c1: Poly, c2: Poly, q, s, count: int = 40,
     proj = projection_from_point(q, k) if projection is None else projection
     images = []
     seen = set()
+    vec = cs.coeff_vector(3)
     for x0 in range(k.p):
-        f = UniPoly(k, _cubic_y_coeffs(cs, x0))
+        f = UniPoly(k, dot(k, vec, line_restriction(k, 3, 2, x0)))
         if f.is_zero():
             continue
         for y0 in set(roots_in_field(f)):

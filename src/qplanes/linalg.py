@@ -43,7 +43,10 @@ class Matrix:
 
     def __init__(self, field: Field, data):
         self.field = field
-        self.data = field.array(data) if not isinstance(data, np.ndarray) else field.reduce(data)
+        if isinstance(data, np.ndarray) and data.dtype == field.dtype:
+            self.data = field.reduce(data)
+        else:  # e.g. an int64 table over the rationals: convert, never truncate
+            self.data = field.array(data)
         if self.data.ndim != 2:
             raise ValueError("matrix data must be 2-dimensional")
 

@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .apolarity import QuadricPlane, annihilator
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, ideal_piece_dim, pfaffian
-from .poly import Poly, monomial_basis, monomial_index, power_products
-from .unipoly import (UniPoly, gcd, interpolate, roots_any_degree,
-                      squarefree_and_power, sylvester)
+from .poly import (Poly, contraction_rows, dense_mul, dot, line_restriction,
+                   monomial_basis, monomial_index, power_products)
+from .unipoly import (UniPoly, chart_resultant, gcd, interpolate,
+                      roots_any_degree, squarefree_and_power)
 
 
 class GenericityError(RuntimeError):
@@ -138,30 +140,31 @@ def jump_dimension(plane: QuadricPlane):
 
 
 def _minor_cubics(plane: QuadricPlane) -> list[Poly]:
-    """The sixteen 3x3 minors of a*A1 + b*A2 + c*A3 as cubics in (a,b,c)."""
+    """The sixteen 3x3 minors of a*A1 + b*A2 + c*A3 as cubics in (a,b,c).
+
+    Each minor is expanded along its first row on dense vectors; only
+    the 2x2 cofactors on the rows below a first row are built."""
     k = plane.field
-    mats = [quadric_to_matrix(q) for q in plane.basis_polys()]
-    # entries of the pencil matrix as linear polynomials in 3 variables
-    entry = [[Poly(k, 3, {(1, 0, 0): mats[0][i][j],
-                          (0, 1, 0): mats[1][i][j],
-                          (0, 0, 1): mats[2][i][j]})
-              for j in range(4)] for i in range(4)]
-    minors = []
-    for rows in _triples(4):
-        for cols in _triples(4):
-            minors.append(_det3([[entry[i][j] for j in cols] for i in rows]))
-    return minors
-
-
-def _triples(n):
-    return [(i, j, l) for i in range(n) for j in range(i + 1, n)
-            for l in range(j + 1, n)]
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    # entry (i, j) of the pencil matrix as a linear form in (a, b, c)
+    e = np.stack([quadric_to_matrix(q) for q in plane.basis_polys()], axis=-1)
+    low = list(combinations(range(1, 4), 2))
+    pairs = list(combinations(range(4), 2))
+    j, l = np.array(low).T[:, :, None]
+    b, c = np.array(pairs).T[:, None, :]
+    m2 = k.reduce(dense_mul(k, e[j, b], e[l, c], 3, 1, 1)
+                  - dense_mul(k, e[j, c], e[l, b], 3, 1, 1))
+    triples = list(combinations(range(4), 3))
+    lead, cofactor = [], []
+    for rows in triples:
+        for cols in triples:
+            for s in range(3):
+                lead.append(e[rows[0], cols[s]])
+                cofactor.append(m2[low.index(rows[1:]),
+                                   pairs.index(cols[:s] + cols[s + 1:])])
+    terms = dense_mul(k, np.stack(lead).reshape(16, 3, 3),
+                      np.stack(cofactor).reshape(16, 3, 6), 3, 1, 2)
+    minors = k.reduce(terms[:, 0] - terms[:, 1] + terms[:, 2])
+    return [Poly.from_coeff_vector(k, 3, 3, v) for v in minors]
 
 
 # Three general combinations of cubics in 3 variables without a common
@@ -218,36 +221,20 @@ def _find_rank_le2(plane: QuadricPlane, minors: list[Poly]):
             return q
     if not isinstance(k, PrimeField):
         return None
-    minors = [m for m in minors if not m.is_zero()]
+    vecs = np.stack([m.coeff_vector(3) for m in minors if not m.is_zero()])
     for chart in (2, 1, 0):
-        got = _rank_le2_on_chart(plane, minors, chart)
+        got = _rank_le2_on_chart(plane, vecs, chart)
         if got is not None:
             return got
     return None
 
 
-def _chart_bivariate(m: Poly, chart: int, u1: int, u2: int) -> dict:
-    """Coefficients of the minor on the affine chart (vars u1, u2)."""
-    out: dict[tuple[int, int], object] = {}
-    k = m.field
-    for e, c in m.terms.items():
-        key = (e[u1], e[u2])
-        out[key] = k.add(out.get(key, k.zero), c)
-    return out
-
-
-def _biv_to_unipoly(biv: dict, k: PrimeField, a0: int) -> UniPoly:
-    coeffs = [k.zero] * 4
-    for (d1, d2), c in biv.items():
-        coeffs[d2] = k.add(coeffs[d2], k.mul(c, pow(a0, d1, k.p)))
-    return UniPoly(k, coeffs)
-
-
-def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
+def _rank_le2_on_chart(plane: QuadricPlane, minors: np.ndarray, chart: int):
+    """Rank <= 2 element on the chart lambda_chart = 1 of the plane's
+    coordinates, from the dense vectors of the nonzero minors."""
     k: PrimeField = plane.field
     basis = plane.basis_polys()
     u1, u2 = [i for i in range(3) if i != chart]
-    bivs = [_chart_bivariate(m, chart, u1, u2) for m in minors]
     rng = random.Random(97)
 
     def element_at(a0, b0):
@@ -263,9 +250,10 @@ def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
         return None
 
     def common_b_roots(a0):
-        polys = [_biv_to_unipoly(b, k, a0) for b in bivs]
+        restricted = dot(k, minors, line_restriction(k, 3, chart, a0))
         g = None
-        for f in polys:
+        for row in restricted:
+            f = UniPoly(k, row)
             if f.is_zero():
                 continue
             g = f.monic() if g is None else gcd(g, f)
@@ -276,22 +264,10 @@ def _rank_le2_on_chart(plane: QuadricPlane, minors: list[Poly], chart: int):
         return roots_any_degree(g)
 
     for _ in range(6):
-        c1 = [k.random_element(rng) for _ in minors]
-        c2 = [k.random_element(rng) for _ in minors]
-
-        def combo(cs, a0):
-            coeffs = [k.zero] * 4
-            for c, b in zip(cs, bivs):
-                for (d1, d2), v in b.items():
-                    coeffs[d2] = k.add(coeffs[d2],
-                                       k.mul(k.mul(c, v), pow(a0, d1, k.p)))
-            return coeffs
-
-        samples = []
-        for a0 in range(25):
-            f, g = combo(c1, a0), combo(c2, a0)
-            samples.append((a0, sylvester(k, f, g).det()))
-        res = interpolate(k, samples)
+        c1 = k.array([k.random_element(rng) for _ in minors])
+        c2 = k.array([k.random_element(rng) for _ in minors])
+        res = chart_resultant(k, dot(k, c1, minors), dot(k, c2, minors),
+                              chart)
         if res.is_zero():
             continue
         for a0 in roots_any_degree(res):
@@ -501,12 +477,8 @@ def classify(plane: QuadricPlane) -> Classification:
     if hit and elem is not None:
         adapted = rank_le2_adapted_change(elem)
         if adapted is not None:
-            change, _, _ = adapted
-            try:
-                certs["witness_sextics"] = rank2_sextic_witness(
-                    plane, elem, change)
-            except (ValueError, AssertionError):
-                pass
+            certs["witness_sextics"] = rank2_sextic_witness(
+                plane, elem, adapted[0])
     return Classification(pf, hit, dim, verdict, certs)
 
 
@@ -523,18 +495,6 @@ class PencilReport:
     degrees: tuple[int, int, int]
     factorization_ok: bool
     resamples: int
-
-
-def _pairing_row(q: Poly) -> np.ndarray:
-    """Row of the contraction pairing of a quadric against dual
-    quadric monomials: entry m!*coeff_q(m)."""
-    k = q.field
-    idx = monomial_index(q.nvars, 2)
-    row = k.zeros(len(idx))
-    for e, c in q.terms.items():
-        weight = k.of(2) if max(e) == 2 else k.one
-        row[idx[e]] = k.mul(weight, c)
-    return row
 
 
 def random_quadric(k: Field, rng) -> Poly:
@@ -576,8 +536,10 @@ def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
     span = FormSpace.from_polys([q1, q2, u, w], nvars=4, degree=2)
     if span.dim != 4:
         return None
-    rows0 = np.stack([_pairing_row(q) for q in (q1, q2, u)])
-    row_w = _pairing_row(w)
+    # contraction pairing against the dual quadric monomials: m! * coeff
+    pairing = contraction_rows(
+        k, np.stack([q.coeff_vector(2) for q in (q1, q2, u, w)]), 4, 2, 0)
+    rows0, row_w = pairing[:3, :, 0], pairing[3, :, 0]
     mj = Matrix(k, rows0[:, j_cols])
     if mj.rank() != 3:
         return None

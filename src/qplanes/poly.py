@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import perm, prod
 
 import numpy as np
 
@@ -57,12 +58,20 @@ def mult_table(nvars: int, d1: int, d2: int) -> np.ndarray:
 
 
 def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
-    """Product of dense coefficient vectors of degrees d1 and d2."""
+    """Product of dense coefficient vectors of degrees d1 and d2; leading
+    axes of a and b broadcast, so stacks multiply in one call."""
     table = mult_table(nvars, d1, d2)
-    out = k.zeros(len(monomial_basis(nvars, d1 + d2)))
     # reduce each product first so the sums stay within int64
-    np.add.at(out, table.ravel(), k.reduce(np.outer(a, b)).ravel())
+    prods = k.reduce(a[..., :, None] * b[..., None, :])
+    out = k.zeros(prods.shape[:-2] + (len(monomial_basis(nvars, d1 + d2)),))
+    np.add.at(out, (..., table), prods)
     return k.reduce(out)
+
+
+def dot(k: Field, a, b):
+    """a @ b over the field, each product reduced before it is summed so
+    that int64 sums stay exact for p < 2^31."""
+    return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
 
 
 def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
@@ -71,7 +80,7 @@ def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
     k = forms[0].field
     n = len(forms)
     nvars = forms[0].nvars
-    d = max(f.degree() for f in forms)
+    d = max(max(f.degree() for f in forms), 0)
     vecs = [f.coeff_vector(d) for f in forms]
     prev = {(0,) * n: k.array([k.one])}
     for level in range(1, d2 + 1):
@@ -92,6 +101,40 @@ def var_shift(k: Field, vec, nvars: int, d: int, var: int):
     """Multiply a dense degree-d vector by the variable x_var."""
     out = k.zeros(len(monomial_basis(nvars, d + 1)))
     out[mult_table(nvars, d, 1)[:, var]] = vec
+    return out
+
+
+@lru_cache(maxsize=None)
+def contraction_weights(nvars: int, d1: int, d2: int) -> np.ndarray:
+    """Weights over mult_table(nvars, d1, d2): the dual monomial x^alpha
+    contracts x^(alpha+gamma) to (alpha+gamma)!/gamma! * x^gamma."""
+    w = np.array([[prod(perm(a + g, a) for a, g in zip(alpha, gamma))
+                   for gamma in monomial_basis(nvars, d2)]
+                  for alpha in monomial_basis(nvars, d1)], dtype=np.int64)
+    w.flags.writeable = False
+    return w
+
+
+def contraction_rows(k: Field, vecs, nvars: int, d1: int, d2: int):
+    """Contractions of forms of degree d1 + d2 (coefficient vectors on
+    the last axis of vecs) by the degree-d1 dual monomials: entry
+    [..., i, j] is the coefficient of basis_d2[j] in basis_d1[i] o f."""
+    weights = k.array(contraction_weights(nvars, d1, d2))
+    return k.reduce(weights * vecs[..., mult_table(nvars, d1, d2)])
+
+
+def line_restriction(k: Field, d: int, chart: int, a0) -> np.ndarray:
+    """Matrix restricting ternary forms of degree d to the line
+    x_chart = 1, x_u = a0, where u < v are the other two variables:
+    row m holds a0^(m_u) in the column of the power m_v of x_v, so
+    vec @ matrix lists the coefficients in x_v from low to high."""
+    u, v = [i for i in range(3) if i != chart]
+    exps = np.array(monomial_basis(3, d))
+    powers = [k.one]
+    for _ in range(d):
+        powers.append(k.mul(powers[-1], k.of(a0)))
+    out = k.zeros((len(exps), d + 1))
+    out[np.arange(len(exps)), exps[:, v]] = k.array(powers)[exps[:, u]]
     return out
 
 
@@ -232,31 +275,20 @@ class Poly:
 
     def substitute_linear(self, mat) -> "Poly":
         """Substitute x_i -> sum_j mat[i][j] x_j (mat over the field)."""
-        f = self.field
-        subs = [Poly(f, self.nvars,
-                     {tuple(1 if k == j else 0 for k in range(self.nvars)):
-                      mat[i][j] for j in range(self.nvars)})
-                for i in range(self.nvars)]
-        out = Poly.zero(f, self.nvars)
-        for e, c in self.terms.items():
-            term = Poly.constant(f, self.nvars, c)
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    term = term * subs[i]
-            out = out + term
-        return out
+        return self.substitute_polys(
+            [Poly.from_coeff_vector(self.field, self.nvars, 1, mat[i])
+             for i in range(self.nvars)])
 
     def substitute_polys(self, polys: list["Poly"]) -> "Poly":
-        """Substitute x_i -> polys[i] (all in the same target ring)."""
-        f = polys[0].field
-        nv = polys[0].nvars
+        """Substitute x_i -> polys[i], forms of one degree in one target
+        ring: each homogeneous part of degree d maps through the dense
+        degree-d products of the images."""
+        f, nv = polys[0].field, polys[0].nvars
+        e = max(max(p.degree() for p in polys), 0)  # as power_products
         out = Poly.zero(f, nv)
-        for e, c in self.terms.items():
-            term = Poly.constant(f, nv, c)
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    term = term * polys[i]
-            out = out + term
+        for d, vec in self.homogeneous_vectors().items():
+            image = dot(f, vec, power_products(polys, d))
+            out = out + Poly.from_coeff_vector(f, nv, d * e, image)
         return out
 
     def set_var_zero(self, i: int) -> "Poly":
@@ -281,6 +313,11 @@ class Poly:
                 raise ValueError("not homogeneous of the requested degree")
             vec[idx[e]] = c
         return vec
+
+    def homogeneous_vectors(self) -> dict[int, np.ndarray]:
+        """Coefficient vector of each nonzero homogeneous part, by degree."""
+        return {d: self.homogeneous_part(d).coeff_vector(d)
+                for d in sorted({sum(e) for e in self.terms})}
 
     @classmethod
     def from_coeff_vector(cls, field, nvars, d, vec) -> "Poly":

@@ -13,6 +13,7 @@ import numpy as np
 
 from .fields import Field, PrimeField
 from .linalg import Matrix
+from .poly import dot, line_restriction
 
 
 class UniPoly:
@@ -203,6 +204,21 @@ def sylvester(field: Field, f: list, g: list) -> Matrix:
     for i in range(m):
         data[n + i, i:i + n + 1] = g[::-1]
     return Matrix(field, data)
+
+
+def chart_resultant(field: Field, f, g, chart: int) -> UniPoly:
+    """Resultant in x_v of two ternary cubics, given as dense vectors,
+    on the lines x_chart = 1, x_u = a0 (u < v the other variables), as
+    a polynomial in a0.
+
+    The coefficient of x_v^j has degree <= 3 - j in a0, so the
+    resultant has degree <= 9 and 10 samples determine it."""
+    samples = []
+    for a0 in range(10):
+        r = line_restriction(field, 3, chart, a0)
+        samples.append((a0, sylvester(field, dot(field, f, r),
+                                      dot(field, g, r)).det()))
+    return interpolate(field, samples)
 
 
 def resultant(f: UniPoly, g: UniPoly):

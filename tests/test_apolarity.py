@@ -1,14 +1,19 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplanes.apolarity import (DependentContractions, HilbertFunction,
-                               QuadricPlane, annihilator,
+                               QuadricPlane, _contraction_constraint_matrix,
+                               _contraction_system, annihilator,
                                apolar_hilbert_function, contract,
                                partials_space, plane_from_cubic, recover_cubic)
 from qplanes.fields import PrimeField, RationalField
-from qplanes.linalg import FormSpace
-from qplanes.poly import Poly, monomial_basis, parse_poly
+from qplanes.linalg import FormSpace, Matrix
+from qplanes.poly import Poly, contraction_rows, monomial_basis, parse_poly
 
 K = PrimeField()
 V4 = ["x0", "x1", "x2", "x3"]
@@ -139,3 +144,80 @@ def test_recover_cubic_coordinate_plane():
     f2, e1, e2, e3 = got
     for op, q in zip((e1, e2, e3), plane.basis_polys()):
         assert contract(op, f2) == q
+
+
+# -- contraction through the weight table against the closed form -------
+
+WIDE = [K, PrimeField(2147483647), RationalField()]
+
+
+def _sparse_form(k, rng, nvars, d):
+    """A homogeneous form with about half of its coefficients zero."""
+    return Poly(k, nvars, {e: rng.choice([0, k.random_element(rng)])
+                           for e in monomial_basis(nvars, d)})
+
+
+def _reference_contract(d, f):
+    """x^alpha o x^beta = beta!/(beta-alpha)! x^(beta-alpha), term by term
+    on Python ints (or Fractions)."""
+    k = f.field
+    out = {}
+    for alpha, cd in d.terms.items():
+        for beta, cf in f.terms.items():
+            if all(a <= b for a, b in zip(alpha, beta)):
+                w = math.prod(math.perm(b, a) for a, b in zip(alpha, beta))
+                gamma = tuple(b - a for a, b in zip(alpha, beta))
+                out[gamma] = k.add(out.get(gamma, k.zero),
+                                   k.mul(k.mul(cd, cf), k.of(w)))
+    return Poly(k, f.nvars, out)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(WIDE), st.integers(1, 4),
+       st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_contract_matches_closed_form(seed, k, nvars, a, c):
+    rng = random.Random(seed)
+    d = _sparse_form(k, rng, nvars, a) + _sparse_form(k, rng, nvars, c)
+    f = _sparse_form(k, rng, nvars, a + c) + _sparse_form(k, rng, nvars, c)
+    assert contract(d, f) == _reference_contract(d, f)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(WIDE), st.integers(1, 4),
+       st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_contraction_rows_match_closed_form(seed, k, nvars, d1, d2):
+    """Includes d2 = 0, the pairing row m! * coeff(m)."""
+    rng = random.Random(seed)
+    forms = [_sparse_form(k, rng, nvars, d1 + d2) for _ in range(2)]
+    rows = contraction_rows(k, np.stack([f.coeff_vector(d1 + d2)
+                                         for f in forms]), nvars, d1, d2)
+    for f, block in zip(forms, rows):
+        for alpha, row in zip(monomial_basis(nvars, d1), block):
+            want = _reference_contract(Poly.monomial(k, alpha), f)
+            assert Poly.from_coeff_vector(k, nvars, d2, row) == want
+
+
+@given(st.integers(0, 10**6), st.sampled_from(WIDE), st.integers(0, 2))
+@settings(max_examples=20, deadline=None)
+def test_constraint_matrix_matches_closed_form(seed, k, d):
+    rng = random.Random(seed)
+    space = FormSpace.from_polys([_random_form(k, rng, 4, 2)
+                                  for _ in range(3)])
+    m = _contraction_constraint_matrix(space, d)
+    cols = monomial_basis(4, d)
+    want = [[_reference_contract(Poly.monomial(k, alpha), q).coefficient(g)
+             for alpha in cols]
+            for q in space.polys() for g in monomial_basis(4, 2 - d)]
+    assert m == Matrix(k, want)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(WIDE))
+@settings(max_examples=20, deadline=None)
+def test_contraction_system_matches_closed_form(seed, k):
+    rng = random.Random(seed)
+    ds = [_sparse_form(k, rng, 4, 1) for _ in range(3)]
+    got = _contraction_system([d.coeff_vector(1) for d in ds], k)
+    for col, beta in enumerate(monomial_basis(4, 3)):
+        image = [_reference_contract(d, Poly.monomial(k, beta)).coeff_vector(2)
+                 for d in ds]
+        assert list(got[:, col]) == list(np.concatenate(image))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,3 +128,14 @@ def test_formspace_full_empty():
     assert FormSpace.full(K, 4, 2).dim == 10
     assert FormSpace.full(K, 4, 2).contains_space(FormSpace.from_polys(
         [parse_poly("x0*x1", VARS_P3, K)]))
+
+
+def test_int64_data_over_rationals_is_converted():
+    q = RationalField()
+    m = Matrix(q, np.array([[2, 1], [4, 2]]))
+    assert m.data.dtype == object
+    assert m.rank() == 1
+    ker = Matrix(q, np.array([[2, 1, 0], [0, 2, 1]])).right_kernel()
+    assert list(ker.data[0]) == [1, -2, 4]
+    half = Matrix(q, np.array([[2]])).inverse()
+    assert half.data[0, 0] == Fraction(1, 2)

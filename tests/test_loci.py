@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -325,3 +326,50 @@ def test_pencil_refuses_small_fields():
         loci.pencil_experiment(PrimeField(37), seed=0)
     with pytest.raises(ValueError):
         loci.pencil_experiment(RationalField(), seed=0)
+
+
+# -- the dense minors against the dict Laplace expansion ----------------
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _dict_minor_cubics(plane):
+    """The sixteen minors through dict Poly products."""
+    k = plane.field
+    mats = [loci.quadric_to_matrix(q) for q in plane.basis_polys()]
+    entry = [[Poly(k, 3, {(1, 0, 0): mats[0][i][j], (0, 1, 0): mats[1][i][j],
+                          (0, 0, 1): mats[2][i][j]})
+              for j in range(4)] for i in range(4)]
+    triples = list(combinations(range(4), 3))
+    return [_det3([[entry[i][j] for j in cols] for i in rows])
+            for rows in triples for cols in triples]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(PLANES)),
+       st.sampled_from([K, PrimeField(2147483647), RationalField()]))
+@settings(max_examples=24, deadline=None)
+def test_minor_cubics_match_dict_expansion(seed, kind, k):
+    plane = PLANES[kind](random.Random(seed), k)
+    assert loci._minor_cubics(plane) == _dict_minor_cubics(plane)
+
+
+def test_classify_witnesses_on_secant_and_rank1_planes():
+    """Every secant or rank-1 plane gets an element, and witness sextics
+    whenever that element has an adapted change over F_p."""
+    rng = random.Random(20)
+    adapted_seen = 0
+    for kind in ["secant"] * 6 + ["rank1"] * 4:
+        c = loci.classify(PLANES[kind](rng))
+        assert c.secant_hit
+        elem = c.certificates["secant"]["element"]
+        assert elem is not None
+        adapted = loci.rank_le2_adapted_change(elem)
+        if adapted is not None:
+            adapted_seen += 1
+            assert c.certificates["witness_sextics"] is not None
+        if kind == "rank1":
+            assert adapted is not None
+    assert adapted_seen >= 4

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
-from qplanes.poly import (Poly, dense_mul, monomial_basis, monomial_index,
-                          parse_poly, power_products, var_shift)
+from qplanes.poly import (Poly, dense_mul, line_restriction, monomial_basis,
+                          monomial_index, parse_poly, power_products,
+                          var_shift)
 
 K = PrimeField()
 V3 = ["x0", "x1", "x2"]
@@ -161,3 +162,63 @@ def test_power_products_match_poly_mul(seed, k, nvars, d, n, d2):
             for _ in range(ei):
                 prod = prod * form
         assert Poly.from_coeff_vector(k, nvars, d * d2, row) == prod
+
+
+# -- substitution through power_products against term-by-term products --
+
+WIDE = st.sampled_from([K, PrimeField(2147483647), RationalField()])
+
+
+def _reference_substitute(f, images):
+    """x_i -> images[i], term by term with dict Poly products."""
+    k, nv = images[0].field, images[0].nvars
+    out = Poly.zero(k, nv)
+    for e, c in f.terms.items():
+        term = Poly.constant(k, nv, c)
+        for img, ei in zip(images, e):
+            for _ in range(ei):
+                term = term * img
+        out = out + term
+    return out
+
+
+@given(st.integers(0, 10**6), WIDE, st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_substitute_linear_matches_term_products(seed, k, nvars):
+    rng = random.Random(seed)
+    f = _random_poly(k, rng, nvars)
+    mat = [[rng.choice([0, k.random_element(rng)]) for _ in range(nvars)]
+           for _ in range(nvars)]
+    images = [Poly(k, nvars, {tuple(int(t == j) for t in range(nvars)): mat[i][j]
+                              for j in range(nvars)}) for i in range(nvars)]
+    assert f.substitute_linear(mat) == _reference_substitute(f, images)
+
+
+@given(st.integers(0, 10**6), WIDE, st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_substitute_polys_matches_term_products(seed, k, nvars, target, d):
+    rng = random.Random(seed)
+    f = _random_poly(k, rng, nvars, maxdeg=2)
+    images = [_random_form(k, rng, target, d) for _ in range(nvars)]
+    assert f.substitute_polys(images) == _reference_substitute(f, images)
+
+
+@given(st.integers(0, 10**6), WIDE, st.integers(0, 2), st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_line_restriction_matches_evaluation(seed, k, chart, d):
+    rng = random.Random(seed)
+    f = _random_form(k, rng, 3, d)
+    a0, y = k.random_element(rng), k.random_element(rng)
+    u, v = [i for i in range(3) if i != chart]
+    point = [k.one] * 3
+    point[u], point[v] = a0, y
+    r = line_restriction(k, d, chart, a0)
+    vec = f.coeff_vector(d)
+    got = k.zero
+    for j in reversed(range(d + 1)):  # Horner in x_v, exact on scalars
+        cj = k.zero
+        for m in range(len(vec)):
+            cj = k.add(cj, k.mul(k.of(vec[m]), k.of(r[m, j])))
+        got = k.add(k.mul(got, y), cj)
+    assert got == f.evaluate(tuple(point))
