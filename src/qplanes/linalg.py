@@ -1,8 +1,21 @@
 """Exact dense linear algebra over the configured field.
 
-Prime-field matrices are numpy int64 arrays reduced mod p, with the
-elimination loops vectorized row-wise; rational matrices hold Fractions
-in object arrays and go through the same code path.
+Prime-field matrices are numpy int64 arrays reduced mod p; rational
+matrices hold Fractions in object arrays.  Row reduction (behind rank,
+rref, right_kernel, inverse and solve) takes one of two paths:
+
+* the unblocked Gauss–Jordan loop, one vectorized rank-1 update per
+  pivot, for the rationals and for every matrix of at most PANEL columns;
+* blocked Gauss–Jordan over column panels of PANEL columns (in the style
+  of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008) for
+  wider matrices over F_p with (p-1) + min(rows, cols) p (p-1) < 2^53.
+  Its float64 GEMMs multiply and add non-negative integers below 2^53,
+  so every result is exact.  At p = 32003 the bound holds up to ~8.8M
+  rows or columns; at p = 2^31 - 1 it fails for every non-empty matrix,
+  so large primes stay on the int64 loop.
+
+The reduced row echelon form is canonical, so both paths return the same
+matrix and pivots.
 """
 
 from __future__ import annotations
@@ -10,13 +23,23 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .poly import Poly, monomial_basis, mult_table
+from .poly import Poly, dot, monomial_basis, mult_table
 
 
-def _rref(a: np.ndarray, field: Field):
-    """Reduced row echelon form; returns (rref, pivot_columns)."""
+PANEL = 128  # column panel width of the blocked elimination
+_LEAF = 32  # narrowest panel width; such panels are factored by the loop
+_CHUNK = 256  # rows per GEMM in the blocked trailing update
+_EXACT = 2 ** 53  # float64 holds every integer below this exactly
+
+
+def _gauss_jordan(a: np.ndarray, field: Field):
+    """Unblocked Gauss–Jordan, one rank-1 update per pivot.
+
+    Returns (rref, pivot_columns, pivot_rows), where pivot_rows[t] is the
+    input row that became row t of the result."""
     a = a.copy()
     rows, cols = a.shape
+    order = np.arange(rows)
     pivots = []
     r = 0
     for c in range(cols):
@@ -28,6 +51,7 @@ def _rref(a: np.ndarray, field: Field):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+            order[[r, pr]] = order[[pr, r]]
         a[r] = field.reduce(a[r] * field.inv(a[r, c]))
         col = a[:, c].copy()
         col[r] = field.zero
@@ -35,7 +59,83 @@ def _rref(a: np.ndarray, field: Field):
         a = field.reduce(a)
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, order[:r]
+
+
+def _echelon(a: np.ndarray, field: Field, width: int):
+    """Gauss–Jordan of a reduced int64 matrix over F_p in column panels of
+    the given width, on a float64 copy; returns what _gauss_jordan does.
+
+    Rows 0..r-1 of the copy are the pivot rows found so far, in order.
+    For each panel: reduce its columns mod p, factor rows r.. (new pivot
+    rows S at columns J) with panels a quarter as wide, move S to rows
+    r..r+k-1, set N = B^-1 A[S, c0:] with B = A[S, J], and update every
+    row with one GEMM, A[:, c0:] += A[:, J] (p - N).  All terms are
+    non-negative integers, so every partial sum is exact while it stays
+    below 2^53; trailing columns are reduced only when their panel comes
+    up.  The caller checks (p-1) + min(rows, cols) p (p-1) < 2^53, which
+    bounds both the accumulated entries and the k (p-1)^2 sums of
+    B^-1 A[S]; submatrices keep the bound.  The result is written over the
+    float64 copy, so it is the only full-size array allocated."""
+    rows, cols = a.shape
+    if cols <= width or width < _LEAF:
+        return _gauss_jordan(a, field)
+    p = field.p
+    f = a.astype(np.float64)
+    order = np.arange(rows)  # input row now at each row of f
+    pivots = []
+    r = 0
+    for c0 in range(0, cols, width):
+        if r >= rows:
+            break
+        c1 = min(c0 + width, cols)
+        panel = f[:, c0:c1].astype(np.int64) % p
+        f[:, c0:c1] = panel
+        _, js, ss = _echelon(panel[r:], field, width // 4)
+        if not js:
+            continue
+        k = len(js)
+        binv = _echelon(np.concatenate(
+            [panel[r + ss][:, js], np.eye(k, dtype=np.int64)], axis=1),
+            field, width // 4)[0][:, k:]
+        # move S to the top of the free rows: rows of the top block not in
+        # S go to the places S leaves below it
+        top, held = f[r + ss], order[r + ss]
+        src = r + np.setdiff1d(np.arange(k), ss)
+        dst = r + np.setdiff1d(ss, np.arange(k))
+        f[dst], order[dst] = f[src], order[src]
+        f[r:r + k], order[r:r + k] = top, held
+        new = (binv.astype(np.float64) @ (top[:, c0:].astype(np.int64) % p)
+               ).astype(np.int64) % p
+        neg = (p - new).astype(np.float64)
+        jc = c0 + np.array(js)
+        for i in range(0, rows, _CHUNK):
+            f[i:i + _CHUNK, c0:] += f[i:i + _CHUNK, jc] @ neg
+        f[r:r + k, c0:] = new
+        pivots.extend(int(j) for j in jc)
+        r += k
+    out = f.view(np.int64)
+    for i in range(0, r, _CHUNK):
+        j = min(i + _CHUNK, r)
+        out[i:j] = f[i:j].astype(np.int64) % p
+    out[r:] = 0
+    return out, pivots, order[:r]
+
+
+def _rref(a: np.ndarray, field: Field):
+    """Reduced row echelon form; returns (rref, pivot_columns).
+
+    Prime-field matrices wider than PANEL whose entries stay exact in
+    float64 take the blocked path; everything else the unblocked loop."""
+    rows, cols = a.shape
+    blocked = (field.kind == "prime" and cols > PANEL
+               and (field.p - 1) + min(rows, cols) * field.p * (field.p - 1)
+               < _EXACT)
+    if blocked:
+        r, pivots, _ = _echelon(a, field, PANEL)
+    else:
+        r, pivots, _ = _gauss_jordan(a, field)
+    return r, pivots
 
 
 class Matrix:
@@ -89,7 +189,7 @@ class Matrix:
         return Matrix(self.field, self.data.T.copy())
 
     def matmul(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.field.reduce(self.data @ other.data))
+        return Matrix(self.field, dot(self.field, self.data, other.data))
 
     def rref(self):
         r, pivots = _rref(self.data, self.field)
@@ -310,7 +410,7 @@ class FormSpace:
         # v in both spaces: v = x.a = y.b; solve [a^T | -b^T] (x, y)^T = 0
         m = np.concatenate([a.T, self.field.reduce(-b.T)], axis=1)
         ker = Matrix(self.field, m).right_kernel()
-        rows = self.field.reduce(ker.data[:, : a.shape[0]] @ a)
+        rows = dot(self.field, ker.data[:, : a.shape[0]], a)
         return FormSpace.from_matrix(self.field, self.nvars, self.degree,
                                      Matrix(self.field, rows))
 

@@ -435,10 +435,18 @@ def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
         [q.substitute_linear(change) for q in plane.basis_polys()])
     # a cubic product of the perpendicular quadrics sends x^beta to
     # beta! times its x^beta coefficient, and beta! is a unit (p > 6):
-    # x^beta is annihilated by all 84 products iff row beta is zero
-    jm = jump_matrix(moved_plane).data
-    idx = monomial_index(4, 6)
-    if any(np.any(jm[idx[b]] != k.zero) for b in betas):
+    # x^beta is annihilated by all 84 products iff those coefficients
+    # vanish.  They depend only on the factors restricted to the variables
+    # of supp(beta), x2 = x3 = 0 (rank 2) or x3 = 0 (rank 1); the ordered
+    # triples of the 7 restricted duals cover the 84 products
+    nv = 2 if rank == 2 else 3
+    keep = [monomial_index(4, 2)[e + (0,) * (4 - nv)]
+            for e in monomial_basis(nv, 2)]
+    duals = lperp(moved_plane).basis.data[:, keep]
+    quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
+    sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
+    idx = monomial_index(nv, 6)
+    if any(np.any(sextics[..., idx[b[:nv]]] != k.zero) for b in betas):
         raise AssertionError("witness sextic not annihilated")
     return [Poly.monomial(k, b) for b in betas]
 

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qplanes.fields import PrimeField, RationalField
+from qplanes import linalg
+from qplanes.fields import PrimeField, RationalField, is_prime
 from qplanes.linalg import FormSpace, Matrix, pfaffian, pfaffian_matchings
 from qplanes.poly import Poly, parse_poly, VARS_P3
 
@@ -139,3 +143,162 @@ def test_int64_data_over_rationals_is_converted():
     assert list(ker.data[0]) == [1, -2, 4]
     half = Matrix(q, np.array([[2]])).inverse()
     assert half.data[0, 0] == Fraction(1, 2)
+
+
+def test_products_reduce_each_term_at_large_prime():
+    """Sums of (p-1)^2 terms wrap int64 at p = 2^31 - 1 unless each
+    product is reduced first."""
+    k = PrimeField(2147483647)
+    q = k.p - 1
+    m = Matrix.from_rows(k, [[q] * 3] * 3)
+    assert m.matmul(m) == Matrix.from_rows(k, [[3] * 3] * 3)
+    # the intersection is spanned by (1, q, q, q) times the basis of a
+    a = FormSpace.from_matrix(k, 5, 1, Matrix.from_rows(
+        k, [[int(i == j) for j in range(4)] + [q] for i in range(4)]))
+    b = FormSpace.from_matrix(k, 5, 1, Matrix.from_rows(
+        k, [[1, q, q, q, q + 3 * q * q]]))
+    assert a.intersect(b) == b
+
+
+# -- blocked elimination against the unblocked loop ------------------------
+
+
+def _loop_rref(a, field):
+    """The unblocked Gauss–Jordan loop: the oracle for the blocked path."""
+    a = a.copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = field.reduce(a[r] * field.inv(a[r, c]))
+        col = a[:, c].copy()
+        col[r] = field.zero
+        a -= np.outer(col, a[r])
+        a = field.reduce(a)
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _blocked_runs(m: Matrix) -> bool:
+    with mock.patch.object(linalg, "_echelon", wraps=linalg._echelon) as spy:
+        m.rank()
+    return spy.called
+
+
+def _prime_near_float_bound(n: int, side: str) -> int:
+    """The largest prime p with (p-1) + n p (p-1) < 2^53, or the smallest
+    prime above it."""
+    p = int((2 ** 53 / n) ** 0.5) + 2
+    while (p - 1) + n * p * (p - 1) >= 2 ** 53:
+        p -= 1
+    step = -1 if side == "below" else 1
+    if side == "above":
+        p += 1
+    while not is_prime(p):
+        p += step
+    return p
+
+
+def _field_for(prime: str, n: int) -> PrimeField:
+    if prime == "default":
+        return K
+    if prime == "int64":
+        return PrimeField(2147483647)
+    return PrimeField(_prime_near_float_bound(n, prime))
+
+
+def _test_matrix(k, rng, rows, cols, rank, zero_cols, dup_cols):
+    """A rows x cols matrix of rank <= rank, with some columns zeroed and
+    some copied over others."""
+    basis = rng.integers(0, k.p, (rank, cols))
+    coeffs = rng.integers(0, 3, (rows, rank))
+    a = (coeffs @ basis) % k.p  # entries below 2^42: exact in int64
+    a[:, rng.choice(cols, zero_cols, replace=False)] = 0
+    for _ in range(dup_cols):
+        src, dst = rng.choice(cols, 2, replace=False)
+        a[:, dst] = a[:, src]
+    return Matrix(k, a)
+
+
+def _both_paths(fn):
+    """fn() with the current _rref and with the unblocked loop."""
+    fast = fn()
+    with mock.patch.object(linalg, "_rref", _loop_rref):
+        slow = fn()
+    return fast, slow
+
+
+PRIMES = ["default", "below", "above", "int64"]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([129, 256, 257, 300]),
+       st.sampled_from(["one", "wide", "square", "tall"]),
+       st.sampled_from(PRIMES), st.floats(0, 1), st.integers(0, 4),
+       st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_blocked_rref_matches_loop(seed, cols, shape, prime, fill, zero_cols,
+                                   dup_cols):
+    rng = np.random.default_rng(seed)
+    rows = {"one": 1, "wide": cols // 2, "square": cols,
+            "tall": cols + 37}[shape]
+    k = _field_for(prime, min(rows, cols))
+    rank = int(fill * min(rows, cols))
+    m = _test_matrix(k, rng, rows, cols, rank, zero_cols, dup_cols)
+    assert _blocked_runs(m) == (prime in ("default", "below"))
+    (red, piv), (red0, piv0) = _both_paths(m.rref)
+    assert piv == piv0 and red == red0
+    assert _both_paths(m.rank) == (len(piv0),) * 2
+    ker, ker0 = _both_paths(m.right_kernel)
+    assert ker == ker0
+    # the last column as right-hand side: the augmented matrix is m itself
+    lhs = Matrix(k, m.data[:, :-1])
+    x, x0 = _both_paths(lambda: lhs.solve(m.data[:, -1]))
+    assert (x is None) == (x0 is None) == (cols - 1 in piv0)
+    if x is not None:
+        assert np.array_equal(x, x0)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([65, 128, 150]),
+       st.sampled_from(PRIMES), st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_blocked_inverse_matches_loop(seed, n, prime, singular):
+    rng = np.random.default_rng(seed)
+    k = _field_for(prime, n)
+    m = _test_matrix(k, rng, n, n, n - singular, 0, 0)
+
+    def inverse():
+        try:
+            return m.inverse()
+        except ValueError as exc:
+            return str(exc)
+
+    inv, inv0 = _both_paths(inverse)
+    assert inv == inv0
+    if isinstance(inv, Matrix):
+        assert m.matmul(inv) == Matrix.identity(k, n)
+
+
+def test_blocked_path_choice():
+    rng = np.random.default_rng(0)
+    wide = _test_matrix(K, rng, 10, 129, 10, 0, 0)
+    assert _blocked_runs(wide)
+    assert not _blocked_runs(Matrix(K, wide.data[:, :128]))
+    assert not _blocked_runs(Matrix(RationalField(), wide.data))
+    assert not _blocked_runs(Matrix(PrimeField(2147483647), wide.data))
+    empty = Matrix(K, np.zeros((0, 300), dtype=np.int64))
+    assert _blocked_runs(empty)
+    assert empty.rref() == (empty, [])
+    assert empty.right_kernel() == Matrix.identity(K, 300)
+    for n in (10, 129):
+        ones = np.ones((n, 300), dtype=np.int64)
+        assert _blocked_runs(Matrix(_field_for("below", n), ones))
+        assert not _blocked_runs(Matrix(_field_for("above", n), ones))
