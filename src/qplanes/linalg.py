@@ -69,14 +69,14 @@ def _echelon(a: np.ndarray, field: Field, width: int):
     Rows 0..r-1 of the copy are the pivot rows found so far, in order.
     For each panel: reduce its columns mod p, factor rows r.. (new pivot
     rows S at columns J) with panels a quarter as wide, move S to rows
-    r..r+k-1, set N = B^-1 A[S, c0:] with B = A[S, J], and update every
-    row with one GEMM, A[:, c0:] += A[:, J] (p - N).  All terms are
-    non-negative integers, so every partial sum is exact while it stays
-    below 2^53; trailing columns are reduced only when their panel comes
-    up.  The caller checks (p-1) + min(rows, cols) p (p-1) < 2^53, which
-    bounds both the accumulated entries and the k (p-1)^2 sums of
-    B^-1 A[S]; submatrices keep the bound.  The result is written over the
-    float64 copy, so it is the only full-size array allocated."""
+    r..r+k-1, row-reduce them to N = B^-1 A[S, c0:] with B = A[S, J], and
+    update every row with one GEMM, A[:, c0:] += A[:, J] (p - N).  All
+    terms are non-negative integers, so every partial sum is exact while
+    it stays below 2^53; trailing columns are reduced only when their
+    panel comes up.  The caller checks (p-1) + min(rows, cols) p (p-1)
+    < 2^53, which bounds the accumulated entries; submatrices keep the
+    bound.  The result is written over the float64 copy, so it is the
+    only full-size array allocated."""
     rows, cols = a.shape
     if cols <= width or width < _LEAF:
         return _gauss_jordan(a, field)
@@ -89,25 +89,23 @@ def _echelon(a: np.ndarray, field: Field, width: int):
         if r >= rows:
             break
         c1 = min(c0 + width, cols)
-        panel = f[:, c0:c1].astype(np.int64) % p
-        f[:, c0:c1] = panel
-        _, js, ss = _echelon(panel[r:], field, width // 4)
+        f[:, c0:c1] = f[:, c0:c1].astype(np.int64) % p
+        js, ss = _echelon(f[r:, c0:c1].astype(np.int64), field,
+                          width // 4)[1:]
         if not js:
             continue
         k = len(js)
-        binv = _echelon(np.concatenate(
-            [panel[r + ss][:, js], np.eye(k, dtype=np.int64)], axis=1),
-            field, width // 4)[0][:, k:]
-        # move S to the top of the free rows: rows of the top block not in
-        # S go to the places S leaves below it
-        top, held = f[r + ss], order[r + ss]
-        src = r + np.setdiff1d(np.arange(k), ss)
-        dst = r + np.setdiff1d(ss, np.arange(k))
-        f[dst], order[dst] = f[src], order[src]
-        f[r:r + k], order[r:r + k] = top, held
-        new = (binv.astype(np.float64) @ (top[:, c0:].astype(np.int64) % p)
-               ).astype(np.int64) % p
-        neg = (p - new).astype(np.float64)
+        # move S to rows r..r+k-1; the rows there that are not in S take
+        # the places S leaves
+        top = np.arange(k)
+        frm = r + np.concatenate([ss, np.setdiff1d(top, ss)])
+        to = r + np.concatenate([top, np.setdiff1d(ss, top)])
+        f[to], order[to] = f[frm], order[frm]
+        # S spans the panel's free rows, so its pivots are J and its RREF
+        # is B^-1 A[S, c0:]
+        new = _echelon(f[r:r + k, c0:].astype(np.int64) % p, field,
+                       width // 4)[0]
+        neg = p - new.astype(np.float64)
         jc = c0 + np.array(js)
         for i in range(0, rows, _CHUNK):
             f[i:i + _CHUNK, c0:] += f[i:i + _CHUNK, jc] @ neg
