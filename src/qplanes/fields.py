@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_PRIME = 32003
+# every prime modulus lies below this: residues then multiply within int64
+PRIME_BOUND = 2 ** 31
 
 
 def is_prime(n: int) -> bool:
@@ -30,15 +32,18 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p for a prime p >= 11.
+    """F_p for a prime 11 <= p < PRIME_BOUND.
 
     The lower bound keeps every factorial used by polynomial contraction
-    (degrees up to 8) invertible.
+    (degrees up to 8) invertible; the upper bound keeps the product of
+    two residues within int64.
     """
 
     kind = "prime"
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= PRIME_BOUND:  # before the trial division, which is O(sqrt p)
+            raise ValueError(f"prime field needs p < 2^31, got {p}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         if p < 11:

@@ -2,27 +2,44 @@
 
 Prime-field matrices are numpy int64 arrays reduced mod p; rational
 matrices hold Fractions in object arrays.  Row reduction (behind rank,
-rref, right_kernel, inverse and solve) takes one of two paths:
+rref, right_kernel, inverse and solve) takes one of three paths:
 
-* the unblocked Gauss–Jordan loop, one vectorized rank-1 update per
-  pivot, for the rationals and for every matrix of at most PANEL columns;
+* the unblocked Gauss–Jordan loop over F_p, one vectorized rank-1 update
+  per pivot, for every prime-field matrix of at most PANEL columns and
+  for primes too large for the blocked path;
 * blocked Gauss–Jordan over column panels of PANEL columns (in the style
   of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008) for
   wider matrices over F_p with (p-1) + min(rows, cols) p (p-1) < 2^53.
   Its float64 GEMMs multiply and add non-negative integers below 2^53,
   so every result is exact.  At p = 32003 the bound holds up to ~8.8M
   rows or columns; at p = 2^31 - 1 it fails for every non-empty matrix,
-  so large primes stay on the int64 loop.
+  so large primes stay on the int64 loop;
+* over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
+  Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
+  keeps the RREF, and the integer matrix A is row-reduced by the int64
+  loop modulo primes below 2^31, largest first.  Only the images of the
+  highest rank and, among those, the earliest pivot columns are kept:
+  the rank of A modulo p never exceeds its rank over Q.  The free-column
+  entries of the kept images are combined by CRT and rebuilt by rational
+  reconstruction with a common denominator D, and the candidate R is
+  accepted only if D A[:, free] == A[:, pivots] (D R)[:, free] holds in
+  Python integers.  That puts every row of A in the row space of R,
+  whose dimension is at most the rank of A, so R is the RREF of A.  An
+  image of full column rank proves the RREF is the identity at once.
 
-The reduced row echelon form is canonical, so both paths return the same
-matrix and pivots.
+The reduced row echelon form is canonical, so every path returns the
+same matrix and pivots as plain Gauss–Jordan over the field.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, lcm
+
 import numpy as np
 
-from .fields import Field
+from .fields import Field, is_prime
 from .poly import Poly, dot, monomial_basis, mult_table
 
 
@@ -31,9 +48,22 @@ _LEAF = 32  # narrowest panel width; such panels are factored by the loop
 _CHUNK = 256  # rows per GEMM in the blocked trailing update
 _EXACT = 2 ** 53  # float64 holds every integer below this exactly
 
+# The largest primes below fields.PRIME_BOUND, descending: the moduli of
+# the images of rational matrices, listed so that no image needs a
+# primality test until they run out.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921,
+)
 
-def _gauss_jordan(a: np.ndarray, field: Field):
-    """Unblocked Gauss–Jordan, one rank-1 update per pivot.
+
+def _gauss_jordan(a: np.ndarray, p: int):
+    """Unblocked Gauss–Jordan of a reduced int64 matrix over F_p, one
+    rank-1 update per pivot.
 
     Returns (rref, pivot_columns, pivot_rows), where pivot_rows[t] is the
     input row that became row t of the result."""
@@ -52,17 +82,17 @@ def _gauss_jordan(a: np.ndarray, field: Field):
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
             order[[r, pr]] = order[[pr, r]]
-        a[r] = field.reduce(a[r] * field.inv(a[r, c]))
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
-        col[r] = field.zero
+        col[r] = 0
         a -= np.outer(col, a[r])
-        a = field.reduce(a)
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots, order[:r]
 
 
-def _echelon(a: np.ndarray, field: Field, width: int):
+def _echelon(a: np.ndarray, p: int, width: int):
     """Gauss–Jordan of a reduced int64 matrix over F_p in column panels of
     the given width, on a float64 copy; returns what _gauss_jordan does.
 
@@ -79,8 +109,7 @@ def _echelon(a: np.ndarray, field: Field, width: int):
     only full-size array allocated."""
     rows, cols = a.shape
     if cols <= width or width < _LEAF:
-        return _gauss_jordan(a, field)
-    p = field.p
+        return _gauss_jordan(a, p)
     f = a.astype(np.float64)
     order = np.arange(rows)  # input row now at each row of f
     pivots = []
@@ -90,8 +119,7 @@ def _echelon(a: np.ndarray, field: Field, width: int):
             break
         c1 = min(c0 + width, cols)
         f[:, c0:c1] = f[:, c0:c1].astype(np.int64) % p
-        js, ss = _echelon(f[r:, c0:c1].astype(np.int64), field,
-                          width // 4)[1:]
+        js, ss = _echelon(f[r:, c0:c1].astype(np.int64), p, width // 4)[1:]
         if not js:
             continue
         k = len(js)
@@ -103,7 +131,7 @@ def _echelon(a: np.ndarray, field: Field, width: int):
         f[to], order[to] = f[frm], order[frm]
         # S spans the panel's free rows, so its pivots are J and its RREF
         # is B^-1 A[S, c0:]
-        new = _echelon(f[r:r + k, c0:].astype(np.int64) % p, field,
+        new = _echelon(f[r:r + k, c0:].astype(np.int64) % p, p,
                        width // 4)[0]
         neg = p - new.astype(np.float64)
         jc = c0 + np.array(js)
@@ -120,19 +148,126 @@ def _echelon(a: np.ndarray, field: Field, width: int):
     return out, pivots, order[:r]
 
 
+@lru_cache(maxsize=None)
+def _prime_below(p: int) -> int:
+    """The largest prime below the odd prime p."""
+    p -= 2
+    while not is_prime(p):
+        p -= 2
+    return p
+
+
+def _image_primes():
+    """Primes below fields.PRIME_BOUND, largest first, without end."""
+    yield from _PRIMES
+    p = _PRIMES[-1]
+    while True:
+        p = _prime_below(p)
+        yield p
+
+
+def _integer_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a rational matrix times the lcm of its denominators:
+    an object array of Python ints with the same RREF."""
+    out = np.empty(a.shape, dtype=object)
+    for i, row in enumerate(a):
+        m = lcm(*(x.denominator for x in row))
+        out[i] = [x.numerator * (m // x.denominator) for x in row]
+    return out
+
+
+def _ratrecon_den(y: int, m: int, nbound: int, dbound: int):
+    """The denominator d of a fraction n/d = y mod m with |n| <= nbound
+    and 0 < d <= dbound, or None (half extended Euclid on m and y)."""
+    r0, r1 = m, y % m
+    t0, t1 = 0, 1
+    while r1 > nbound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= dbound else None
+
+
+def _reconstruct(res: np.ndarray, m: int):
+    """A common denominator D and integers N with N = D res mod m, all of
+    |N| and D at most sqrt(m/2), or None.  Each entry is multiplied by the
+    denominator found so far and only the rest is reconstructed, so a
+    modulus too small for the answer fails within a few entries."""
+    half, bound = m // 2, isqrt(m // 2)
+    den = 1
+    for x in res.flat:
+        y = x * den % m
+        if y <= bound or m - y <= bound:
+            continue
+        d = _ratrecon_den(y, m, bound, bound // den)
+        if d is None:
+            return None
+        den *= d
+    num = res * den % m
+    num = np.where(num > half, num - m, num)
+    if np.any(np.abs(num) > bound):
+        return None
+    return den, num
+
+
+def _rref_rationals(a: np.ndarray):
+    """Multi-modular RREF of a Fraction matrix (see the module docstring);
+    returns (rref, pivot_columns)."""
+    rows, cols = a.shape
+    out = np.full((rows, cols), Fraction(0), dtype=object)
+    if rows == 0 or cols == 0:
+        return out, []
+    ints = _integer_rows(a)
+    # int64 when every entry fits, so that each image is one vectorized %
+    fits = max(abs(x) for x in ints.flat).bit_length() < 63
+    src = ints.astype(np.int64) if fits else ints
+    best = None  # (-rank, pivots) of the kept images
+    for p in _image_primes():
+        img, pivots, _ = _gauss_jordan((src % p).astype(np.int64), p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue  # an unlucky prime: lower rank or later pivots
+        r = len(pivots)
+        if r == cols:
+            out[np.arange(r), np.arange(r)] = Fraction(1)
+            return out, pivots
+        free = [c for c in range(cols) if c not in pivots]
+        part = img[:r, free].astype(object)
+        if key != best:  # the first image, or one that beats those kept
+            best, res, m, kept, attempt = key, part, p, 1, 1
+        else:
+            res = res + m * ((part - res % p) * pow(m, -1, p) % p)
+            m *= p
+            kept += 1
+        if kept < attempt:
+            continue
+        # reconstruct again once the modulus has grown by about a quarter
+        attempt = kept + max(1, kept // 4)
+        cand = _reconstruct(res, m)
+        if cand is None:
+            continue
+        den, num = cand
+        if np.array_equal(den * ints[:, free], ints[:, pivots].dot(num)):
+            out[np.arange(r), pivots] = Fraction(1)
+            out[:r, free] = np.frompyfunc(lambda n: Fraction(n, den),
+                                          1, 1)(num)
+            return out, pivots
+
+
 def _rref(a: np.ndarray, field: Field):
     """Reduced row echelon form; returns (rref, pivot_columns).
 
-    Prime-field matrices wider than PANEL whose entries stay exact in
-    float64 take the blocked path; everything else the unblocked loop."""
+    Rational matrices take the multi-modular path; prime-field matrices
+    wider than PANEL whose entries stay exact in float64 the blocked
+    path; everything else the unblocked loop."""
+    if field.kind == "rationals":
+        return _rref_rationals(a)
     rows, cols = a.shape
-    blocked = (field.kind == "prime" and cols > PANEL
-               and (field.p - 1) + min(rows, cols) * field.p * (field.p - 1)
-               < _EXACT)
-    if blocked:
-        r, pivots, _ = _echelon(a, field, PANEL)
+    p = field.p
+    if cols > PANEL and (p - 1) + min(rows, cols) * p * (p - 1) < _EXACT:
+        r, pivots, _ = _echelon(a, p, PANEL)
     else:
-        r, pivots, _ = _gauss_jordan(a, field)
+        r, pivots, _ = _gauss_jordan(a, p)
     return r, pivots
 
 

@@ -68,10 +68,22 @@ def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
     return k.reduce(out)
 
 
+_DOT_CELLS = 1 << 20  # most products dot holds at once (8 MB of int64)
+
+
 def dot(k: Field, a, b):
     """a @ b over the field, each product reduced before it is summed so
-    that int64 sums stay exact for p < 2^31."""
-    return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
+    that int64 sums stay exact for p < 2^31.  Products larger than
+    _DOT_CELLS are summed over blocks of the inner axis."""
+    cells = prod(np.broadcast_shapes(a.shape + (1,), b.shape))
+    if cells <= _DOT_CELLS:
+        return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
+    inner = a.shape[-1]
+    step = max(1, _DOT_CELLS * inner // cells)
+    return k.reduce(sum(
+        k.reduce(k.reduce(a[..., i:i + step, None] * b[..., i:i + step, :])
+                 .sum(axis=-2))
+        for i in range(0, inner, step)))
 
 
 def power_products(forms: list["Poly"], d2: int) -> np.ndarray:

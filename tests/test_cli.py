@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qplanes.cli import main
 
 
@@ -60,6 +62,16 @@ def test_classify_wrong_form_count(tmp_path, capsys):
     path = _write(tmp_path, "two.txt", "x0^2\nx1^2\n")
     code, _, _ = _run(capsys, ["classify", path])
     assert code == 2
+
+
+@pytest.mark.parametrize("prime", ["4294967311", "18446744073709551557"])
+def test_classify_refuses_primes_past_the_bound(tmp_path, capsys, prime):
+    """Products of residues overflow int64 at these primes: the command
+    must refuse them, not print an answer."""
+    path = _write(tmp_path, "plane.txt", "x0^2\nx1^2\nx2^2\n")
+    assert main(["classify", path, "--prime", prime]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p < 2^31" in captured.err
 
 
 def test_usage_errors(capsys):

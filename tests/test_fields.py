@@ -1,8 +1,10 @@
-import pytest
+import time
 from fractions import Fraction
 
-from qplanes.fields import (DEFAULT_PRIME, PrimeField, RationalField,
-                            field_from_spec, is_prime)
+import pytest
+
+from qplanes.fields import (DEFAULT_PRIME, PRIME_BOUND, PrimeField,
+                            RationalField, field_from_spec, is_prime)
 
 
 def test_default_prime_is_prime():
@@ -22,6 +24,21 @@ def test_prime_field_rejects_bad_moduli():
         PrimeField(32001)
     with pytest.raises(ValueError):
         PrimeField(7)
+
+
+@pytest.mark.parametrize("p", [4294967311, 18446744073709551557])
+def test_prime_field_refuses_primes_past_the_bound_promptly(p):
+    """Both are prime, but residue products overflow int64; the refusal
+    must come before trial division, which would take minutes."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^31"):
+        PrimeField(p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_accepts_the_largest_prime_below_the_bound():
+    assert PRIME_BOUND == 2 ** 31
+    assert PrimeField(2147483647).p == PRIME_BOUND - 1
 
 
 def test_prime_field_arithmetic():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qplanes import linalg
-from qplanes.fields import PrimeField, RationalField, is_prime
+from qplanes import linalg, poly
+from qplanes.fields import PRIME_BOUND, PrimeField, RationalField, is_prime
 from qplanes.linalg import FormSpace, Matrix, pfaffian, pfaffian_matchings
-from qplanes.poly import Poly, parse_poly, VARS_P3
+from qplanes.poly import Poly, dot, parse_poly, VARS_P3
 
 K = PrimeField()
 
@@ -164,7 +165,9 @@ def test_products_reduce_each_term_at_large_prime():
 
 
 def _loop_rref(a, field):
-    """The unblocked Gauss–Jordan loop: the oracle for the blocked path."""
+    """Gauss–Jordan in the field's own arithmetic, one pivot at a time:
+    the oracle for the blocked path and, on Fractions, for the
+    multi-modular path over the rationals."""
     a = a.copy()
     rows, cols = a.shape
     pivots = []
@@ -302,3 +305,149 @@ def test_blocked_path_choice():
         ones = np.ones((n, 300), dtype=np.int64)
         assert _blocked_runs(Matrix(_field_for("below", n), ones))
         assert not _blocked_runs(Matrix(_field_for("above", n), ones))
+
+
+def test_dot_sums_large_products_in_blocks():
+    """A 200x200 product at p = 2^31 - 1 holds 8M products; summed in
+    blocks of the inner axis it stays within a few blocks' memory and
+    equals the single-expression product, taken here on row slices small
+    enough to stay under the blocking threshold."""
+    k = PrimeField(2147483647)
+    rng = np.random.default_rng(3)
+    a, b = (rng.integers(0, k.p, (200, 200)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = Matrix(k, a).matmul(Matrix(k, b)).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * poly._DOT_CELLS  # unblocked: 2 x 8 x 8M bytes
+    assert 20 * a.shape[1] * b.shape[1] <= poly._DOT_CELLS
+    assert np.array_equal(got, np.concatenate(
+        [dot(k, a[i:i + 20], b) for i in range(0, 200, 20)]))
+
+
+# -- the multi-modular RREF over Q against the Fraction loop --------------
+
+Q = RationalField()
+
+
+def _fraction(rng, bits):
+    num = rng.randrange(-2 ** bits, 2 ** bits + 1)
+    return Fraction(num, rng.randrange(1, 2 ** rng.randrange(1, bits + 1) + 1))
+
+
+def _rational_matrix(rng, rows, cols, rank, bits):
+    """A rows x cols matrix of rank <= rank: small rational combinations
+    of rank rows with entries of up to the given bits over non-trivial
+    denominators."""
+    basis = [[_fraction(rng, bits) for _ in range(cols)] for _ in range(rank)]
+    a = Q.zeros((rows, cols))
+    for i in range(rows):
+        coeffs = [_fraction(rng, 3) for _ in range(rank)]
+        for j in range(cols):
+            a[i, j] = sum((c * row[j] for c, row in zip(coeffs, basis)),
+                          Fraction(0))
+    return Matrix(Q, a)
+
+
+SHAPES_Q = {"zero": (4, 5), "no rows": (0, 4), "no columns": (4, 0),
+            "one row": (1, 6), "tall": (7, 3), "wide": (3, 7),
+            "square": (5, 5)}
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(SHAPES_Q)),
+       st.floats(0, 1), st.integers(1, 200))
+@settings(max_examples=60, deadline=None)
+def test_rational_rref_matches_fraction_loop(seed, shape, fill, bits):
+    rng = random.Random(seed)
+    rows, cols = SHAPES_Q[shape]
+    rank = 0 if shape == "zero" else round(fill * min(rows, cols))
+    m = _rational_matrix(rng, rows, cols, rank, bits)
+    (red, piv), (red0, piv0) = _both_paths(m.rref)
+    assert piv == piv0 and red == red0
+    assert all(isinstance(x, Fraction) for x in red.data.flat)
+    assert _both_paths(m.rank) == (len(piv0),) * 2
+    ker, ker0 = _both_paths(m.right_kernel)
+    assert ker == ker0
+    if cols:
+        lhs = Matrix(Q, m.data[:, :-1])
+        x, x0 = _both_paths(lambda: lhs.solve(m.data[:, -1]))
+        assert (x is None) == (x0 is None)
+        if x is not None:
+            assert np.array_equal(x, x0)
+    if rows == cols:
+        def inverse():
+            try:
+                return m.inverse()
+            except ValueError as exc:
+                return str(exc)
+
+        inv, inv0 = _both_paths(inverse)
+        assert inv == inv0
+
+
+def test_image_primes_are_the_largest_below_the_bound():
+    want, n = [], PRIME_BOUND - 1
+    while len(want) < len(linalg._PRIMES):
+        if is_prime(n):
+            want.append(n)
+        n -= 2
+    assert linalg._PRIMES == tuple(want)
+
+
+def _images_mod(m: Matrix, primes):
+    """rref of m with the images taken modulo the given primes first;
+    returns the result and the primes of the images taken."""
+    with mock.patch.object(linalg, "_PRIMES", tuple(primes)), \
+            mock.patch.object(linalg, "_gauss_jordan",
+                              wraps=linalg._gauss_jordan) as spy:
+        got = m.rref()
+    return got, [call.args[1] for call in spy.call_args_list]
+
+
+@pytest.mark.parametrize("where", ["first", "later"])
+@pytest.mark.parametrize("fault", ["drops the rank", "moves a pivot"])
+def test_unlucky_prime_is_outvoted(where, fault):
+    """Row 1 minus row 0 is q (0, 1, c, d) or (0, q, c, d): modulo q the
+    rank drops or the second pivot moves from column 1 to column 2.  The
+    entries x, y need several primes, so the image modulo q is taken
+    among the lucky ones."""
+    q = 1000003
+    rng = random.Random(7)
+    x, y = (rng.randrange(2 ** 60, 2 ** 61) for _ in range(2))
+    c, d = (rng.randrange(2 ** 40, 2 ** 41) for _ in range(2))
+    step = [0, q, q * c, q * d] if fault == "drops the rank" else [0, q, c, d]
+    row0 = [1, 0, x, y]
+    m = Matrix.from_rows(Q, [row0, [u + v for u, v in zip(row0, step)]])
+    at = 0 if where == "first" else 1
+    primes = linalg._PRIMES[:at] + (q,) + linalg._PRIMES[at:]
+    (red, piv), used = _images_mod(m, primes)
+    # the image modulo q is taken and ignored: one image more than without q
+    assert q in used and len(used) > 3
+    assert len(used) == len(_images_mod(m, linalg._PRIMES)[1]) + 1
+    assert (red, piv) == (Matrix(Q, _loop_rref(m.data, Q)[0]), [0, 1])
+
+
+def test_rationals_past_the_literal_primes():
+    """Reconstructing b/a needs a modulus above 2 a b; with a and b of
+    31 (L + 4) / 2 bits that takes more than the L literal primes."""
+    bits = 31 * (len(linalg._PRIMES) + 4) // 2
+    a, b = 2 ** bits - 1, 2 ** bits + 1
+    m = Matrix.from_rows(Q, [[a, b]])
+    (red, piv), used = _images_mod(m, linalg._PRIMES)
+    assert len(used) > len(linalg._PRIMES) + 4
+    assert all(is_prime(p) and p < PRIME_BOUND for p in used)
+    assert len(set(used)) == len(used)
+    assert piv == [0] and list(red.data[0]) == [1, Fraction(b, a)]
+
+
+def test_certificate_rejects_a_candidate_right_only_mod_the_first_prime():
+    """Modulo p the RREF of (1, 1 + p) is (1, 1), and 1 is the rational
+    reconstruction of its residue; only the integer check tells it from
+    the true entry 1 + p, which more primes then reconstruct."""
+    p = linalg._PRIMES[0]
+    (red, piv), used = _images_mod(Matrix.from_rows(Q, [[1, 1 + p]]),
+                                   linalg._PRIMES)
+    assert piv == [0] and list(red.data[0]) == [1, 1 + p]
+    assert len(used) > 1

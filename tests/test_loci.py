@@ -300,6 +300,39 @@ def test_classify_rationals():
     assert c.jump_dim == 0
 
 
+def _integer_form(rng, d):
+    return {e: rng.randrange(-50, 51) for e in monomial_basis(4, d)}
+
+
+def _special_plane(kind, k, forms):
+    ps = [Poly(k, 4, f) for f in forms]
+    if kind == "smoothable":
+        return plane_from_cubic(*ps)
+    return QuadricPlane.from_polys([ps[0] * ps[1]] + ps[2:])
+
+
+@pytest.mark.parametrize("kind,seed", [("smoothable", 21), ("secant", 22)])
+def test_classify_rationals_on_special_planes(kind, seed):
+    """Over Q the jump kernel is exact, and reduced mod p it is the
+    kernel found over F_p for the reduced plane."""
+    rng = random.Random(seed)
+    degrees = [3, 1, 1, 1] if kind == "smoothable" else [1, 1, 2, 2]
+    forms = [_integer_form(rng, d) for d in degrees]
+    q = RationalField()
+    plane = _special_plane(kind, q, forms)
+    c = loci.classify(plane)
+    assert c.jump_dim == 3
+    jump = loci.jump_matrix(plane).data
+    for cubic in c.certificates["cubics"]:
+        assert not np.any(jump.dot(cubic.coeff_vector(3)))
+    cp = loci.classify(_special_plane(kind, K, forms))
+    assert (cp.verdict, cp.jump_dim) == (c.verdict, c.jump_dim)
+    assert cp.verdict == ("smoothable-divisor" if kind == "smoothable"
+                          else "secant")
+    assert [Poly(K, 7, g.terms) for g in c.certificates["cubics"]] == \
+        cp.certificates["cubics"]
+
+
 def test_pencil_experiment_degrees():
     rep = loci.pencil_experiment(K, seed=0)
     assert rep.degrees == (36, 2, 10)
