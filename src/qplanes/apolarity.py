@@ -55,9 +55,6 @@ class HilbertFunction:
             vals.pop()
         self.values = vals
 
-    def length(self) -> int:
-        return sum(self.values)
-
     def __eq__(self, other):
         if isinstance(other, (list, tuple)):
             return self.values == list(other)
@@ -75,18 +72,6 @@ class GradedIdeal:
 
     def piece(self, d: int) -> FormSpace:
         return self.pieces[d]
-
-    def closure_holds(self) -> bool:
-        """Sym^1 * piece[d] contained in piece[d+1] for stored consecutive d."""
-        for d in sorted(self.pieces):
-            if d + 1 not in self.pieces:
-                continue
-            lower, upper = self.pieces[d], self.pieces[d + 1]
-            for p in lower.polys():
-                for i in range(p.nvars):
-                    if not upper.contains(Poly.variable(p.field, p.nvars, i) * p):
-                        return False
-        return True
 
 
 @dataclass
@@ -110,10 +95,7 @@ class QuadricPlane:
 
     @classmethod
     def from_polys(cls, quadrics: list[Poly]) -> "QuadricPlane":
-        return cls(FormSpace.from_polys(quadrics, nvars=4, degree=2))
-
-    def __eq__(self, other):
-        return isinstance(other, QuadricPlane) and self.space == other.space
+        return cls(FormSpace.from_polys(quadrics, degree=2))
 
 
 def _contraction_constraint_matrix(space: FormSpace, d: int) -> Matrix:
@@ -166,19 +148,10 @@ def apolar_hilbert_function(plane: QuadricPlane) -> ApolarHF:
     return ApolarHF(HilbertFunction(with_linear), HilbertFunction(plain))
 
 
-def partials_space(f: Poly) -> FormSpace:
-    """Span of the four coordinate partial derivatives of a cubic."""
-    if f.is_zero() or not f.is_homogeneous() or f.degree() != 3:
-        raise ValueError("need a nonzero homogeneous cubic")
-    k = f.field
-    parts = [contract(Poly.variable(k, 4, i), f) for i in range(4)]
-    return FormSpace.from_polys(parts, nvars=4, degree=2)
-
-
 def plane_from_cubic(f: Poly, d1: Poly, d2: Poly, d3: Poly) -> QuadricPlane:
     """The plane spanned by the three contractions d_i(F)."""
     qs = [contract(d, f) for d in (d1, d2, d3)]
-    space = FormSpace.from_polys(qs, nvars=4, degree=2)
+    space = FormSpace.from_polys(qs, degree=2)
     if space.dim != 3:
         raise DependentContractions(
             "contractions are dependent; resample the operators or the cubic")
@@ -302,7 +275,7 @@ def _pencil_candidates(plane: QuadricPlane, u, v):
     rng = random.Random(int(np.sum(u) + 7 * np.sum(v)))
     r = k.array([[rng.randrange(k.p) for _ in range(30)] for _ in range(21)])
     ts = list(range(23))
-    samples = [(t, Matrix(k, k.reduce(r @ aug_at(t))).det()) for t in ts]
+    samples = [(t, Matrix(k, dot(k, r, aug_at(t))).det()) for t in ts]
     delta = interpolate(k, samples)
     if delta.is_zero():
         # compressed system degenerate for all t; probe a few directly

@@ -27,12 +27,6 @@ EXIT_USAGE = 2
 EXIT_GENERICITY = 3
 
 
-def _field_from_args(args) -> Field:
-    if args.rationals:
-        return RationalField()
-    return PrimeField(args.prime)
-
-
 def _json_default(obj):
     if hasattr(obj, "item"):  # numpy scalars
         return obj.item()
@@ -69,7 +63,7 @@ def _load_plane(path: str, k: Field):
 
 
 def cmd_classify(args) -> int:
-    k = _field_from_args(args)
+    k = RationalField() if args.rationals else PrimeField(args.prime)
     plane, digest = _load_plane(args.input, k)
     c = loci.classify(plane)
     on_divisor = c.pfaffian_value == k.zero
@@ -82,9 +76,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    k = _field_from_args(args)
-    if not isinstance(k, PrimeField):
-        raise ValueError("verify requires a prime field")
+    k = PrimeField(args.prime)
     records = battery.run_battery(k, samples=args.samples, seed=args.seed,
                                   slow=args.slow)
     all_ok = True
@@ -96,12 +88,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    k = _field_from_args(args)
-    if not isinstance(k, PrimeField) or k.p <= 40:
-        raise ValueError("pencil requires a prime field with p > 40")
-    n = args.samples if args.samples is not None else 10
+    k = PrimeField(args.prime)
     all_ok = True
-    for i in range(n):
+    for i in range(args.samples):
         sub = cons.subseed(args.seed, i)
         rep = loci.pencil_experiment(k, sub)
         ok = rep.degrees == (36, 2, 10) and rep.factorization_ok
@@ -113,12 +102,9 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_gale(args) -> int:
-    k = _field_from_args(args)
-    if not isinstance(k, PrimeField):
-        raise ValueError("gale requires a prime field")
-    n = args.samples if args.samples is not None else 3
+    k = PrimeField(args.prime)
     all_ok = True
-    for i in range(n):
+    for i in range(args.samples):
         sub = cons.subseed(args.seed, i)
         res = cons.gale_pipeline(k, sub)
         pf_zero = loci.smoothable_pfaffian(res.plane) == k.zero
@@ -134,14 +120,44 @@ def cmd_gale(args) -> int:
 
 
 def cmd_cremona(args) -> int:
-    k = _field_from_args(args)
-    if not isinstance(k, PrimeField):
-        raise ValueError("cremona requires a prime field")
-    rec = battery.criterion_8(k, seed=args.seed, slow=args.slow)
+    rec = battery.criterion_8(PrimeField(args.prime), seed=args.seed,
+                              slow=args.slow)
     rec = {"op": "cremona", "seed": args.seed,
            **{kk: v for kk, v in rec.items() if kk != "criterion"}}
     _emit(rec)
     return EXIT_OK if rec["ok"] else EXIT_FAIL
+
+
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return n
+
+
+# each command accepts exactly the flags it reads
+FLAGS = {
+    "--prime": dict(type=int, default=DEFAULT_PRIME,
+                    help="prime modulus (default 32003)"),
+    "--rationals": dict(action="store_true",
+                        help="use exact rational arithmetic"),
+    "--seed": dict(type=int, default=0, help="master seed for all randomness"),
+    "--samples": dict(type=_at_least_one, help="number of independent trials"),
+    "--slow": dict(action="store_true",
+                   help="include the slow large-inversion checks"),
+}
+COMMANDS = {  # name: (handler, help, flags, default --samples)
+    "classify": (cmd_classify, "classify a plane of quadrics",
+                 ("--prime", "--rationals", "--seed"), None),
+    "verify": (cmd_verify, "run the full verification battery",
+               ("--prime", "--seed", "--samples", "--slow"), None),
+    "pencil": (cmd_pencil, "degree bookkeeping along random pencils",
+               ("--prime", "--seed", "--samples"), 10),
+    "gale": (cmd_gale, "Gale duality / Segre cubic pipeline",
+             ("--prime", "--seed", "--samples"), 3),
+    "cremona": (cmd_cremona, "Cremona transformations and inverses",
+                ("--prime", "--seed", "--slow"), None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,39 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit for planes of quadrics "
                     "in four variables")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, samples_default=None):
-        sp.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                        help="prime modulus (default 32003)")
-        sp.add_argument("--rationals", action="store_true",
-                        help="use exact rational arithmetic")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="master seed for all randomness")
-        sp.add_argument("--samples", type=int, default=samples_default,
-                        help="number of independent trials")
-        sp.add_argument("--slow", action="store_true",
-                        help="include the slow large-inversion checks")
-
-    sp = sub.add_parser("classify", help="classify a plane of quadrics")
-    sp.add_argument("input", help="file with 3 quadrics or 1 cubic + 3 operators")
-    common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("verify", help="run the full verification battery")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("pencil", help="degree bookkeeping along random pencils")
-    common(sp)
-    sp.set_defaults(func=cmd_pencil)
-
-    sp = sub.add_parser("gale", help="Gale duality / Segre cubic pipeline")
-    common(sp)
-    sp.set_defaults(func=cmd_gale)
-
-    sp = sub.add_parser("cremona", help="Cremona transformations and inverses")
-    common(sp)
-    sp.set_defaults(func=cmd_cremona)
+    for name, (func, help_text, flags, samples) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == "classify":
+            sp.add_argument(
+                "input", help="file with 3 quadrics or 1 cubic + 3 operators")
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(func=func, samples=samples)
     return p
 
 
@@ -192,9 +183,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.samples is not None and args.samples < 1:
-        sys.stderr.write("error: --samples must be at least 1\n")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

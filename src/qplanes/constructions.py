@@ -24,18 +24,13 @@ from .linalg import FormSpace, Matrix, ideal_piece_dim
 from .loci import (GenericityError, jump_matrix, jump_matrix_from_quadrics,
                    lperp)
 from .poly import (Poly, dot, line_restriction, monomial_basis, mult_table,
-                   parse_poly, power_products, var_shift)
+                   power_products, var_shift)
 from .unipoly import UniPoly, chart_resultant, gcd, roots_in_field
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
 class NonGenericConfiguration(ValueError):
-    """A construction hit a degenerate configuration; carries data
-    useful for deciding whether to resample."""
-
-    def __init__(self, message, hf=None):
-        super().__init__(message)
-        self.hf = hf
+    """A construction hit a degenerate configuration; the caller resamples."""
 
 
 SUBSEED_STRIDE = 1000003
@@ -82,22 +77,6 @@ class PointSet:
 
     def __len__(self):
         return len(self.points)
-
-    def save(self, path: str):
-        with open(path, "w") as fh:
-            for p in self.points:
-                fh.write(",".join(str(c) for c in p) + "\n")
-
-    @classmethod
-    def load(cls, path: str, field: Field, ambient: str, n: int) -> "PointSet":
-        pts = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                pts.append(tuple(field.of(int(c)) for c in line.split(",")))
-        return cls(field, ambient, n, pts)
 
 
 def _normalize_projective(k: Field, p: tuple) -> tuple:
@@ -185,23 +164,6 @@ class RationalMap:
     @property
     def degree(self) -> int:
         return max(f.degree() for f in self.forms)
-
-    def save(self, path: str, varnames=None):
-        names = varnames or [f"x{i}" for i in range(self.source_vars)]
-        with open(path, "w") as fh:
-            for f in self.forms:
-                fh.write(f.format(names) + "\n")
-
-    @classmethod
-    def load(cls, path: str, field: Field, varnames: list[str]) -> "RationalMap":
-        forms = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                forms.append(parse_poly(line, varnames, field))
-        return cls(forms)
 
 
 def apply_map(f: RationalMap, p) -> tuple | None:
@@ -291,7 +253,7 @@ def initial_system(points: PointSet, require_143: bool = True):
         plane = QuadricPlane(annihilator(pieces[2], 2).piece(2))
     elif require_143:
         raise NonGenericConfiguration(
-            f"limit Hilbert function is {hf}, not (1, 4, 3)", hf=hf)
+            f"limit Hilbert function is {hf}, not (1, 4, 3)")
     return ideal, hf, plane
 
 
@@ -334,7 +296,7 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
         moved = []
         ok = True
         for p in known.points:
-            q = tuple(k.reduce(np.asarray(ginv) @ k.array(p)))
+            q = tuple(dot(k, k.array(p), ginv.T))
             if q[2] == k.zero:
                 ok = False
                 break
@@ -364,7 +326,7 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
         if common.degree() != 1:
             continue
         y9 = k.div(k.neg(common.coeffs[0]), common.coeffs[1])
-        q = tuple(k.reduce(np.asarray(g) @ k.array([x9, y9, k.one])))
+        q = tuple(dot(k, k.array([x9, y9, k.one]), g.T))
         q = tuple(k.of(c) for c in _normalize_projective(k, q))
         if c1.evaluate(q) != k.zero or c2.evaluate(q) != k.zero:
             continue
@@ -534,10 +496,10 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
         cubic5 = Poly.from_coeff_vector(k, 5, 3, ker.data[r_i])
         cubic7 = cubic5.substitute_polys(z_subs)
         vec = cubic7.coeff_vector(3)
-        if np.any(k.reduce(jm.data @ vec) != k.zero):
+        if np.any(dot(k, vec, jm.data.T) != k.zero):
             raise AssertionError("Segre cubic not in the jump kernel")
         lifts.append(cubic7)
-    return FormSpace.from_polys(lifts, nvars=7, degree=3)
+    return FormSpace.from_polys(lifts, degree=3)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +582,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
         out = []
         for i in range(nv):
             gi = coeffs[i * len(mono_y):(i + 1) * len(mono_y)]
-            out.append(k.reduce(gi @ prods))
+            out.append(dot(k, gi, prods))
         return out
 
     def certify(coeffs):
@@ -658,7 +620,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
         big_rows.append(np.stack(block, axis=1))
     small_ker = Matrix(k, np.concatenate(big_rows, axis=0)).right_kernel()
     for r in range(small_ker.rows):
-        coeffs = k.reduce(small_ker.data[r] @ ker.data)
+        coeffs = dot(k, small_ker.data[r], ker.data)
         got = certify(coeffs)
         if got is not None:
             return got
@@ -748,7 +710,7 @@ def _gale_once(k: Field, rng, members: int, attempt: int) -> GalePipelineResult:
             raise AssertionError("intersection not inside a member space")
     segres = [segre_cubic(m, plane) for m in mems]
     all_cubics = [c for s_sp in segres for c in s_sp.polys()]
-    span_space = FormSpace.from_polys(all_cubics, nvars=7, degree=3)
+    span_space = FormSpace.from_polys(all_cubics, degree=3)
     span = span_space.dim
     return GalePipelineResult(gamma2, ninth, gamma4, proj, hf, plane, mems,
                               chain, span, attempt)

@@ -10,6 +10,7 @@ Matrices use numpy arrays: ``int64`` for prime fields, ``object`` dtype
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class PrimeField:
     def of(self, x) -> int:
         if isinstance(x, Fraction):
             return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
-        return int(x) % self.p
+        return index(x) % self.p  # refuses floats rather than truncate them
 
     zero = 0
     one = 1
@@ -84,7 +85,13 @@ class PrimeField:
     dtype = np.int64
 
     def array(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=np.int64) % self.p
+        """int64 residues of the entries, each as ``of`` gives it."""
+        arr = np.asarray(data)
+        if arr.dtype.kind in "biu":
+            return (arr % self.p).astype(np.int64, copy=False)
+        # Fractions and ints past 64 bits, which numpy may read as floats
+        return np.vectorize(self.of, otypes=[np.int64])(
+            np.asarray(data, dtype=object))
 
     def zeros(self, shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
@@ -169,10 +176,3 @@ class RationalField:
 
 
 Field = PrimeField | RationalField
-
-
-def field_from_spec(spec: str | int) -> Field:
-    """Build a field from a CLI-style spec: an integer prime or "rationals"."""
-    if spec == "rationals":
-        return RationalField()
-    return PrimeField(int(spec))

@@ -284,23 +284,11 @@ class Matrix:
             raise ValueError("matrix data must be 2-dimensional")
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, field.zeros((rows, cols)))
-
-    @classmethod
     def identity(cls, field, n):
         m = field.zeros((n, n))
         for i in range(n):
             m[i, i] = field.one
         return cls(field, m)
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        arr = field.zeros((len(rows), len(rows[0]) if rows else 0))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                arr[i, j] = field.of(v)
-        return cls(field, arr)
 
     @property
     def rows(self) -> int:
@@ -320,9 +308,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy())
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, dot(self.field, self.data, other.data))
 
     def rref(self):
         r, pivots = _rref(self.data, self.field)
@@ -446,31 +431,6 @@ def pfaffian(m: Matrix):
     return field.mul(sign, acc)
 
 
-def pfaffian_matchings(m: Matrix):
-    """Combinatorial Pfaffian over perfect matchings; cross-check for n <= 8."""
-    n = m.rows
-    if n != m.cols or n % 2 != 0:
-        raise ValueError("need an even-size square matrix")
-    if n > 8:
-        raise ValueError("matching expansion limited to n <= 8")
-    field = m.field
-
-    def rec(remaining):
-        if not remaining:
-            return field.one
-        i = remaining[0]
-        total = field.zero
-        for pos, j in enumerate(remaining[1:], start=1):
-            rest = remaining[1:pos] + remaining[pos + 1:]
-            term = field.mul(m.data[i, j], rec(rest))
-            if pos % 2 == 0:
-                term = field.neg(term)
-            total = field.add(total, term)
-        return total
-
-    return rec(list(range(n)))
-
-
 class FormSpace:
     """A linear space of degree-d forms in nvars variables.
 
@@ -485,32 +445,25 @@ class FormSpace:
         self.basis = basis  # assumed RREF with no zero rows
 
     @classmethod
-    def from_polys(cls, polys: list[Poly], nvars=None, degree=None) -> "FormSpace":
-        if not polys and (nvars is None or degree is None):
-            raise ValueError("empty FormSpace needs explicit nvars and degree")
-        if polys:
-            nvars = polys[0].nvars
-            field = polys[0].field
-            degs = [p.degree() for p in polys if not p.is_zero()]
-            if degree is None:
-                degree = degs[0] if degs else 0
-            for p in polys:
-                if not p.is_zero() and (not p.is_homogeneous() or p.degree() != degree):
-                    raise ValueError("forms must be homogeneous of one degree")
-            rows = [p.coeff_vector(degree) for p in polys]
-            return cls.from_matrix(field, nvars, degree, Matrix(field, rows))
-        raise ValueError("use empty() for the zero space")
+    def from_polys(cls, polys: list[Poly], degree=None) -> "FormSpace":
+        if not polys:
+            raise ValueError("a FormSpace is spanned by at least one form")
+        nvars = polys[0].nvars
+        field = polys[0].field
+        degs = [p.degree() for p in polys if not p.is_zero()]
+        if degree is None:
+            degree = degs[0] if degs else 0
+        for p in polys:
+            if not p.is_zero() and (not p.is_homogeneous() or p.degree() != degree):
+                raise ValueError("forms must be homogeneous of one degree")
+        rows = [p.coeff_vector(degree) for p in polys]
+        return cls.from_matrix(field, nvars, degree, Matrix(field, rows))
 
     @classmethod
     def from_matrix(cls, field, nvars, degree, mat: Matrix) -> "FormSpace":
         red, pivots = mat.rref()
         basis = Matrix(field, red.data[: len(pivots)])
         return cls(field, nvars, degree, basis)
-
-    @classmethod
-    def empty(cls, field, nvars, degree) -> "FormSpace":
-        n = len(monomial_basis(nvars, degree))
-        return cls(field, nvars, degree, Matrix.zeros(field, 0, n))
 
     @classmethod
     def full(cls, field, nvars, degree) -> "FormSpace":

@@ -58,18 +58,6 @@ def quadric_to_matrix(q: Poly) -> np.ndarray:
     return a
 
 
-def matrix_to_quadric(a, k: Field) -> Poly:
-    terms = {}
-    for i in range(4):
-        for j in range(i, 4):
-            e = [0, 0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            c = a[i][j] if i == j else k.mul(k.of(2), a[i][j])
-            terms[tuple(e)] = c
-    return Poly(k, 4, terms)
-
-
 def symmetric_rank(q: Poly) -> int:
     return Matrix(q.field, quadric_to_matrix(q)).rank()
 
@@ -541,7 +529,7 @@ def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
     w_terms = {e: k.random_element(rng) for i, e in enumerate(basis10)
                if i not in j_cols}
     w = Poly(k, 4, w_terms)
-    span = FormSpace.from_polys([q1, q2, u, w], nvars=4, degree=2)
+    span = FormSpace.from_polys([q1, q2, u, w], degree=2)
     if span.dim != 4:
         return None
     # contraction pairing against the dual quadric monomials: m! * coeff
@@ -563,8 +551,8 @@ def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
         col0 = rows0[:, c]
         col1 = k.zeros(3)
         col1[2] = row_w[c]
-        sol0 = k.reduce(-detj * (mj_inv.data @ col0))
-        sol1 = k.reduce(-detj * (mj_inv.data @ col1))
+        sol0 = k.reduce(-detj * dot(k, col0, mj_inv.data.T))
+        sol1 = k.reduce(-detj * dot(k, col1, mj_inv.data.T))
         for jj, colidx in enumerate(j_cols):
             base[colidx] = sol0[jj]
             dirv[colidx] = sol1[jj]

@@ -68,22 +68,10 @@ def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
     return k.reduce(out)
 
 
-_DOT_CELLS = 1 << 20  # most products dot holds at once (8 MB of int64)
-
-
 def dot(k: Field, a, b):
-    """a @ b over the field, each product reduced before it is summed so
-    that int64 sums stay exact for p < 2^31.  Products larger than
-    _DOT_CELLS are summed over blocks of the inner axis."""
-    cells = prod(np.broadcast_shapes(a.shape + (1,), b.shape))
-    if cells <= _DOT_CELLS:
-        return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
-    inner = a.shape[-1]
-    step = max(1, _DOT_CELLS * inner // cells)
-    return k.reduce(sum(
-        k.reduce(k.reduce(a[..., i:i + step, None] * b[..., i:i + step, :])
-                 .sum(axis=-2))
-        for i in range(0, inner, step)))
+    """The matrix product of a and b over the field, each product reduced
+    before it is summed so that int64 sums stay exact for p < 2^31."""
+    return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
 
 
 def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
@@ -139,7 +127,7 @@ def line_restriction(k: Field, d: int, chart: int, a0) -> np.ndarray:
     """Matrix restricting ternary forms of degree d to the line
     x_chart = 1, x_u = a0, where u < v are the other two variables:
     row m holds a0^(m_u) in the column of the power m_v of x_v, so
-    vec @ matrix lists the coefficients in x_v from low to high."""
+    dot(k, vec, matrix) lists the coefficients in x_v from low to high."""
     u, v = [i for i in range(3) if i != chart]
     exps = np.array(monomial_basis(3, d))
     powers = [k.one]
@@ -172,10 +160,6 @@ class Poly:
     @classmethod
     def zero(cls, field, nvars):
         return cls(field, nvars)
-
-    @classmethod
-    def constant(cls, field, nvars, c):
-        return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, field, nvars, i, power: int = 1):

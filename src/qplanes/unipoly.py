@@ -32,10 +32,6 @@ class UniPoly:
     def zero(cls, field):
         return cls(field, [])
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, [field.zero, field.one])
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -121,9 +117,6 @@ class UniPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = f.sub(rem[i + j], f.mul(c, b))
         return UniPoly(f, q), UniPoly(f, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __mod__(self, other):
         return self.divmod(other)[1]

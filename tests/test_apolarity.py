@@ -10,7 +10,7 @@ from qplanes.apolarity import (DependentContractions, HilbertFunction,
                                QuadricPlane, _contraction_constraint_matrix,
                                _contraction_system, annihilator,
                                apolar_hilbert_function, contract,
-                               partials_space, plane_from_cubic, recover_cubic)
+                               plane_from_cubic, recover_cubic)
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix
 from qplanes.poly import Poly, contraction_rows, monomial_basis, parse_poly
@@ -59,7 +59,21 @@ def test_contract_rationals():
 def test_hilbert_function_trimming():
     hf = HilbertFunction([1, 4, 3, 0, 0])
     assert hf == [1, 4, 3]
-    assert hf.length() == 8
+    assert sum(hf.values) == 8
+
+
+def _closure_holds(ideal) -> bool:
+    """Every variable times piece d lies in piece d + 1, for each stored
+    pair of consecutive degrees."""
+    for d, lower in ideal.pieces.items():
+        upper = ideal.pieces.get(d + 1)
+        if upper is None:
+            continue
+        for p in lower.polys():
+            for i in range(p.nvars):
+                if not upper.contains(Poly.variable(p.field, p.nvars, i) * p):
+                    return False
+    return True
 
 
 def test_worked_annihilator_example():
@@ -71,7 +85,7 @@ def test_worked_annihilator_example():
     assert ann.piece(1).dim == 0
     assert ann.piece(2) == listed
     assert ann.piece(3).dim == 20
-    assert ann.closure_holds()
+    assert _closure_holds(ann)
     hf = apolar_hilbert_function(plane)
     assert hf.with_linear == [1, 4, 3]
     assert hf.plain == [1, 4, 3]
@@ -87,7 +101,7 @@ def test_apolar_hf_random_planes():
             continue
         hf = apolar_hilbert_function(plane)
         assert hf.with_linear == [1, 4, 3]
-        assert hf.with_linear.length() == 8
+        assert sum(hf.with_linear.values) == 8
 
 
 def test_apolar_hf_degenerate_partials():
@@ -97,15 +111,6 @@ def test_apolar_hf_degenerate_partials():
     hf = apolar_hilbert_function(plane)
     assert hf.with_linear == [1, 4, 3]
     assert hf.plain == [1, 2, 3]
-
-
-def test_partials_space():
-    f = _p("x0^3 + x1^3 + x2^3 + x3^3")
-    s = partials_space(f)
-    assert s.dim == 4
-    assert s.contains(_p("x0^2"))
-    with pytest.raises(ValueError):
-        partials_space(_p("x0^2"))
 
 
 def test_plane_from_cubic_and_recovery():

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from qplanes.cli import main
+from qplanes.cli import build_parser, main
 
 
 def _run(capsys, argv):
@@ -83,6 +86,25 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["gale", "--samples", "0"]) == 2
     capsys.readouterr()
+    # a flag the command does not read is refused, not ignored
+    assert main(["cremona", "--samples", "2"]) == 2
+    capsys.readouterr()
+    assert main(["gale", "--slow"]) == 2
+    capsys.readouterr()
+
+
+def test_readme_lists_the_flags_of_each_command():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = {}
+    for line in readme.read_text().splitlines():
+        m = re.match(r"\| `qplanes (\w+)", line)
+        if m:
+            listed[m.group(1)] = set(re.findall(r"--[a-z]+", line))
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {name: {o for a in sp._actions for o in a.option_strings}
+              - {"-h", "--help"} for name, sp in commands.items()}
+    assert listed == parsed
 
 
 def test_pencil_command(tmp_path, capsys):
@@ -90,6 +112,16 @@ def test_pencil_command(tmp_path, capsys):
     assert code == 0
     assert recs[0]["degrees"] == [36, 2, 10]
     assert recs[0]["factorization_ok"] is True
+
+
+def test_pencil_at_the_largest_prime(capsys):
+    """Sums of products of residues wrap int64 at p = 2^31 - 1 unless each
+    product is reduced first; the pencil's frame vectors are such sums."""
+    code, _, recs = _run(capsys, ["pencil", "--samples", "2",
+                                  "--prime", "2147483647"])
+    assert code == 0
+    assert [r["degrees"] for r in recs] == [[36, 2, 10]] * 2
+    assert all(r["ok"] for r in recs)
 
 
 def test_gale_command(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qplanes.fields import (DEFAULT_PRIME, PRIME_BOUND, PrimeField,
-                            RationalField, field_from_spec, is_prime)
+                            RationalField, is_prime)
 
 
 def test_default_prime_is_prime():
@@ -72,14 +72,6 @@ def test_rational_field():
     assert k.inv(Fraction(2, 5)) == Fraction(5, 2)
     with pytest.raises(ZeroDivisionError):
         k.inv(Fraction(0))
-
-
-def test_field_from_spec():
-    assert field_from_spec("rationals") == RationalField()
-    assert field_from_spec(101) == PrimeField(101)
-    assert field_from_spec("32003") == PrimeField(32003)
-    with pytest.raises(ValueError):
-        field_from_spec(100)
 
 
 def test_array_helpers():

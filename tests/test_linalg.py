@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -8,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qplanes import linalg, poly
+from qplanes import linalg
 from qplanes.fields import PRIME_BOUND, PrimeField, RationalField, is_prime
-from qplanes.linalg import FormSpace, Matrix, pfaffian, pfaffian_matchings
+from qplanes.linalg import FormSpace, Matrix, pfaffian
 from qplanes.poly import Poly, dot, parse_poly, VARS_P3
 
 K = PrimeField()
+
+
+def _mul(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field, dot(a.field, a.data, b.data))
 
 
 def _random_matrix(k, rng, rows, cols):
@@ -22,7 +25,7 @@ def _random_matrix(k, rng, rows, cols):
 
 
 def test_rref_rank_kernel():
-    m = Matrix.from_rows(K, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    m = Matrix(K, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert m.rank() == 2
     ker = m.right_kernel()
     assert ker.rows == 1
@@ -31,11 +34,11 @@ def test_rref_rank_kernel():
 
 
 def test_det_known():
-    m = Matrix.from_rows(K, [[2, 1], [1, 2]])
+    m = Matrix(K, [[2, 1], [1, 2]])
     assert m.det() == 3
-    s = Matrix.from_rows(K, [[0, 1], [1, 0]])
+    s = Matrix(K, [[0, 1], [1, 0]])
     assert s.det() == K.of(-1)
-    singular = Matrix.from_rows(K, [[1, 2], [2, 4]])
+    singular = Matrix(K, [[1, 2], [2, 4]])
     assert singular.det() == 0
 
 
@@ -44,16 +47,16 @@ def test_inverse():
     for k in (K, RationalField()):
         m = _random_matrix(k, rng, 4, 4)
         assert m.rank() == 4
-        assert m.matmul(m.inverse()) == Matrix.identity(k, 4)
+        assert _mul(m, m.inverse()) == Matrix.identity(k, 4)
     with pytest.raises(ValueError):
-        Matrix.from_rows(K, [[1, 2], [2, 4]]).inverse()
+        Matrix(K, [[1, 2], [2, 4]]).inverse()
 
 
 def test_solve():
-    m = Matrix.from_rows(K, [[1, 1], [1, 2]])
+    m = Matrix(K, [[1, 1], [1, 2]])
     x = m.solve([3, 5])
     assert x is not None and np.all(K.reduce(m.data @ x) == K.array([3, 5]))
-    inconsistent = Matrix.from_rows(K, [[1, 1], [2, 2]])
+    inconsistent = Matrix(K, [[1, 1], [2, 2]])
     assert inconsistent.solve([1, 3]) is None
 
 
@@ -62,12 +65,33 @@ def test_det_multiplicative():
     for _ in range(10):
         a = _random_matrix(K, rng, 5, 5)
         b = _random_matrix(K, rng, 5, 5)
-        assert a.matmul(b).det() == K.mul(a.det(), b.det())
+        assert _mul(a, b).det() == K.mul(a.det(), b.det())
 
 
 def test_pfaffian_convention():
-    m = Matrix.from_rows(K, [[0, 5], [K.of(-5), 0]])
+    m = Matrix(K, [[0, 5], [K.of(-5), 0]])
     assert pfaffian(m) == 5
+
+
+def _pfaffian_matchings(m: Matrix):
+    """The Pfaffian as a signed sum over perfect matchings, expanded
+    along the first remaining index."""
+    field = m.field
+
+    def rec(remaining):
+        if not remaining:
+            return field.one
+        i = remaining[0]
+        total = field.zero
+        for pos, j in enumerate(remaining[1:], start=1):
+            rest = remaining[1:pos] + remaining[pos + 1:]
+            term = field.mul(m.data[i, j], rec(rest))
+            if pos % 2 == 0:
+                term = field.neg(term)
+            total = field.add(total, term)
+        return total
+
+    return rec(list(range(m.rows)))
 
 
 def test_pfaffian_against_matching_expansion():
@@ -80,20 +104,20 @@ def test_pfaffian_against_matching_expansion():
                     a[i][j] = K.random_element(rng)
                     a[j][i] = K.neg(a[i][j])
             m = Matrix(K, a)
-            assert pfaffian(m) == pfaffian_matchings(m)
+            assert pfaffian(m) == _pfaffian_matchings(m)
             assert K.mul(pfaffian(m), pfaffian(m)) == m.det()
 
 
 def test_pfaffian_rejects_bad_input():
     with pytest.raises(ValueError):
-        pfaffian(Matrix.from_rows(K, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+        pfaffian(Matrix(K, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError):
-        pfaffian(Matrix.from_rows(K, [[1, 0], [0, 1]]))
+        pfaffian(Matrix(K, [[1, 0], [0, 1]]))
 
 
 def test_pfaffian_rationals():
     q = RationalField()
-    m = Matrix.from_rows(q, [[0, 2, 0, 0], [-2, 0, 0, 0],
+    m = Matrix(q, [[0, 2, 0, 0], [-2, 0, 0, 0],
                              [0, 0, 0, 3], [0, 0, -3, 0]])
     assert pfaffian(m) == q.of(6)
 
@@ -129,7 +153,6 @@ def test_formspace_intersect():
 
 def test_formspace_full_empty():
     assert FormSpace.full(K, 3, 2).dim == 6
-    assert FormSpace.empty(K, 3, 2).dim == 0
     assert FormSpace.full(K, 4, 2).dim == 10
     assert FormSpace.full(K, 4, 2).contains_space(FormSpace.from_polys(
         [parse_poly("x0*x1", VARS_P3, K)]))
@@ -146,17 +169,31 @@ def test_int64_data_over_rationals_is_converted():
     assert half.data[0, 0] == Fraction(1, 2)
 
 
+def test_prime_field_rows_reduce_as_of_does():
+    """Fractions and ints of 2^63 and above (which numpy reads as float64
+    next to a negative int) get the residues of PrimeField.of; floats
+    are refused, never truncated."""
+    rows = [[Fraction(1, 2), 2 ** 70], [-1, 2 ** 63]]
+    m = Matrix(K, rows)
+    assert m.data.dtype == np.int64
+    assert m.data.tolist() == [[K.of(x) for x in row] for row in rows]
+    assert m.data[0, 0] == 16002
+    with pytest.raises(TypeError):
+        Matrix(K, [[0.5, 1]])
+
+
 def test_products_reduce_each_term_at_large_prime():
     """Sums of (p-1)^2 terms wrap int64 at p = 2^31 - 1 unless each
     product is reduced first."""
     k = PrimeField(2147483647)
     q = k.p - 1
-    m = Matrix.from_rows(k, [[q] * 3] * 3)
-    assert m.matmul(m) == Matrix.from_rows(k, [[3] * 3] * 3)
+    m = k.array([[q] * 3] * 3)
+    assert dot(k, m, m).tolist() == [[3] * 3] * 3
+    assert dot(k, m[0], m).tolist() == [3] * 3
     # the intersection is spanned by (1, q, q, q) times the basis of a
-    a = FormSpace.from_matrix(k, 5, 1, Matrix.from_rows(
+    a = FormSpace.from_matrix(k, 5, 1, Matrix(
         k, [[int(i == j) for j in range(4)] + [q] for i in range(4)]))
-    b = FormSpace.from_matrix(k, 5, 1, Matrix.from_rows(
+    b = FormSpace.from_matrix(k, 5, 1, Matrix(
         k, [[1, q, q, q, q + 3 * q * q]]))
     assert a.intersect(b) == b
 
@@ -287,7 +324,7 @@ def test_blocked_inverse_matches_loop(seed, n, prime, singular):
     inv, inv0 = _both_paths(inverse)
     assert inv == inv0
     if isinstance(inv, Matrix):
-        assert m.matmul(inv) == Matrix.identity(k, n)
+        assert _mul(m, inv) == Matrix.identity(k, n)
 
 
 def test_blocked_path_choice():
@@ -305,26 +342,6 @@ def test_blocked_path_choice():
         ones = np.ones((n, 300), dtype=np.int64)
         assert _blocked_runs(Matrix(_field_for("below", n), ones))
         assert not _blocked_runs(Matrix(_field_for("above", n), ones))
-
-
-def test_dot_sums_large_products_in_blocks():
-    """A 200x200 product at p = 2^31 - 1 holds 8M products; summed in
-    blocks of the inner axis it stays within a few blocks' memory and
-    equals the single-expression product, taken here on row slices small
-    enough to stay under the blocking threshold."""
-    k = PrimeField(2147483647)
-    rng = np.random.default_rng(3)
-    a, b = (rng.integers(0, k.p, (200, 200)) for _ in range(2))
-    tracemalloc.start()
-    try:
-        got = Matrix(k, a).matmul(Matrix(k, b)).data
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 8 * poly._DOT_CELLS  # unblocked: 2 x 8 x 8M bytes
-    assert 20 * a.shape[1] * b.shape[1] <= poly._DOT_CELLS
-    assert np.array_equal(got, np.concatenate(
-        [dot(k, a[i:i + 20], b) for i in range(0, 200, 20)]))
 
 
 # -- the multi-modular RREF over Q against the Fraction loop --------------
@@ -419,7 +436,7 @@ def test_unlucky_prime_is_outvoted(where, fault):
     c, d = (rng.randrange(2 ** 40, 2 ** 41) for _ in range(2))
     step = [0, q, q * c, q * d] if fault == "drops the rank" else [0, q, c, d]
     row0 = [1, 0, x, y]
-    m = Matrix.from_rows(Q, [row0, [u + v for u, v in zip(row0, step)]])
+    m = Matrix(Q, [row0, [u + v for u, v in zip(row0, step)]])
     at = 0 if where == "first" else 1
     primes = linalg._PRIMES[:at] + (q,) + linalg._PRIMES[at:]
     (red, piv), used = _images_mod(m, primes)
@@ -434,7 +451,7 @@ def test_rationals_past_the_literal_primes():
     31 (L + 4) / 2 bits that takes more than the L literal primes."""
     bits = 31 * (len(linalg._PRIMES) + 4) // 2
     a, b = 2 ** bits - 1, 2 ** bits + 1
-    m = Matrix.from_rows(Q, [[a, b]])
+    m = Matrix(Q, [[a, b]])
     (red, piv), used = _images_mod(m, linalg._PRIMES)
     assert len(used) > len(linalg._PRIMES) + 4
     assert all(is_prime(p) and p < PRIME_BOUND for p in used)
@@ -447,7 +464,7 @@ def test_certificate_rejects_a_candidate_right_only_mod_the_first_prime():
     reconstruction of its residue; only the integer check tells it from
     the true entry 1 + p, which more primes then reconstruct."""
     p = linalg._PRIMES[0]
-    (red, piv), used = _images_mod(Matrix.from_rows(Q, [[1, 1 + p]]),
+    (red, piv), used = _images_mod(Matrix(Q, [[1, 1 + p]]),
                                    linalg._PRIMES)
     assert piv == [0] and list(red.data[0]) == [1, 1 + p]
     assert len(used) > 1

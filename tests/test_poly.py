@@ -157,7 +157,7 @@ def test_power_products_match_poly_mul(seed, k, nvars, d, n, d2):
     basis = monomial_basis(n, d2)
     assert rows.shape == (len(basis), len(monomial_basis(nvars, d * d2)))
     for row, e in zip(rows, basis):
-        prod = Poly.constant(k, nvars, 1)
+        prod = Poly(k, nvars, {(0,) * nvars: 1})
         for form, ei in zip(forms, e):
             for _ in range(ei):
                 prod = prod * form
@@ -174,7 +174,7 @@ def _reference_substitute(f, images):
     k, nv = images[0].field, images[0].nvars
     out = Poly.zero(k, nv)
     for e, c in f.terms.items():
-        term = Poly.constant(k, nv, c)
+        term = Poly(k, nv, {(0,) * nv: c})
         for img, ei in zip(images, e):
             for _ in range(ei):
                 term = term * img
