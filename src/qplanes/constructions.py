@@ -7,11 +7,14 @@ degree-8 scheme with Hilbert function (1, 4, 3); elliptic members of
 the pencil supply the special cubics through the projected Veronese.
 Quadrics through an elliptic quintic or through the octic surface give
 Cremona transformations whose inverses are computed and certified
-exactly.
+exactly.  Nothing here scans the field: the ninth base point is read off
+a colon ideal of the pencil and the points of a member are third points
+of its chords, so every accepted prime works.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -20,12 +23,11 @@ import numpy as np
 from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
                         annihilator, contract)
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, ideal_piece_dim
+from .linalg import FormSpace, Matrix, ideal_piece, ideal_piece_dim
 from .loci import (GenericityError, jump_matrix, jump_matrix_from_quadrics,
                    lperp)
-from .poly import (Poly, dot, line_restriction, monomial_basis, mult_table,
-                   power_products, var_shift)
-from .unipoly import UniPoly, chart_resultant, gcd, roots_in_field
+from .poly import (Poly, dot, monomial_basis, mult_table, power_products,
+                   var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
@@ -233,19 +235,14 @@ def initial_system(points: PointSet, require_143: bool = True):
     for d in range(4):
         # evaluation on all monomials of degree <= d, then project to
         # the top-degree block
-        cols = []
-        sizes = []
-        for e in range(d + 1):
-            cols.append(e)
-            sizes.append(len(monomial_basis(nvars, e)))
-        rows = []
-        for p in points.points:
-            rows.append(np.concatenate(
-                [_monomial_values(k, nvars, e, p) for e in cols]))
+        rows = [np.concatenate([_monomial_values(k, nvars, e, p)
+                                for e in range(d + 1)])
+                for p in points.points]
         ker = Matrix(k, rows).right_kernel()
-        top = ker.data[:, sum(sizes[:-1]):]
-        pieces[d] = FormSpace.from_matrix(k, nvars, d, Matrix(k, top))
-        hf_vals.append(sizes[-1] - pieces[d].dim)
+        top = len(monomial_basis(nvars, d))
+        pieces[d] = FormSpace.from_matrix(k, nvars, d,
+                                          Matrix(k, ker.data[:, -top:]))
+        hf_vals.append(top - pieces[d].dim)
     ideal = GradedIdeal(pieces)
     hf = HilbertFunction(hf_vals)
     plane = None
@@ -270,71 +267,38 @@ def _random_gl(k: Field, n: int, rng) -> np.ndarray:
             return m
 
 
-def ninth_base_point(c1: Poly, c2: Poly, known: PointSet, seed: int = 0):
+def ninth_base_point(c1: Poly, c2: Poly, known: PointSet):
     """The residual ninth common zero of two plane cubics through 8
     known points.
 
-    Works in a random coordinate change: the resultant in the second
-    variable is a degree-9 univariate polynomial whose roots are the
-    first coordinates of the 9 intersection points; dividing out the 8
-    known roots leaves a linear factor.
+    (c1, c2) is the saturated ideal of the nine base points, so a quartic
+    f through the 8 known points outside (c1, c2) misses the ninth, and
+    l*f lies in (c1, c2) exactly for the lines l through it
+    (Cayley-Bacharach).  Those lines are the first three coordinates of
+    the kernel of [x_i*f | m*c1 | m*c2] over the quadric monomials m;
+    when they do not meet in one point off the known ones, the
+    configuration is not generic.
     """
     if len(known) != 8:
         raise ValueError("need exactly 8 known points")
     k = c1.field
-    if not isinstance(k, PrimeField):
-        raise ValueError("ninth_base_point implemented for prime fields")
-    rng = random.Random(seed)
-    for _ in range(10):
-        g = _random_gl(k, 3, rng)
-        ginv = Matrix(k, g).inverse().data
-        # c(g x) = 0 at y iff c = 0 at g y; known points move by g^{-1}
-        t1, t2 = c1.substitute_linear(g), c2.substitute_linear(g)
-        if (t1.coefficient((0, 3, 0)) == k.zero
-                or t2.coefficient((0, 3, 0)) == k.zero):
-            continue
-        moved = []
-        ok = True
-        for p in known.points:
-            q = tuple(dot(k, k.array(p), ginv.T))
-            if q[2] == k.zero:
-                ok = False
-                break
-            inv = k.inv(q[2])
-            moved.append((k.mul(q[0], inv), k.mul(q[1], inv)))
-        if not ok or len({m[0] for m in moved}) != 8:
-            continue
-        v1, v2 = t1.coeff_vector(3), t2.coeff_vector(3)
-        res = chart_resultant(k, v1, v2, 2)
-        if res.degree() != 9:
-            continue
-        rem = res
-        bad = False
-        for m in moved:
-            lin = UniPoly(k, [k.neg(m[0]), k.one])
-            q, r = rem.divmod(lin)
-            if not r.is_zero():
-                bad = True
-                break
-            rem = q
-        if bad or rem.degree() != 1:
-            continue
-        x9 = k.div(k.neg(rem.coeffs[0]), rem.coeffs[1])
-        line = line_restriction(k, 3, 2, x9)
-        common = gcd(UniPoly(k, dot(k, v1, line)),
-                     UniPoly(k, dot(k, v2, line)))
-        if common.degree() != 1:
-            continue
-        y9 = k.div(k.neg(common.coeffs[0]), common.coeffs[1])
-        q = tuple(dot(k, k.array([x9, y9, k.one]), g.T))
-        q = tuple(k.of(c) for c in _normalize_projective(k, q))
-        if c1.evaluate(q) != k.zero or c2.evaluate(q) != k.zero:
-            continue
-        if q in known.points:
-            raise NonGenericConfiguration(
-                "ninth base point coincides with a known point")
-        return q
-    raise GenericityError("ninth_base_point: no usable coordinate change")
+    ideal4 = FormSpace.from_matrix(k, 3, 4, ideal_piece([c1, c2], 4))
+    # the quartics through the known points have dimension at least 7,
+    # (c1, c2) at most 6, so one of them lies outside
+    f = next(f for f in forms_through(known, 4).polys()
+             if not ideal4.contains(f))
+    rows = np.concatenate([ideal_piece([f], 5).data,
+                           ideal_piece([c1, c2], 5).data])
+    lines = Matrix(k, rows.T).right_kernel()
+    point = Matrix(k, lines.data[:, :3]).right_kernel()
+    if lines.rows != 2 or point.rows != 1:
+        raise NonGenericConfiguration(
+            "the pencil's base locus is not 9 points")
+    q = tuple(k.of(c) for c in point.data[0])  # RREF: leading coordinate 1
+    if q in known.points:
+        raise NonGenericConfiguration(
+            "ninth base point coincides with a known point")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +323,8 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
     basis = conics.polys()
     if rng is None:
         return RationalMap(basis)
-    g = _random_gl(k, 5, rng)
-    mixed = []
-    for i in range(5):
-        f = Poly.zero(k, 3)
-        for j in range(5):
-            f = f + basis[j].scale(g[i][j])
-        mixed.append(f)
-    return RationalMap(mixed)
+    mixed = dot(k, _random_gl(k, 5, rng), conics.basis.data)
+    return RationalMap([Poly.from_coeff_vector(k, 3, 2, row) for row in mixed])
 
 
 def gale_dual(gamma2: PointSet, q,
@@ -398,56 +356,50 @@ class EllipticMember:
     samples: PointSet
     quadrics: FormSpace
 
-    def __post_init__(self):
-        if self.quadrics.dim != 5:
-            raise ValueError("member quadrics must have dimension 5")
-        for quadric in self.quadrics.polys():
-            for p in self.samples.points:
-                if quadric.evaluate(p) != self.quadrics.field.zero:
-                    raise ValueError("quadric fails to vanish at a sample")
+
+MEMBER_SAMPLES = 40
 
 
-def _cubic_is_smooth(c: Poly) -> bool:
-    """Base-point-freeness of the partials, certified at the Macaulay
-    bound degree 4."""
-    k = c.field
-    partials = [contract(Poly.variable(k, 3, i), c) for i in range(3)]
-    return ideal_piece_dim(partials, 4) == len(monomial_basis(3, 4))
-
-
-def elliptic_member(c1: Poly, c2: Poly, q, s, count: int = 40,
+def elliptic_member(c1: Poly, c2: Poly, known: PointSet, q, s,
                     projection: RationalMap | None = None) -> EllipticMember:
-    """Sample a smooth member c1 + s*c2 of the pencil, push the samples
-    through the projection from q, and fit the 5 quadrics through the
-    image curve.
+    """Points of a smooth member c = c1 + s*c2 of the pencil, pushed
+    through the projection from q, and the 5 quadrics through the image
+    curve.
+
+    The member passes through the 8 known points and q.  For two points
+    P, Q on it, c(sP + tQ) = st(a*s + b*t) with a = grad c(P).Q and
+    b = grad c(Q).P, so the chord PQ meets it again in b*P - a*Q.  Third
+    points of chords, over pairs in a fixed order, supply MEMBER_SAMPLES
+    images; a quadric through more than 10 points of the image quintic
+    contains it.
 
     One pipeline run must use one projection throughout; pass the same
     map that produced the point configuration."""
     k = c1.field
-    if not isinstance(k, PrimeField):
-        raise ValueError("point sampling needs a prime field")
     cs = c1 + c2.scale(s)
-    if not _cubic_is_smooth(cs):
+    grad = [contract(Poly.variable(k, 3, i), cs) for i in range(3)]
+    # the partials have no common zero iff they fill degree 4, the
+    # Macaulay bound
+    if ideal_piece_dim(grad, 4) != len(monomial_basis(3, 4)):
         raise NonGenericConfiguration(f"member at s={s} is singular")
     proj = projection_from_point(q, k) if projection is None else projection
-    images = []
-    seen = set()
-    vec = cs.coeff_vector(3)
-    for x0 in range(k.p):
-        f = UniPoly(k, dot(k, vec, line_restriction(k, 3, 2, x0)))
-        if f.is_zero():
-            continue
-        for y0 in set(roots_in_field(f)):
-            pt = (k.of(x0), k.of(y0), k.one)
-            im = apply_map(proj, pt)
-            if im is None or im in seen:
-                continue
-            seen.add(im)
-            images.append(im)
-        if len(images) >= count:
+    pts = list(known.points) + [_normalize_projective(k, q)]
+    grads = [[g.evaluate(p) for g in grad] for p in pts]
+    # a smooth cubic contains no line, so a and b never both vanish
+    pairs = ((i, j) for j in itertools.count(1) for i in range(j))
+    for i, j in pairs:
+        if len(pts) > MEMBER_SAMPLES or j == len(pts):
             break
-    if len(images) < count:
+        a = k.of(sum(k.mul(u, v) for u, v in zip(grads[i], pts[j])))
+        b = k.of(sum(k.mul(u, v) for u, v in zip(grads[j], pts[i])))
+        third = _normalize_projective(k, [k.sub(k.mul(b, x), k.mul(a, y))
+                                          for x, y in zip(pts[i], pts[j])])
+        if third not in pts:
+            pts.append(third)
+            grads.append([g.evaluate(third) for g in grad])
+    if len(pts) <= MEMBER_SAMPLES:
         raise NonGenericConfiguration("too few rational points on the member")
+    images = [apply_map(proj, p) for p in pts[:8] + pts[9:]]
     samples = PointSet(k, "projective", 4, images)
     quadrics = forms_through(samples, 2)
     if quadrics.dim != 5:
@@ -534,8 +486,7 @@ def octic_surface(z: PointSet):
 # ---------------------------------------------------------------------------
 
 
-def find_inverse(f: RationalMap, d2: int, seed: int = 0,
-                 samples: int | None = None):
+def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     """Inverse of degree d2 for a Cremona transformation, or None.
 
     Candidate coefficient vectors come from a sampled proportionality
@@ -555,8 +506,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0,
     rng = random.Random(seed)
     mono_y = monomial_basis(nv, d2)
     ncols = nv * len(mono_y)
-    if samples is None:
-        samples = (ncols // max(nv - 1, 1)) + 40
+    samples = (ncols // max(nv - 1, 1)) + 40
     rows = []
     tries = 0
     while len(rows) < samples * (nv - 1) and tries < 50 * samples:
@@ -643,6 +593,53 @@ def _exact_var_quotient(k: Field, vec, nvars: int, d: int, var: int):
 # ---------------------------------------------------------------------------
 
 
+PIPELINE_ATTEMPTS = 10
+GALE_MEMBERS = 3
+
+
+def _retry(name: str, once, k: Field, seed: int, *args):
+    """Run once(k, rng, attempt, *args) on derived sub-seeds until a
+    configuration is generic, so that a fixed seed stays deterministic."""
+    last = None
+    for attempt in range(PIPELINE_ATTEMPTS):
+        rng = random.Random(subseed(seed, attempt))
+        try:
+            return once(k, rng, attempt, *args)
+        except (NonGenericConfiguration, GenericityError) as exc:
+            last = exc
+    raise GenericityError(f"{name} pipeline: retries exhausted ({last})")
+
+
+def _cubic_pencil(k: Field, rng):
+    """8 random plane points, the pencil of cubics through them and its
+    ninth base point: (gamma2, c1, c2, ninth)."""
+    gamma2 = random_projective_points(k, 2, 8, rng)
+    pencil = forms_through(gamma2, 3)
+    if pencil.dim != 2:
+        raise NonGenericConfiguration("cubics through the 8 points: dim != 2")
+    c1, c2 = pencil.polys()
+    # this draw feeds nothing; it keeps every later draw, and so every
+    # result pinned to a seed, where it was
+    rng.randrange(1 << 30)
+    return gamma2, c1, c2, ninth_base_point(c1, c2, gamma2)
+
+
+def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
+    """``wanted`` smooth members of the pencil at random parameters, from
+    at most 30 draws."""
+    gamma2, c1, c2, ninth = pencil
+    members = []
+    for _ in range(30):
+        try:
+            members.append(elliptic_member(c1, c2, gamma2, ninth,
+                                           k.random_element(rng), projection))
+        except NonGenericConfiguration:
+            continue
+        if len(members) == wanted:
+            return members
+    raise NonGenericConfiguration("not enough smooth pencil members")
+
+
 @dataclass
 class GalePipelineResult:
     gamma2: PointSet
@@ -657,29 +654,14 @@ class GalePipelineResult:
     resamples: int
 
 
-def gale_pipeline(k: Field, seed: int, members: int = 3) -> GalePipelineResult:
-    """8 random plane points -> Gale dual -> limit plane -> Segre cubics.
-
-    Retries with derived sub-seeds when a non-generic configuration
-    shows up, preserving determinism.
-    """
-    last = None
-    for attempt in range(10):
-        rng = random.Random(subseed(seed, attempt))
-        try:
-            return _gale_once(k, rng, members, attempt)
-        except (NonGenericConfiguration, GenericityError) as exc:
-            last = exc
-    raise GenericityError(f"gale pipeline: retries exhausted ({last})")
+def gale_pipeline(k: Field, seed: int) -> GalePipelineResult:
+    """8 random plane points -> Gale dual -> limit plane -> Segre cubics."""
+    return _retry("gale", _gale_once, k, seed)
 
 
-def _gale_once(k: Field, rng, members: int, attempt: int) -> GalePipelineResult:
-    gamma2 = random_projective_points(k, 2, 8, rng)
-    pencil = forms_through(gamma2, 3)
-    if pencil.dim != 2:
-        raise NonGenericConfiguration("cubics through the 8 points: dim != 2")
-    c1, c2 = pencil.polys()
-    ninth = ninth_base_point(c1, c2, gamma2, seed=rng.randrange(1 << 30))
+def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
+    pencil = _cubic_pencil(k, rng)
+    gamma2, _, _, ninth = pencil
     proj = projection_from_point(ninth, k, rng)
     gamma4, proj = gale_dual(gamma2, ninth, projection=proj)
     quads = forms_through(gamma4, 2)
@@ -687,17 +669,7 @@ def _gale_once(k: Field, rng, members: int, attempt: int) -> GalePipelineResult:
         raise NonGenericConfiguration("quadrics through the dual points: dim != 7")
     affine = dehomogenize(gamma4)
     _, hf, plane = initial_system(affine)
-    mems = []
-    s_tried = 0
-    while len(mems) < members and s_tried < 30:
-        s = k.random_element(rng)
-        s_tried += 1
-        try:
-            mems.append(elliptic_member(c1, c2, ninth, s, projection=proj))
-        except NonGenericConfiguration:
-            continue
-    if len(mems) < members:
-        raise NonGenericConfiguration("not enough smooth pencil members")
+    mems = _smooth_members(k, rng, pencil, GALE_MEMBERS, proj)
     spaces = [m.quadrics for m in mems]
     inter = spaces[0]
     for sp in spaces[1:]:
@@ -706,8 +678,6 @@ def _gale_once(k: Field, rng, members: int, attempt: int) -> GalePipelineResult:
     for sp in spaces:
         if not quads.contains_space(sp):
             raise NonGenericConfiguration("member quadrics not inside the 7")
-        if not sp.contains_space(inter):
-            raise AssertionError("intersection not inside a member space")
     segres = [segre_cubic(m, plane) for m in mems]
     all_cubics = [c for s_sp in segres for c in s_sp.polys()]
     span_space = FormSpace.from_polys(all_cubics, degree=3)
@@ -733,32 +703,11 @@ def cremona_pipeline(k: Field, seed: int, slow: bool = False) -> CremonaResult:
     """Build c_E from an elliptic quintic and c_{S8} from the octic
     surface; certify the inverse of c_E (degree 3) and, in slow mode,
     the (2, 4) type of c_{S8}."""
-    last = None
-    for attempt in range(10):
-        rng = random.Random(subseed(seed, attempt))
-        try:
-            return _cremona_once(k, rng, slow, attempt)
-        except (NonGenericConfiguration, GenericityError) as exc:
-            last = exc
-    raise GenericityError(f"cremona pipeline: retries exhausted ({last})")
+    return _retry("cremona", _cremona_once, k, seed, slow)
 
 
-def _cremona_once(k: Field, rng, slow: bool, attempt: int) -> CremonaResult:
-    gamma2 = random_projective_points(k, 2, 8, rng)
-    pencil = forms_through(gamma2, 3)
-    if pencil.dim != 2:
-        raise NonGenericConfiguration("cubic pencil degenerate")
-    c1, c2 = pencil.polys()
-    ninth = ninth_base_point(c1, c2, gamma2, seed=rng.randrange(1 << 30))
-    member = None
-    for _ in range(30):
-        try:
-            member = elliptic_member(c1, c2, ninth, k.random_element(rng))
-            break
-        except NonGenericConfiguration:
-            continue
-    if member is None:
-        raise NonGenericConfiguration("no smooth member found")
+def _cremona_once(k: Field, rng, attempt: int, slow: bool) -> CremonaResult:
+    member, = _smooth_members(k, rng, _cubic_pencil(k, rng), 1)
     ce = RationalMap(member.quadrics.polys())
     inv = find_inverse(ce, 3, seed=rng.randrange(1 << 30))
     if inv is None:

@@ -509,18 +509,23 @@ class FormSpace:
                 f"nvars={self.nvars})")
 
 
-def ideal_piece_dim(gens: list[Poly], d: int) -> int:
-    """Dimension of the degree-d piece of the ideal generated by forms
-    of one degree.
+def ideal_piece(gens: list[Poly], d: int) -> Matrix:
+    """The rows x^m * g, g over the given nonzero forms of one degree e
+    and m over the monomials of degree d - e, which span the degree-d
+    piece of the ideal they generate.
 
-    The rows x^m * g are the coefficient vectors of g moved by the index
-    table of the monomial m."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return 0
+    Each row is the coefficient vector of g moved by the index table of
+    the monomial m."""
     k, nvars, e = gens[0].field, gens[0].nvars, gens[0].degree()
     table = mult_table(nvars, d - e, e)
     rows = k.zeros((len(gens), table.shape[0], len(monomial_basis(nvars, d))))
     for g, block in zip(gens, rows):
         block[np.arange(table.shape[0])[:, None], table] = g.coeff_vector(e)
-    return Matrix(k, rows.reshape(-1, rows.shape[-1])).rank()
+    return Matrix(k, rows.reshape(-1, rows.shape[-1]))
+
+
+def ideal_piece_dim(gens: list[Poly], d: int) -> int:
+    """Dimension of the degree-d piece of the ideal generated by forms
+    of one degree."""
+    gens = [g for g in gens if not g.is_zero()]
+    return ideal_piece(gens, d).rank() if gens else 0

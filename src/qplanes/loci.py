@@ -419,18 +419,20 @@ def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
     c = moved.coefficient(expect)
     if c == k.zero or moved != Poly(k, 4, {expect: c}):
         raise ValueError("change does not normalize the element")
-    moved_plane = QuadricPlane.from_polys(
-        [q.substitute_linear(change) for q in plane.basis_polys()])
     # a cubic product of the perpendicular quadrics sends x^beta to
     # beta! times its x^beta coefficient, and beta! is a unit (p > 6):
     # x^beta is annihilated by all 84 products iff those coefficients
     # vanish.  They depend only on the factors restricted to the variables
     # of supp(beta), x2 = x3 = 0 (rank 2) or x3 = 0 (rank 1); the ordered
-    # triples of the 7 restricted duals cover the 84 products
+    # triples of the 7 restricted duals cover the 84 products.  The duals
+    # of the moved plane are those of the plane moved by change^-T, so
+    # the restriction sends x_i to sum_j change^-1[j, i] x_j over j < nv
     nv = 2 if rank == 2 else 3
-    keep = [monomial_index(4, 2)[e + (0,) * (4 - nv)]
-            for e in monomial_basis(nv, 2)]
-    duals = lperp(moved_plane).basis.data[:, keep]
+    inverse = Matrix(k, change).inverse().data
+    coordinate_forms = [Poly.from_coeff_vector(k, nv, 1, inverse[:nv, i])
+                        for i in range(4)]
+    duals = dot(k, lperp(plane).basis.data,
+                power_products(coordinate_forms, 2))
     quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
     sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
     idx = monomial_index(nv, 6)
@@ -498,8 +500,12 @@ def random_quadric(k: Field, rng) -> Poly:
     return Poly(k, 4, {e: k.random_element(rng) for e in basis})
 
 
-def pencil_experiment(k: Field, seed: int, det_samples: int = 40,
-                      retries: int = 10) -> PencilReport:
+# det along the pencil has degree 36: 37 samples fix it, 40 leave a check
+DET_SAMPLES = 40
+PENCIL_RETRIES = 10
+
+
+def pencil_experiment(k: Field, seed: int) -> PencilReport:
     """Interpolate det and Pfaffian along a random pencil of planes.
 
     The pencil is L(t) = <q1, q2, u + t w>.  The frame of the
@@ -512,17 +518,17 @@ def pencil_experiment(k: Field, seed: int, det_samples: int = 40,
         raise ValueError("pencil experiment needs a prime field with p > 40")
     rng = random.Random(seed)
     resamples = 0
-    while resamples <= retries:
-        report = _pencil_once(k, rng, det_samples)
+    while resamples <= PENCIL_RETRIES:
+        report = _pencil_once(k, rng)
         if report is not None:
             report.resamples = resamples
             return report
         resamples += 1
     raise GenericityError("pencil experiment: degeneracy persisted "
-                          f"after {retries} resamples")
+                          f"after {PENCIL_RETRIES} resamples")
 
 
-def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
+def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
     basis10 = monomial_basis(4, 2)
     q1, q2, u = (random_quadric(k, rng) for _ in range(3))
     j_cols = sorted(rng.sample(range(10), 3))
@@ -563,7 +569,7 @@ def _pencil_once(k: PrimeField, rng, det_samples: int) -> PencilReport | None:
                 for b, d in frames]
 
     det_points = []
-    for t in range(det_samples):
+    for t in range(DET_SAMPLES):
         m = jump_matrix_from_quadrics(perp_polys_at(t))
         det_points.append((t, m.det()))
     det_poly = interpolate(k, det_points)

@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qplanes
 from qplanes.cli import build_parser, main
 
 
@@ -122,6 +127,29 @@ def test_pencil_at_the_largest_prime(capsys):
     assert code == 0
     assert [r["degrees"] for r in recs] == [[36, 2, 10]] * 2
     assert all(r["ok"] for r in recs)
+
+
+def _cap_address_space():
+    # 4 GiB: a scan of F_p at p = 2^31 - 1 needs a 16 GiB array, and then
+    # fails with MemoryError here instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv", [["gale", "--samples", "1"],
+                                  ["cremona", "--seed", "0"],
+                                  ["verify", "--samples", "1"]],
+                         ids=["gale", "cremona", "verify"])
+def test_pipelines_at_the_largest_prime_in_bounded_memory(argv):
+    src = str(Path(qplanes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run(
+        [sys.executable, "-m", "qplanes.cli", *argv, "--prime", "2147483647"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space)
+    assert run.returncode == 0, run.stderr[-2000:]
+    records = [json.loads(line) for line in run.stdout.splitlines()]
+    assert records and all(r["ok"] is True for r in records)
 
 
 def test_gale_command(capsys):

@@ -4,10 +4,11 @@ import pytest
 
 from qplanes import constructions as con
 from qplanes.apolarity import annihilator
-from qplanes.fields import PrimeField
+from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace
 from qplanes.loci import jump_dimension, secant_intersects, smoothable_pfaffian
-from qplanes.poly import Poly, parse_poly
+from qplanes.poly import Poly, dot, line_restriction, parse_poly
+from qplanes.unipoly import UniPoly, roots_in_field
 
 K = PrimeField()
 V3 = ["x", "y", "z"]
@@ -126,14 +127,18 @@ GRID = [(i, j, 1) for i in range(3) for j in range(3)]
 
 
 def test_ninth_base_point_grid():
-    c1 = _p3("x") * _p3("x - z") * _p3("x - 2*z")
-    c2 = _p3("y") * _p3("y - z") * _p3("y - 2*z")
-    for missing in [(0, 0, 1), (2, 2, 1), (1, 2, 1)]:
-        known = con.PointSet(K, "projective", 2,
-                             [p for p in GRID if p != missing])
-        got = con.ninth_base_point(c1, c2, known)
-        expect = con._normalize_projective(K, tuple(K.of(c) for c in missing))
-        assert got == expect
+    for k in (K, RationalField()):  # nothing in the colon ideal needs F_p
+        def p3(text):
+            return parse_poly(text, V3, k)
+
+        c1 = p3("x") * p3("x - z") * p3("x - 2*z")
+        c2 = p3("y") * p3("y - z") * p3("y - 2*z")
+        for missing in [(0, 0, 1), (2, 2, 1), (1, 2, 1)]:
+            known = con.PointSet(k, "projective", 2,
+                                 [p for p in GRID if p != missing])
+            got = con.ninth_base_point(c1, c2, known)
+            assert got == con._normalize_projective(
+                k, tuple(k.of(c) for c in missing))
 
 
 def test_ninth_base_point_random_pencil():
@@ -143,6 +148,41 @@ def test_ninth_base_point_random_pencil():
     q = con.ninth_base_point(c1, c2, pts)
     assert c1.evaluate(q) == K.zero and c2.evaluate(q) == K.zero
     assert q not in pts.points
+
+
+def _random_pencil(k, seed):
+    """8 random plane points and the two cubics through them, or None
+    when the cubics through them are not a pencil."""
+    pts = con.random_projective_points(k, 2, 8, random.Random(seed))
+    pencil = con.forms_through(pts, 3)
+    return (pts, *pencil.polys()) if pencil.dim == 2 else None
+
+
+@pytest.mark.parametrize("p", [13, 41, 32003, 2**31 - 1])
+def test_ninth_base_point_is_a_common_zero_off_the_known_points(p):
+    k = PrimeField(p)
+    found = 0
+    for seed in range(12):
+        setup = _random_pencil(k, seed)
+        if setup is None:
+            continue
+        pts, c1, c2 = setup
+        try:
+            q = con.ninth_base_point(c1, c2, pts)
+        except con.NonGenericConfiguration:
+            continue  # small fields: collinear points, common components
+        assert c1.evaluate(q) == k.zero and c2.evaluate(q) == k.zero
+        assert q not in pts.points
+        found += 1
+    assert found >= (3 if p < 100 else 12)
+
+
+def test_ninth_base_point_needs_no_coordinate_change():
+    """At p = 13 few coordinate changes separate the first coordinates of
+    nine points, and a search through them gave up on this pencil."""
+    k = PrimeField(13)
+    pts, c1, c2 = _random_pencil(k, 3)
+    assert con.ninth_base_point(c1, c2, pts) == (1, 7, 7)
 
 
 def test_ninth_base_point_needs_eight():
@@ -182,7 +222,7 @@ def test_elliptic_member_quadrics():
     members = []
     while len(members) < 3:
         try:
-            members.append(con.elliptic_member(c1, c2, ninth,
+            members.append(con.elliptic_member(c1, c2, gamma2, ninth,
                                                K.random_element(rng),
                                                projection=proj))
         except con.NonGenericConfiguration:
@@ -199,11 +239,54 @@ def test_elliptic_member_quadrics():
         assert m.quadrics.contains_space(inter)
 
 
+def _scanned_images(cubic, projection, k):
+    """The oracle the chords replaced: affine points of the cubic, line by
+    line x = 0, 1, 2, ..., each found by trying every element of F_p as
+    y, until MEMBER_SAMPLES images are found."""
+    images = []
+    for x0 in range(k.p):
+        line = line_restriction(k, 3, 2, x0)
+        for y0 in set(roots_in_field(UniPoly(k, dot(k, cubic.coeff_vector(3),
+                                                       line)))):
+            im = con.apply_map(projection, (x0, y0, 1))
+            if im is not None and im not in images:
+                images.append(im)
+        if len(images) >= con.MEMBER_SAMPLES:
+            return con.PointSet(k, "projective", 4, images)
+    raise AssertionError("too few points on the member")
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_member_quadrics_match_the_field_scan(p):
+    k = PrimeField(p)
+    rng = random.Random(p)
+    checked = 0
+    for seed in range(20):
+        setup = _random_pencil(k, seed)
+        if setup is None:
+            continue
+        gamma2, c1, c2 = setup
+        try:
+            ninth = con.ninth_base_point(c1, c2, gamma2)
+            proj = con.projection_from_point(ninth, k, rng)
+            s = k.random_element(rng)
+            member = con.elliptic_member(c1, c2, gamma2, ninth, s, proj)
+        except con.NonGenericConfiguration:
+            continue
+        assert len(member.samples) == con.MEMBER_SAMPLES
+        scanned = _scanned_images(c1 + c2.scale(s), proj, k)
+        assert member.quadrics == con.forms_through(scanned, 2)
+        checked += 1
+        if checked == 3:
+            return
+    raise AssertionError("fewer than 3 smooth members")
+
+
 def test_elliptic_member_determinism():
     rng, gamma2, c1, c2, ninth = _pencil_setup(7)
     s = K.of(11)
-    a = con.elliptic_member(c1, c2, ninth, s)
-    b = con.elliptic_member(c1, c2, ninth, s)
+    a = con.elliptic_member(c1, c2, gamma2, ninth, s)
+    b = con.elliptic_member(c1, c2, gamma2, ninth, s)
     assert a.quadrics == b.quadrics
     assert a.samples.points == b.samples.points
 
