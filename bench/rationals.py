@@ -1,4 +1,4 @@
-"""Time row reduction over Q: the Fraction loop against the modular path.
+"""Time the rational path of classify: row reduction and the jump build.
 
 Captures the rational matrices the library row-reduces while classifying
 three planes over Q: every shape that comes up for a random plane (the
@@ -7,7 +7,11 @@ FormSpace and ideal-piece matrices and the 84x84 jump matrix), and the
 plane (the partials of a cubic), whose kernels have dimension 3.  Times on
 each the Fraction Gauss-Jordan loop, the only path over Q before, against
 ``linalg._rref``, and counts the images modulo word-size primes the
-modular path takes.  Writes BENCH_rationals.json at the repository root.
+modular path takes.  Then, for each of the three planes, times the 84x84
+jump build from Fraction products (before) against ``loci.jump_matrix``,
+which builds c^3 J in Python ints (after), checking the two equal, and one
+whole ``loci.classify`` with either build.  Writes BENCH_rationals.json at
+the repository root.
 
     PYTHONPATH=src python3 bench/rationals.py [--seed 3] [--repeat 3]
 """
@@ -22,6 +26,7 @@ import random
 import statistics
 import sys
 import time
+from math import lcm
 from pathlib import Path
 from unittest import mock
 
@@ -30,13 +35,15 @@ import numpy as np
 from qplanes import linalg, loci
 from qplanes.apolarity import QuadricPlane, plane_from_cubic
 from qplanes.fields import RationalField
+from qplanes.linalg import Matrix
 from qplanes.poly import Poly, monomial_basis
 
 from elimination import cpu_model
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
-from test_linalg import _loop_rref  # noqa: E402  (the Fraction oracle)
+from test_linalg import _loop_rref  # noqa: E402  (the Fraction oracles)
+from test_loci import _fraction_power_products  # noqa: E402
 
 
 def _form(k, rng, d):
@@ -94,6 +101,57 @@ def images_taken(a: np.ndarray, k: RationalField) -> int:
     return spy.call_count
 
 
+def fraction_jump(plane) -> Matrix:
+    """J from Fraction products of the perpendicular quadrics."""
+    perp = loci.lperp(plane)
+    return Matrix(plane.field, _fraction_power_products(perp.polys(), 3).T)
+
+
+def classify_with(jump_matrix, plane):
+    with mock.patch.object(loci, "jump_matrix", jump_matrix):
+        return loci.classify(plane)
+
+
+def jump_rows(ps: dict) -> list[tuple[str, dict]]:
+    """(label, {name: callable}) per plane kind: the jump build and one
+    classify, each with the Fraction build (before) and the integer build
+    (after).  The integer build is checked to be c^3 times the Fraction
+    one, c the common denominator of the perpendicular basis, and both
+    classifications to give the same kernel cubics."""
+    out = []
+    for kind, plane in ps.items():
+        c = lcm(*(x.denominator for x in loci.lperp(plane).basis.data.flat))
+        if not np.array_equal(loci.jump_matrix(plane).data,
+                              c ** 3 * fraction_jump(plane).data):
+            raise SystemExit(f"{kind}: the integer jump matrix is not "
+                             "c^3 times the Fraction one")
+        if (classify_with(fraction_jump, plane).certificates["cubics"]
+                != loci.classify(plane).certificates["cubics"]):
+            raise SystemExit(f"{kind}: classify finds other kernel cubics")
+        out.append((f"{kind} jump build 84x84",
+                    {"before": lambda p=plane: fraction_jump(p),
+                     "after": lambda p=plane: loci.jump_matrix(p)}))
+        out.append((f"{kind} classify",
+                    {"before": lambda p=plane: classify_with(fraction_jump, p),
+                     "after": lambda p=plane: loci.classify(p)}))
+    return out
+
+
+def timed(fns: dict, repeat: int) -> dict:
+    """Median and minimum seconds of each callable, the callables taken
+    in turn on every repeat."""
+    times = {name: [] for name in fns}
+    for _ in range(repeat):
+        for name, fn in fns.items():
+            t = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t)
+    return {**{f"{name}_median_s": round(statistics.median(ts), 4)
+               for name, ts in times.items()},
+            **{f"{name}_min_s": round(min(ts), 4)
+               for name, ts in times.items()}}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=3)
@@ -102,26 +160,24 @@ def main():
     k = RationalField()
     rows = []
     for label, a in capture(k, args.seed):
-        times = {"before": [], "after": []}
-        for _ in range(args.repeat):
-            for name, fn in (("before", _loop_rref), ("after", linalg._rref)):
-                t = time.perf_counter()
-                fn(a, k)
-                times[name].append(time.perf_counter() - t)
+        stats = timed({"before": lambda: _loop_rref(a, k),
+                       "after": lambda: linalg._rref(a, k)}, args.repeat)
         red, pivots = linalg._rref(a, k)
         red0, pivots0 = _loop_rref(a, k)
         if pivots != pivots0 or not np.array_equal(red, red0):
             raise SystemExit(f"{label}: the modular RREF differs from the "
                              "Fraction loop")
         rows.append({"matrix": label, "rank": len(pivots),
-                     "primes_used": images_taken(a, k),
-                     **{f"{name}_median_s": round(statistics.median(ts), 4)
-                        for name, ts in times.items()},
-                     **{f"{name}_min_s": round(min(ts), 4)
-                        for name, ts in times.items()}})
+                     "primes_used": images_taken(a, k), **stats})
         print(json.dumps(rows[-1]), flush=True)
-    out = {"what": "row reduction over Q: Fraction loop (before) vs _rref "
-                   "(after); both results are checked equal",
+    for label, fns in jump_rows(planes(k, args.seed)):
+        rows.append({"matrix": label, **timed(fns, args.repeat)})
+        print(json.dumps(rows[-1]), flush=True)
+    out = {"what": "over Q: row reduction by the Fraction loop (before) vs "
+                   "_rref (after); the 84x84 jump build from Fraction "
+                   "products (before) vs c^3 J in Python ints (after); "
+                   "classify with either build.  Results are checked "
+                   "equal",
            "machine": {"cpu": cpu_model(),
                        "cores": len(os.sched_getaffinity(0)),
                        "python": platform.python_version()},

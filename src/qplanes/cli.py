@@ -146,6 +146,8 @@ FLAGS = {
     "--slow": dict(action="store_true",
                    help="include the slow large-inversion checks"),
 }
+# a command may take one of these flags, but not both
+EXCLUSIVE = ("--prime", "--rationals")
 COMMANDS = {  # name: (handler, help, flags, default --samples)
     "classify": (cmd_classify, "classify a plane of quadrics",
                  ("--prime", "--rationals", "--seed"), None),
@@ -171,8 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "classify":
             sp.add_argument(
                 "input", help="file with 3 quadrics or 1 cubic + 3 operators")
+        either = (sp.add_mutually_exclusive_group()
+                  if set(EXCLUSIVE) <= set(flags) else sp)
         for flag in flags:
-            sp.add_argument(flag, **FLAGS[flag])
+            (either if flag in EXCLUSIVE else sp).add_argument(
+                flag, **FLAGS[flag])
         sp.set_defaults(func=func, samples=samples)
     return p
 

@@ -4,7 +4,9 @@ Elements of a prime field are plain Python ints in ``[0, p)``; rational
 elements are ``fractions.Fraction``.  Both field objects expose the same
 small interface so the rest of the library can stay field-agnostic.
 Matrices use numpy arrays: ``int64`` for prime fields, ``object`` dtype
-(holding Fractions) for the rationals.
+for the rationals.  Rational arrays hold Fractions, or Python ints where a
+product is built from rows scaled to a common denominator (the jump
+matrix); every operation of ``RationalField`` accepts either.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the configured field.
 
 Prime-field matrices are numpy int64 arrays reduced mod p; rational
-matrices hold Fractions in object arrays.  Row reduction (behind rank,
-rref, right_kernel, inverse and solve) takes one of three paths:
+matrices are object arrays of Fractions or Python ints.  Row reduction
+(behind rank, rref, right_kernel, inverse and solve) takes one of three
+paths:
 
 * the unblocked Gauss–Jordan loop over F_p, one vectorized rank-1 update
   per pivot, for every prime-field matrix of at most PANEL columns and
@@ -16,16 +17,18 @@ rref, right_kernel, inverse and solve) takes one of three paths:
   so large primes stay on the int64 loop;
 * over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
   Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
-  keeps the RREF, and the integer matrix A is row-reduced by the int64
-  loop modulo primes below 2^31, largest first.  Only the images of the
-  highest rank and, among those, the earliest pivot columns are kept:
-  the rank of A modulo p never exceeds its rank over Q.  The free-column
-  entries of the kept images are combined by CRT and rebuilt by rational
-  reconstruction with a common denominator D, and the candidate R is
-  accepted only if D A[:, free] == A[:, pivots] (D R)[:, free] holds in
-  Python integers.  That puts every row of A in the row space of R,
-  whose dimension is at most the rank of A, so R is the RREF of A.  An
-  image of full column rank proves the RREF is the identity at once.
+  keeps the RREF; a row of ints (the jump matrix is built in Python ints)
+  has denominator 1 and stays as it is.  The integer matrix A is
+  row-reduced by the int64 loop modulo primes below 2^31, largest first.
+  Only the images of the highest rank and, among those, the earliest
+  pivot columns are kept: the rank of A modulo p never exceeds its rank
+  over Q.  The free-column entries of the kept images are combined by CRT
+  and rebuilt by rational reconstruction with a common denominator D, and
+  the candidate R is accepted only if D A[:, free] == A[:, pivots]
+  (D R)[:, free] holds in Python integers.  That puts every row of A in
+  the row space of R, whose dimension is at most the rank of A, so R is
+  the RREF of A.  An image of full column rank proves the RREF is the
+  identity at once.
 
 The reduced row echelon form is canonical, so every path returns the
 same matrix and pivots as plain Gauss–Jordan over the field.

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
@@ -99,15 +100,26 @@ def lperp(plane: QuadricPlane) -> FormSpace:
     return annihilator(plane.space, 2).piece(2)
 
 
-def jump_matrix_from_quadrics(duals: list[Poly]) -> Matrix:
+def jump_matrix_from_quadrics(duals: list[Poly], rows=None) -> Matrix:
     """Multiplication matrix: cubic monomials in the given quadrics,
-    expanded over the 84 sextic monomials in 4 variables."""
-    return Matrix(duals[0].field, power_products(duals, 3).T)
+    expanded over the 84 sextic monomials in 4 variables.  ``rows``
+    replaces the quadrics' coefficient vectors as in power_products."""
+    return Matrix(duals[0].field, power_products(duals, 3, rows).T)
 
 
 def jump_matrix(plane: QuadricPlane) -> Matrix:
-    """The 84x84 matrix of Sym^3 of the perpendicular space into sextics."""
-    return jump_matrix_from_quadrics(lperp(plane).polys())
+    """The 84x84 matrix of Sym^3 of the perpendicular space into sextics.
+
+    Over F_p this is J itself.  Over Q it is c^3 J in Python ints, with c
+    the lcm of the denominators of the perpendicular basis: J has the
+    same kernel, and no Fraction is multiplied on the way."""
+    perp = lperp(plane)
+    rows = perp.basis.data
+    if plane.field.kind == "rationals":
+        c = lcm(*(x.denominator for x in rows.flat))
+        rows = np.frompyfunc(lambda x: x.numerator * (c // x.denominator),
+                             1, 1)(rows)
+    return jump_matrix_from_quadrics(perp.polys(), rows)
 
 
 def jump_dimension(plane: QuadricPlane):

@@ -63,7 +63,9 @@ def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
     table = mult_table(nvars, d1, d2)
     # reduce each product first so the sums stay within int64
     prods = k.reduce(a[..., :, None] * b[..., None, :])
-    out = k.zeros(prods.shape[:-2] + (len(monomial_basis(nvars, d1 + d2)),))
+    # the dtype of the products, so that Python ints over Q stay ints
+    out = np.zeros(prods.shape[:-2] + (len(monomial_basis(nvars, d1 + d2)),),
+                   dtype=prods.dtype)
     np.add.at(out, (..., table), prods)
     return k.reduce(out)
 
@@ -74,27 +76,30 @@ def dot(k: Field, a, b):
     return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
 
 
-def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
+def power_products(forms: list["Poly"], d2: int, rows=None) -> np.ndarray:
     """Dense coefficient vectors of all degree-d2 monomials in the given
-    forms of one degree, as rows indexed by monomial_basis(len(forms), d2)."""
+    forms of one degree, as rows indexed by monomial_basis(len(forms), d2).
+
+    ``rows`` stands in for the forms' coefficient vectors: a common
+    multiple c of them gives c^d2 times the products.  Over Q, rows of
+    Python ints keep every product in Python ints."""
     k = forms[0].field
     n = len(forms)
     nvars = forms[0].nvars
     d = max(max(f.degree() for f in forms), 0)
-    vecs = [f.coeff_vector(d) for f in forms]
-    prev = {(0,) * n: k.array([k.one])}
-    for level in range(1, d2 + 1):
+    if rows is None:
+        rows = [f.coeff_vector(d) for f in forms]
+    if d2 == 0:
+        return k.array([[k.one]])
+    prev = dict(zip(monomial_basis(n, 1), rows))  # x_i -> row i
+    for level in range(2, d2 + 1):
         cur = {}
         for e in monomial_basis(n, level):
             i = next(t for t, ei in enumerate(e) if ei > 0)
             rest = e[:i] + (e[i] - 1,) + e[i + 1:]
-            cur[e] = dense_mul(k, prev[rest], vecs[i], nvars, d * (level - 1), d)
+            cur[e] = dense_mul(k, prev[rest], rows[i], nvars, d * (level - 1), d)
         prev = cur
-    basis = monomial_basis(n, d2)
-    out = k.zeros((len(basis), len(monomial_basis(nvars, d * d2))))
-    for r, e in enumerate(basis):
-        out[r] = prev[e]
-    return out
+    return np.stack([prev[e] for e in monomial_basis(n, d2)])
 
 
 def var_shift(k: Field, vec, nvars: int, d: int, var: int):

@@ -89,6 +89,11 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["verify", "--rationals"]) == 2  # battery needs a prime field
     capsys.readouterr()
+    # --rationals and --prime exclude each other, whatever the prime
+    for prime in ("4", "32003"):
+        assert main(["classify", "plane.txt", "--rationals",
+                     "--prime", prime]) == 2
+        assert "not allowed with" in capsys.readouterr().err
     assert main(["gale", "--samples", "0"]) == 2
     capsys.readouterr()
     # a flag the command does not read is refused, not ignored

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import Matrix, ideal_piece_dim
-from qplanes.poly import Poly, monomial_basis, parse_poly
+from qplanes.poly import Poly, monomial_basis, mult_table, parse_poly
 
 K = PrimeField()
 V4 = ["x0", "x1", "x2", "x3"]
@@ -343,6 +344,57 @@ def test_classify_rationals_on_special_planes(kind, seed):
                           else "secant")
     assert [Poly(K, 7, g.terms) for g in c.certificates["cubics"]] == \
         cp.certificates["cubics"]
+
+
+def _fraction_power_products(forms, d2):
+    """The Fraction build of power_products that the integer jump matrix
+    replaced: the oracle.  Level 0 is [1], and every product and sum is
+    taken in the forms' own Fraction coefficients."""
+    k, n, nvars = forms[0].field, len(forms), forms[0].nvars
+    d = max(f.degree() for f in forms)
+    vecs = [f.coeff_vector(d) for f in forms]
+    prev = {(0,) * n: k.array([k.one])}
+    for level in range(1, d2 + 1):
+        cur = {}
+        for e in monomial_basis(n, level):
+            i = next(t for t, ei in enumerate(e) if ei > 0)
+            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
+            a, b, d1 = prev[rest], vecs[i], d * (level - 1)
+            out = k.zeros(len(monomial_basis(nvars, d1 + d)))
+            np.add.at(out, mult_table(nvars, d1, d), a[:, None] * b[None, :])
+            cur[e] = out
+        prev = cur
+    return np.stack([prev[e] for e in monomial_basis(n, d2)])
+
+
+def _rational_plane(kind, rng):
+    q = RationalField()
+    while True:
+        forms = [_integer_form(rng, d) for d in
+                 {"general": [2, 2, 2], "secant": [1, 1, 2, 2],
+                  "smoothable": [3, 1, 1, 1]}[kind]]
+        try:
+            if kind == "general":
+                return QuadricPlane.from_polys([Poly(q, 4, f) for f in forms])
+            return _special_plane(kind, q, forms)
+        except ValueError:
+            continue
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["general", "secant",
+                                              "smoothable"]))
+@settings(max_examples=9, deadline=None)
+def test_integer_jump_matrix_matches_fraction_oracle(seed, kind):
+    """Over Q the jump matrix is c^3 J in Python ints, c the common
+    denominator of the perpendicular basis, with the kernel of J."""
+    plane = _rational_plane(kind, random.Random(seed))
+    perp = loci.lperp(plane)
+    oracle = _fraction_power_products(perp.polys(), 3).T
+    c = lcm(*(x.denominator for x in perp.basis.data.flat))
+    jump = loci.jump_matrix(plane)
+    assert all(type(x) is int for x in jump.data.flat)
+    assert np.array_equal(jump.data, c ** 3 * oracle)
+    assert jump.right_kernel() == Matrix(RationalField(), oracle).right_kernel()
 
 
 def test_pencil_experiment_degrees():
