@@ -15,19 +15,14 @@ from .apolarity import (QuadricPlane, annihilator, apolar_hilbert_function,
                         DependentContractions, plane_from_cubic)
 from .fields import Field
 from .linalg import FormSpace, Matrix, pfaffian
-from .poly import Poly, monomial_basis, parse_poly
-
-
-def _random_poly(k: Field, nvars: int, d: int, rng) -> Poly:
-    return Poly(k, nvars, {e: k.random_element(rng)
-                           for e in monomial_basis(nvars, d)})
+from .poly import parse_poly, random_form
 
 
 def _random_plane(k: Field, rng) -> QuadricPlane:
     while True:
         try:
             return QuadricPlane.from_polys(
-                [_random_poly(k, 4, 2, rng) for _ in range(3)])
+                [random_form(k, 4, 2, rng) for _ in range(3)])
         except ValueError:
             continue
 
@@ -58,8 +53,8 @@ def criterion_2(k: Field, trials: int = 200, seed: int = 0) -> dict:
     resamples = 0
     for _ in range(trials):
         while True:
-            f = _random_poly(k, 4, 3, rng)
-            ds = [_random_poly(k, 4, 1, rng) for _ in range(3)]
+            f = random_form(k, 4, 3, rng)
+            ds = [random_form(k, 4, 1, rng) for _ in range(3)]
             try:
                 plane = plane_from_cubic(f, *ds)
                 break
@@ -101,13 +96,13 @@ def criterion_4(k: Field, trials: int = 50, seed: int = 0) -> dict:
     good = 0
     for _ in range(trials):
         while True:
-            l1, l2 = (_random_poly(k, 4, 1, rng) for _ in range(2))
+            l1, l2 = (random_form(k, 4, 1, rng) for _ in range(2))
             q = l1 * l2
             if q.is_zero() or loci.symmetric_rank(q) != 2:
                 continue
             try:
                 plane = QuadricPlane.from_polys(
-                    [q, _random_poly(k, 4, 2, rng), _random_poly(k, 4, 2, rng)])
+                    [q, random_form(k, 4, 2, rng), random_form(k, 4, 2, rng)])
                 break
             except ValueError:
                 continue
@@ -235,7 +230,7 @@ def criterion_9(k: Field, trials: int = 100, seed: int = 0) -> dict:
     # scaling: Pf is quadratic in each slot
     scaling_ok = True
     for _ in range(10):
-        qs = [_random_poly(k, 4, 2, rng) for _ in range(3)]
+        qs = [random_form(k, 4, 2, rng) for _ in range(3)]
         lam = k.random_element(rng)
         base = loci.smoothable_pfaffian_basis(qs)
         for slot in range(3):

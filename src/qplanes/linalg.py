@@ -171,9 +171,13 @@ def _image_primes():
 
 def _integer_rows(a: np.ndarray) -> np.ndarray:
     """Each row of a rational matrix times the lcm of its denominators:
-    an object array of Python ints with the same RREF."""
+    an object array of Python ints with the same RREF.  Rows of Python
+    ints are copied as they are."""
     out = np.empty(a.shape, dtype=object)
     for i, row in enumerate(a):
+        if all(type(x) is int for x in row):
+            out[i] = row
+            continue
         m = lcm(*(x.denominator for x in row))
         out[i] = [x.numerator * (m // x.denominator) for x in row]
     return out

@@ -25,11 +25,10 @@ import numpy as np
 
 from .apolarity import QuadricPlane, annihilator
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, ideal_piece_dim, pfaffian
-from .poly import (Poly, contraction_rows, dense_mul, dot, line_restriction,
-                   monomial_basis, monomial_index, power_products)
-from .unipoly import (UniPoly, chart_resultant, gcd, interpolate,
-                      roots_any_degree, squarefree_and_power)
+from .linalg import FormSpace, Matrix, ideal_piece, ideal_piece_dim, pfaffian
+from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
+                   monomial_index, mult_table, power_products, random_form)
+from .unipoly import UniPoly, interpolate, squarefree_and_power
 
 
 class GenericityError(RuntimeError):
@@ -184,11 +183,10 @@ def secant_intersects(plane: QuadricPlane):
     emptiness over the closure of F_p.
 
     Returns (hit, certificate) where the certificate records the piece
-    dimensions of the degrees checked and, when one is found among
-    basis elements and a small probe set, an explicit rank <= 2 element
-    of the plane.
+    dimensions of the degrees checked and, on a hit, an explicit rank
+    <= 2 element of the plane when _find_rank_le2 finds one.
     """
-    minors = _minor_cubics(plane)
+    minors = [m for m in _minor_cubics(plane) if not m.is_zero()]
     dims = {}
     for d in range(3, MACAULAY_BOUND + 1):
         got, full = ideal_piece_dim(minors, d), len(monomial_basis(3, d))
@@ -198,17 +196,29 @@ def secant_intersects(plane: QuadricPlane):
     hit = got < full
     cert = {"piece_dims": dims, "element": None}
     if hit:
-        cert["element"] = _find_rank_le2(plane, minors)
+        cert["element"] = _find_rank_le2(plane, minors, dims)
     return hit, cert
 
 
-def _find_rank_le2(plane: QuadricPlane, minors: list[Poly]):
-    """Explicit rank <= 2 element of the plane, if one exists over the
-    ground field.
+# A plane meeting the rank <= 2 locus (degree 10 in P^9) in finitely
+# many points meets it in a scheme of length at most 10; a larger
+# codimension is not such a length, and r <= 10 < p keeps r invertible.
+SECANT_DEGREE = 10
 
-    Basis vectors and small combinations are probed first; over a prime
-    field the minor system is then solved chart by chart through
-    resultants, so an element defined over F_p is always found."""
+
+def _find_rank_le2(plane: QuadricPlane, minors: list[Poly], dims: dict):
+    """Explicit rank <= 2 element of the plane, or None.
+
+    Basis vectors and small combinations are probed first.  Then the
+    zero scheme Z of the minors is read off by linear algebra, without
+    roots.  At the lowest d >= 4 where the piece codimension r is the
+    same at d - 1 and d, the kernel K of the degree-d piece is dual to
+    the coordinate ring of Z, and r is its length.  If Z is one point P,
+    B_j = K[:, x_j * S_{d-1}] has rank r exactly when P_c != 0, and
+    X_j B_c = B_j defines X_j with the one eigenvalue P_j / P_c, so
+    P_j / P_c = tr(X_j) / r.  c is the last coordinate with rank B_c =
+    r, so the last nonzero coordinate of P is 1.  Several points or a
+    curve give an element that fails the rank check, hence None."""
     k = plane.field
     basis = plane.basis_polys()
     candidates = list(basis)
@@ -217,73 +227,27 @@ def _find_rank_le2(plane: QuadricPlane, minors: list[Poly]):
             for j in range(i + 1, 3):
                 candidates.append(basis[i] + basis[j].scale(c1))
     for q in candidates:
-        if not q.is_zero() and symmetric_rank(q) <= 2:
+        if symmetric_rank(q) <= 2:
             return q
-    if not isinstance(k, PrimeField):
+    codim = {d: full - got for d, (got, full) in dims.items()}
+    d = next((d for d in range(4, MACAULAY_BOUND + 1)
+              if codim[d - 1] == codim[d] <= SECANT_DEGREE), None)
+    if d is None:
         return None
-    vecs = np.stack([m.coeff_vector(3) for m in minors if not m.is_zero()])
-    for chart in (2, 1, 0):
-        got = _rank_le2_on_chart(plane, vecs, chart)
-        if got is not None:
-            return got
-    return None
-
-
-def _rank_le2_on_chart(plane: QuadricPlane, minors: np.ndarray, chart: int):
-    """Rank <= 2 element on the chart lambda_chart = 1 of the plane's
-    coordinates, from the dense vectors of the nonzero minors."""
-    k: PrimeField = plane.field
-    basis = plane.basis_polys()
-    u1, u2 = [i for i in range(3) if i != chart]
-    rng = random.Random(97)
-
-    def element_at(a0, b0):
-        lam = [k.zero] * 3
-        lam[chart] = k.one
-        lam[u1] = k.of(a0)
-        lam[u2] = k.of(b0)
-        q = Poly.zero(k, 4)
-        for li, bq in zip(lam, basis):
-            q = q + bq.scale(li)
-        if not q.is_zero() and symmetric_rank(q) <= 2:
-            return q
+    ker = ideal_piece(minors, d).right_kernel().data
+    r = ker.shape[0]
+    blocks = [ker[:, col] for col in mult_table(3, d - 1, 1).T]
+    for c in (2, 1, 0):
+        _, cols = Matrix(k, blocks[c]).rref()
+        if len(cols) == r:
+            break
+    else:
         return None
-
-    def common_b_roots(a0):
-        restricted = dot(k, minors, line_restriction(k, 3, chart, a0))
-        g = None
-        for row in restricted:
-            f = UniPoly(k, row)
-            if f.is_zero():
-                continue
-            g = f.monic() if g is None else gcd(g, f)
-        if g is None:
-            return list(range(4))  # whole fiber vanishes; probe a few
-        if g.degree() == 0:
-            return []
-        return roots_any_degree(g)
-
-    for _ in range(6):
-        c1 = k.array([k.random_element(rng) for _ in minors])
-        c2 = k.array([k.random_element(rng) for _ in minors])
-        res = chart_resultant(k, dot(k, c1, minors), dot(k, c2, minors),
-                              chart)
-        if res.is_zero():
-            continue
-        for a0 in roots_any_degree(res):
-            for b0 in common_b_roots(a0):
-                got = element_at(a0, b0)
-                if got is not None:
-                    return got
-        return None
-    # the formal resultant vanished for every combination tried: scan a
-    # few fibers directly
-    for a0 in range(8):
-        for b0 in common_b_roots(a0):
-            got = element_at(a0, b0)
-            if got is not None:
-                return got
-    return None
+    inv = Matrix(k, blocks[c][:, cols]).inverse().data
+    lam = k.array([k.div(k.of(sum(np.diagonal(dot(k, b[:, cols], inv)))),
+                         k.of(r)) for b in blocks])
+    q = Poly.from_coeff_vector(k, 4, 2, dot(k, lam, plane.space.basis.data))
+    return q if symmetric_rank(q) <= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +471,6 @@ class PencilReport:
     resamples: int
 
 
-def random_quadric(k: Field, rng) -> Poly:
-    basis = monomial_basis(4, 2)
-    return Poly(k, 4, {e: k.random_element(rng) for e in basis})
-
-
 # det along the pencil has degree 36: 37 samples fix it, 40 leave a check
 DET_SAMPLES = 40
 PENCIL_RETRIES = 10
@@ -542,7 +501,7 @@ def pencil_experiment(k: Field, seed: int) -> PencilReport:
 
 def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
     basis10 = monomial_basis(4, 2)
-    q1, q2, u = (random_quadric(k, rng) for _ in range(3))
+    q1, q2, u = (random_form(k, 4, 2, rng) for _ in range(3))
     j_cols = sorted(rng.sample(range(10), 3))
     w_terms = {e: k.random_element(rng) for i, e in enumerate(basis10)
                if i not in j_cols}

@@ -128,21 +128,6 @@ def contraction_rows(k: Field, vecs, nvars: int, d1: int, d2: int):
     return k.reduce(weights * vecs[..., mult_table(nvars, d1, d2)])
 
 
-def line_restriction(k: Field, d: int, chart: int, a0) -> np.ndarray:
-    """Matrix restricting ternary forms of degree d to the line
-    x_chart = 1, x_u = a0, where u < v are the other two variables:
-    row m holds a0^(m_u) in the column of the power m_v of x_v, so
-    dot(k, vec, matrix) lists the coefficients in x_v from low to high."""
-    u, v = [i for i in range(3) if i != chart]
-    exps = np.array(monomial_basis(3, d))
-    powers = [k.one]
-    for _ in range(d):
-        powers.append(k.mul(powers[-1], k.of(a0)))
-    out = k.zeros((len(exps), d + 1))
-    out[np.arange(len(exps)), exps[:, v]] = k.array(powers)[exps[:, u]]
-    return out
-
-
 class Poly:
     """A multivariate polynomial; ``terms`` maps exponent tuple -> coeff."""
 
@@ -354,6 +339,13 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.format()})"
+
+
+def random_form(k: Field, nvars: int, d: int, rng) -> Poly:
+    """A form of degree d with one random coefficient per monomial,
+    drawn in the order of monomial_basis(nvars, d)."""
+    return Poly(k, nvars, {e: k.random_element(rng)
+                           for e in monomial_basis(nvars, d)})
 
 
 _FACTOR_RE = re.compile(r"([a-z]+\d*)(?:\^(\d+))?")

@@ -11,6 +11,8 @@ import pytest
 
 import qplanes
 from qplanes.cli import build_parser, main
+from qplanes.fields import PrimeField
+from qplanes.poly import VARS_P3, parse_poly
 
 
 def _run(capsys, argv):
@@ -140,21 +142,44 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
+def _run_at_the_largest_prime(argv):
+    """The command at p = 2^31 - 1 in a subprocess with 4 GiB of address
+    space."""
+    src = str(Path(qplanes.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run(
+        [sys.executable, "-m", "qplanes.cli", *argv, "--prime", "2147483647"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_cap_address_space)
+
+
 @pytest.mark.parametrize("argv", [["gale", "--samples", "1"],
                                   ["cremona", "--seed", "0"],
                                   ["verify", "--samples", "1"]],
                          ids=["gale", "cremona", "verify"])
 def test_pipelines_at_the_largest_prime_in_bounded_memory(argv):
-    src = str(Path(qplanes.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    run = subprocess.run(
-        [sys.executable, "-m", "qplanes.cli", *argv, "--prime", "2147483647"],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_cap_address_space)
+    run = _run_at_the_largest_prime(argv)
     assert run.returncode == 0, run.stderr[-2000:]
     records = [json.loads(line) for line in run.stdout.splitlines()]
     assert records and all(r["ok"] is True for r in records)
+
+
+def test_classify_secant_plane_at_the_largest_prime_in_bounded_memory(
+        tmp_path):
+    """A plane through l1*l2 whose basis probes miss the rank-2 element,
+    so the element is read off the minor ideal."""
+    k = PrimeField(2147483647)
+    l1, l2 = (parse_poly(s, VARS_P3, k)
+              for s in ("x0 + 2*x1 - x2 + 3*x3", "x1 - 4*x2 + 5*x3 + 7*x0"))
+    plane = _write(tmp_path, "secant.txt", "\n".join([
+        (l1 * l2).format(),
+        "x0^2 + 3*x1*x2 - x2*x3 + 2*x3^2 + x0*x3",
+        "x1^2 - x0*x2 + 5*x1*x3 + x2^2 + 11*x0*x1"]) + "\n")
+    run = _run_at_the_largest_prime(["classify", plane])
+    assert run.returncode == 0, run.stderr[-2000:]
+    (record,) = [json.loads(line) for line in run.stdout.splitlines()]
+    assert record["secant"] is True and record["ok"] is True
 
 
 def test_gale_command(capsys):

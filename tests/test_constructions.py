@@ -7,7 +7,7 @@ from qplanes.apolarity import annihilator
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace
 from qplanes.loci import jump_dimension, secant_intersects, smoothable_pfaffian
-from qplanes.poly import Poly, dot, line_restriction, parse_poly
+from qplanes.poly import Poly, parse_poly
 from qplanes.unipoly import UniPoly, roots_in_field
 
 K = PrimeField()
@@ -245,9 +245,10 @@ def _scanned_images(cubic, projection, k):
     y, until MEMBER_SAMPLES images are found."""
     images = []
     for x0 in range(k.p):
-        line = line_restriction(k, 3, 2, x0)
-        for y0 in set(roots_in_field(UniPoly(k, dot(k, cubic.coeff_vector(3),
-                                                       line)))):
+        line = [k.zero] * 4  # the cubic at (x0, y, 1), low to high in y
+        for (a, b, _), c in cubic.terms.items():
+            line[b] = k.add(line[b], k.mul(c, pow(x0, a, k.p)))
+        for y0 in set(roots_in_field(UniPoly(k, line))):
             im = con.apply_map(projection, (x0, y0, 1))
             if im is not None and im not in images:
                 images.append(im)

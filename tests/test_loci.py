@@ -470,3 +470,71 @@ def test_classify_witnesses_on_secant_and_rank1_planes():
         if kind == "rank1":
             assert adapted is not None
     assert adapted_seen >= 4
+
+
+def _minor_zeros(plane):
+    """The points of P^2(F_p), last nonzero coordinate 1, at which all 16
+    minors vanish, found by evaluating the minors at every point."""
+    p = plane.field.p
+    powers = np.arange(p)[:, None] ** np.arange(4) % p
+    grid = np.ones((p, p), dtype=bool)  # the points (x, y, 1)
+    line = np.ones(p, dtype=bool)  # the points (x, 1, 0)
+    corner = True  # the point (1, 0, 0)
+    for minor in loci._minor_cubics(plane):
+        c = np.zeros((4, 4, 4), dtype=np.int64)  # c[i, j, l] at x^i y^j z^l
+        for e, v in minor.terms.items():
+            c[e] = v
+        grid &= powers @ (c.sum(axis=2) % p) % p @ powers.T % p == 0
+        line &= powers @ (c[:, :, 0].sum(axis=1) % p) % p == 0
+        corner = corner and bool(c[3, 0, 0] == 0)
+    return ([(int(x), int(y), 1) for x, y in np.argwhere(grid)]
+            + [(int(x), 1, 0) for x in np.flatnonzero(line)]
+            + [(1, 0, 0)] * corner)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(["secant", "rank1"]),
+       st.sampled_from([101, 1009]))
+@settings(max_examples=20, deadline=None)
+def test_rank_le2_element_is_a_zero_of_the_minors(seed, kind, p):
+    """The element read off the minor ideal is the combination of the
+    plane's basis at a point of the brute-force zero set of the minors,
+    and has rank <= 2.  When the minors cut one point (codimension 1 for
+    a plane through l1*l2, the fat point of length 3 for one through
+    l^2), the element is found and the zero set over F_p is that point."""
+    k = PrimeField(p)
+    plane = PLANES[kind](random.Random(seed), k)
+    hit, cert = loci.secant_intersects(plane)
+    assert hit
+    elem, zeros = cert["element"], _minor_zeros(plane)
+    got, full = cert["piece_dims"][loci.MACAULAY_BOUND]
+    if full - got == {"secant": 1, "rank1": 3}[kind]:
+        assert elem is not None and len(zeros) == 1
+    if elem is None:
+        return
+    assert loci.symmetric_rank(elem) <= 2
+    basis = plane.space.basis.data
+    pivots = [int(np.flatnonzero(row)[0]) for row in basis]
+    lam = [elem.coeff_vector(2)[c] for c in pivots]
+    last = next(x for x in reversed(lam) if x != 0)
+    lam = tuple(k.div(x, last) for x in lam)
+    assert lam in zeros
+    assert elem.scale(k.inv(last)) == Poly.from_coeff_vector(
+        k, 4, 2, k.reduce(np.array(lam) @ basis))
+
+
+@pytest.mark.parametrize("kind", ["secant", "rank1"])
+def test_rank_le2_element_over_rationals(kind):
+    """Over Q the element comes from the minor ideal as over F_p; the
+    rank-1 element also gives witness sextics."""
+    rng = random.Random(23)
+    forms = [_integer_form(rng, d) for d in [1, 1, 2, 2]]
+    if kind == "rank1":
+        forms[1] = forms[0]
+    plane = _special_plane("secant", RationalField(), forms)
+    c = loci.classify(plane)
+    assert c.secant_hit
+    elem = c.certificates["secant"]["element"]
+    assert elem is not None and plane.space.contains(elem)
+    assert loci.symmetric_rank(elem) == (2 if kind == "secant" else 1)
+    if kind == "rank1":
+        assert c.certificates["witness_sextics"] is not None

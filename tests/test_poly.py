@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
-from qplanes.poly import (Poly, dense_mul, line_restriction, monomial_basis,
-                          monomial_index, parse_poly, power_products,
-                          var_shift)
+from qplanes.poly import (Poly, dense_mul, monomial_basis, monomial_index,
+                          parse_poly, power_products, var_shift)
 
 K = PrimeField()
 V3 = ["x0", "x1", "x2"]
@@ -202,23 +201,3 @@ def test_substitute_polys_matches_term_products(seed, k, nvars, target, d):
     f = _random_poly(k, rng, nvars, maxdeg=2)
     images = [_random_form(k, rng, target, d) for _ in range(nvars)]
     assert f.substitute_polys(images) == _reference_substitute(f, images)
-
-
-@given(st.integers(0, 10**6), WIDE, st.integers(0, 2), st.integers(0, 4))
-@settings(max_examples=30, deadline=None)
-def test_line_restriction_matches_evaluation(seed, k, chart, d):
-    rng = random.Random(seed)
-    f = _random_form(k, rng, 3, d)
-    a0, y = k.random_element(rng), k.random_element(rng)
-    u, v = [i for i in range(3) if i != chart]
-    point = [k.one] * 3
-    point[u], point[v] = a0, y
-    r = line_restriction(k, d, chart, a0)
-    vec = f.coeff_vector(d)
-    got = k.zero
-    for j in reversed(range(d + 1)):  # Horner in x_v, exact on scalars
-        cj = k.zero
-        for m in range(len(vec)):
-            cj = k.add(cj, k.mul(k.of(vec[m]), k.of(r[m, j])))
-        got = k.add(k.mul(got, y), cj)
-    assert got == f.evaluate(tuple(point))

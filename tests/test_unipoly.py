@@ -3,10 +3,8 @@ import random
 import pytest
 
 from qplanes.fields import PrimeField, RationalField
-from qplanes.poly import dot, line_restriction
-from qplanes.unipoly import (UniPoly, chart_resultant, gcd, interpolate,
-                             resultant, roots_in_field, squarefree_and_power,
-                             sylvester)
+from qplanes.unipoly import (UniPoly, gcd, interpolate, resultant,
+                             roots_in_field, squarefree_and_power, sylvester)
 
 K = PrimeField()
 
@@ -104,19 +102,3 @@ def test_evaluate_many_matches_evaluate():
     vals = f.evaluate_many(ts)
     for t in range(50):
         assert vals[t] == f.evaluate(t)
-
-
-def test_chart_resultant_has_degree_at_most_nine():
-    """10 samples determine the chart resultant: interpolating 25 samples
-    gives the same polynomial."""
-    rng = random.Random(21)
-    for chart in range(3):
-        f, g = (K.array([K.random_element(rng) for _ in range(10)])
-                for _ in range(2))
-        res = chart_resultant(K, f, g, chart)
-        assert res.degree() == 9
-        samples = []
-        for a0 in range(25):
-            r = line_restriction(K, 3, chart, a0)
-            samples.append((a0, sylvester(K, dot(K, f, r), dot(K, g, r)).det()))
-        assert interpolate(K, samples) == res
