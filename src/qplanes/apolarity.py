@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix
+from .linalg import FormSpace, Matrix, det_stack
 from .poly import Poly, contraction_rows, dot, monomial_basis
 
 
@@ -274,9 +274,8 @@ def _pencil_candidates(plane: QuadricPlane, u, v):
 
     rng = random.Random(int(np.sum(u) + 7 * np.sum(v)))
     r = k.array([[rng.randrange(k.p) for _ in range(30)] for _ in range(21)])
-    ts = list(range(23))
-    samples = [(t, Matrix(k, dot(k, r, aug_at(t))).det()) for t in ts]
-    delta = interpolate(k, samples)
+    dets = det_stack(k, np.stack([dot(k, r, aug_at(t)) for t in range(23)]))
+    delta = interpolate(k, list(enumerate(dets)))
     if delta.is_zero():
         # compressed system degenerate for all t; probe a few directly
         for t in [rng.randrange(k.p) for _ in range(20)]:

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import isqrt, lcm
 
 import numpy as np
 
 from .apolarity import QuadricPlane, annihilator
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, ideal_piece, ideal_piece_dim, pfaffian
+from .linalg import (FormSpace, Matrix, det_stack, ideal_piece,
+                     ideal_piece_dim, pfaffian)
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
                    monomial_index, mult_table, power_products, random_form)
 from .unipoly import UniPoly, interpolate, squarefree_and_power
@@ -350,24 +352,34 @@ def _sqrt_mod(k: PrimeField, a):
     return r
 
 
+def _sqrt(k: Field, a):
+    """A square root of a in k, or None.  A rational in lowest terms is a
+    square exactly when its numerator and denominator are."""
+    if isinstance(k, PrimeField):
+        return _sqrt_mod(k, a)
+    if a < 0:
+        return None
+    n, d = isqrt(a.numerator), isqrt(a.denominator)
+    if n * n != a.numerator or d * d != a.denominator:
+        return None
+    return Fraction(n, d)
+
+
 def _isotropic_pair(k, q11, q12, q22):
     """Two independent isotropic (s, t) for the binary form
     q11 s^2 + 2 q12 s t + q22 t^2, or None if anisotropic over k."""
-    if not isinstance(k, PrimeField):
-        return None  # rationals mode: no general square roots
-    q11, q12, q22 = int(q11) % k.p, int(q12) % k.p, int(q22) % k.p
-    if q11 == 0 and q22 == 0:
+    q11, q12, q22 = k.of(q11), k.of(q12), k.of(q22)
+    if q11 == k.zero and q22 == k.zero:
         return ((k.one, k.zero), (k.zero, k.one))
-    if q11 == 0:
+    if q11 == k.zero:
         # t = 0 is one root; the other satisfies 2 q12 s + q22 t = 0
-        return ((k.one, k.zero), (q22 % k.p, (-2 * q12) % k.p))
-    disc = (q12 * q12 - q11 * q22) % k.p
-    root = _sqrt_mod(k, disc)
-    if root is None or root == 0:
+        return ((k.one, k.zero), (q22, k.neg(k.mul(k.of(2), q12))))
+    root = _sqrt(k, k.sub(k.mul(q12, q12), k.mul(q11, q22)))
+    if root is None or root == k.zero:
         return None
     inv = k.inv(q11)
-    s1 = ((-q12 + root) * inv) % k.p
-    s2 = ((-q12 - root) * inv) % k.p
+    s1 = k.mul(k.sub(root, q12), inv)
+    s2 = k.mul(k.neg(k.add(q12, root)), inv)
     return ((s1, k.one), (s2, k.one))
 
 
@@ -473,6 +485,9 @@ class PencilReport:
 
 # det along the pencil has degree 36: 37 samples fix it, 40 leave a check
 DET_SAMPLES = 40
+# jump matrices per det_stack call: 8 stacked 84x84 matrices keep the
+# pencil's peak traced allocation near 1.5 MB; all 40 at once take 6.9 MB
+DET_BATCH = 8
 PENCIL_RETRIES = 10
 
 
@@ -499,7 +514,11 @@ def pencil_experiment(k: Field, seed: int) -> PencilReport:
                           f"after {PENCIL_RETRIES} resamples")
 
 
-def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
+def _pencil_frame(k: PrimeField, rng):
+    """A random pencil <q1, q2, u + t w> and the frame of its
+    perpendicular spaces, v_i(t) = base[i] + t * dirv[i], as
+    ((q1, q2, u, w), base, dirv) with (7, 10) arrays base and dirv;
+    None for a degenerate draw."""
     basis10 = monomial_basis(4, 2)
     q1, q2, u = (random_form(k, 4, 2, rng) for _ in range(3))
     j_cols = sorted(rng.sample(range(10), 3))
@@ -516,34 +535,40 @@ def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
     mj = Matrix(k, rows0[:, j_cols])
     if mj.rank() != 3:
         return None
-    mj_inv = mj.inverse()
+    mj_inv_t = mj.inverse().data.T
     detj = mj.det()
     free_cols = [c for c in range(10) if c not in j_cols]
     # frame vectors: v_c(t) = base_c + t * dir_c, with v_c[c] = det(M_J)
-    frames = []
-    for c in free_cols:
-        base = k.zeros(10)
-        dirv = k.zeros(10)
-        base[c] = detj
-        col0 = rows0[:, c]
-        col1 = k.zeros(3)
-        col1[2] = row_w[c]
-        sol0 = k.reduce(-detj * dot(k, col0, mj_inv.data.T))
-        sol1 = k.reduce(-detj * dot(k, col1, mj_inv.data.T))
-        for jj, colidx in enumerate(j_cols):
-            base[colidx] = sol0[jj]
-            dirv[colidx] = sol1[jj]
-        frames.append((base, dirv))
+    base, dirv = k.zeros((7, 10)), k.zeros((7, 10))
+    base[np.arange(7), free_cols] = detj
+    col1 = k.zeros((7, 3))
+    col1[:, 2] = row_w[free_cols]
+    base[:, j_cols] = k.reduce(-detj * dot(k, rows0[:, free_cols].T, mj_inv_t))
+    dirv[:, j_cols] = k.reduce(-detj * dot(k, col1, mj_inv_t))
+    return (q1, q2, u, w), base, dirv
 
-    def perp_polys_at(t):
-        return [Poly.from_coeff_vector(k, 4, 2, k.reduce(b + t * d))
-                for b, d in frames]
 
-    det_points = []
-    for t in range(DET_SAMPLES):
-        m = jump_matrix_from_quadrics(perp_polys_at(t))
-        det_points.append((t, m.det()))
-    det_poly = interpolate(k, det_points)
+def _pencil_dets(k: PrimeField, base, dirv) -> list:
+    """det of the jump matrix of the frame base + t * dirv at t = 0, 1,
+    ..., DET_SAMPLES - 1, taken DET_BATCH samples at a time: the frame
+    vectors at those t are stacked rows for power_products, and the
+    stacked jump matrices go to det_stack."""
+    duals = [Poly.from_coeff_vector(k, 4, 2, b) for b in base]
+    ts = np.arange(DET_SAMPLES)
+    frames = k.reduce(base[:, None] + ts[:, None] * dirv[:, None])
+    dets = []
+    for t0 in range(0, DET_SAMPLES, DET_BATCH):
+        prods = power_products(duals, 3, frames[:, t0:t0 + DET_BATCH])
+        dets.extend(int(d) for d in det_stack(k, prods.transpose(1, 2, 0)))
+    return dets
+
+
+def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
+    drawn = _pencil_frame(k, rng)
+    if drawn is None:
+        return None
+    (q1, q2, u, w), base, dirv = drawn
+    det_poly = interpolate(k, list(enumerate(_pencil_dets(k, base, dirv))))
     if det_poly.degree() != 36:
         return None
     pf_points = []

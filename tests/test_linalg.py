@@ -68,6 +68,78 @@ def test_det_multiplicative():
         assert _mul(a, b).det() == K.mul(a.det(), b.det())
 
 
+# -- stacked determinants against the pivot loop ---------------------------
+
+
+def _loop_det(a, field):
+    """det over F_p by Gaussian elimination on one matrix, reducing the
+    whole matrix after every pivot: the oracle for det_stack."""
+    a = a.copy()
+    n = a.shape[0]
+    acc = field.one
+    for c in range(n):
+        nz = np.nonzero(a[c:, c])[0]
+        if len(nz) == 0:
+            return field.zero
+        pr = c + int(nz[0])
+        if pr != c:
+            a[[c, pr]] = a[[pr, c]]
+            acc = field.neg(acc)
+        acc = field.mul(acc, a[c, c])
+        inv = field.inv(a[c, c])
+        col = field.reduce(a[c + 1:, c] * inv)
+        a[c + 1:] -= np.outer(col, a[c])
+        a = field.reduce(a)
+    return acc
+
+
+def _det_member(k, rng, n, kind):
+    """An n x n matrix over F_p: uniform, of rank < n, with a zero first
+    column, or with zeros on the diagonal, which forces row swaps."""
+    a = rng.integers(0, k.p, (n, n))
+    if kind == "low rank" and n > 0:
+        coeffs = rng.integers(0, 3, (n, n - 1))
+        a = coeffs @ rng.integers(0, k.p, (n - 1, n)) % k.p
+    elif kind == "zero column" and n > 0:
+        a[:, 0] = 0
+    elif kind == "swaps":
+        a[np.arange(n), np.arange(n)] = 0
+    return a
+
+
+@given(st.integers(0, 10**6), st.sampled_from([11, 32003, 2147483647]),
+       st.integers(0, 12), st.lists(st.sampled_from(
+           ["uniform", "low rank", "zero column", "swaps"]),
+           min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_det_stack_matches_loop(seed, p, n, kinds):
+    """Mixed singular and nonsingular stacks, n = 0 (det 1) and n = 1
+    included; p = 11 forces swaps and singular members by chance too,
+    and at p = 2^31 - 1 the trailing block is reduced every 2 steps."""
+    k = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_det_member(k, rng, n, kind) for kind in kinds])
+    got = linalg.det_stack(k, stack)
+    assert got.shape == (len(kinds),)
+    assert [int(d) for d in got] == [_loop_det(a, k) for a in stack]
+    assert [Matrix(k, a).det() for a in stack] == [int(d) for d in got]
+
+
+def test_det_stack_small_cases():
+    assert list(linalg.det_stack(K, np.zeros((3, 0, 0), dtype=np.int64))) \
+        == [1, 1, 1]
+    assert list(linalg.det_stack(K, [[[5]], [[0]]])) == [5, 0]
+    # 84x84, one member singular, the others full rank with a swap
+    rng = np.random.default_rng(4)
+    stack = rng.integers(0, K.p, (3, 84, 84))
+    stack[0, 83] = stack[0, 0]
+    stack[1, 0, 0] = 0
+    assert [int(d) for d in linalg.det_stack(K, stack)] == \
+        [_loop_det(a, K) for a in stack]
+    with pytest.raises(ValueError):
+        linalg.det_stack(K, np.zeros((2, 3, 4), dtype=np.int64))
+
+
 def test_pfaffian_convention():
     m = Matrix(K, [[0, 5], [K.of(-5), 0]])
     assert pfaffian(m) == 5

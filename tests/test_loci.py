@@ -1,11 +1,13 @@
 import random
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplanes import loci
@@ -418,6 +420,34 @@ def test_pencil_determinism():
     assert a.det_poly == b.det_poly and a.pf_poly == b.pf_poly
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pencil_dets_match_per_sample_jump_matrices(seed):
+    """The stacked build and det_stack give, at every sample t, the det
+    of the jump matrix built from the frame at t alone."""
+    drawn = None
+    rng = random.Random(seed)
+    while drawn is None:
+        drawn = loci._pencil_frame(K, rng)
+    _, base, dirv = drawn
+    loop = [loci.jump_matrix_from_quadrics(
+        [Poly.from_coeff_vector(K, 4, 2, K.reduce(b + t * d))
+         for b, d in zip(base, dirv)]).det()
+        for t in range(loci.DET_SAMPLES)]
+    assert loci._pencil_dets(K, base, dirv) == loop
+
+
+def test_pencil_peak_allocation_is_bounded():
+    """The jump matrices are stacked DET_BATCH at a time, not all 40."""
+    loci.pencil_experiment(K, seed=0)  # fill the cached index tables
+    tracemalloc.start()
+    try:
+        loci.pencil_experiment(K, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2 ** 20
+
+
 def test_pencil_refuses_small_fields():
     with pytest.raises(ValueError):
         loci.pencil_experiment(PrimeField(37), seed=0)
@@ -524,8 +554,8 @@ def test_rank_le2_element_is_a_zero_of_the_minors(seed, kind, p):
 
 @pytest.mark.parametrize("kind", ["secant", "rank1"])
 def test_rank_le2_element_over_rationals(kind):
-    """Over Q the element comes from the minor ideal as over F_p; the
-    rank-1 element also gives witness sextics."""
+    """Over Q the element comes from the minor ideal as over F_p, and
+    l1*l2 with rational l1, l2 and l^2 give witness sextics."""
     rng = random.Random(23)
     forms = [_integer_form(rng, d) for d in [1, 1, 2, 2]]
     if kind == "rank1":
@@ -536,5 +566,50 @@ def test_rank_le2_element_over_rationals(kind):
     elem = c.certificates["secant"]["element"]
     assert elem is not None and plane.space.contains(elem)
     assert loci.symmetric_rank(elem) == (2 if kind == "secant" else 1)
-    if kind == "rank1":
-        assert c.certificates["witness_sextics"] is not None
+    assert c.certificates["witness_sextics"] is not None
+
+
+def test_rank2_element_irrational_over_q_gets_no_witness():
+    """x0^2 - 2 x1^2 splits only over Q(sqrt 2): no adapted change."""
+    rng = random.Random(24)
+    q = RationalField()
+    elem = Poly(q, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -2})
+    plane = QuadricPlane.from_polys(
+        [elem] + [Poly(q, 4, _integer_form(rng, 2)) for _ in range(2)])
+    c = loci.classify(plane)
+    assert c.secant_hit
+    found = c.certificates["secant"]["element"]
+    assert found is not None and loci.symmetric_rank(found) == 2
+    assert loci.rank_le2_adapted_change(found) is None
+    assert c.certificates["witness_sextics"] is None
+
+
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+       st.integers(-30, 30), st.integers(1, 9),
+       st.sampled_from([K, RationalField()]))
+@settings(max_examples=60, deadline=None)
+def test_isotropic_pair_of_a_split_form(a, b, c, d, den, k):
+    """q11 s^2 + 2 q12 s t + q22 t^2 = 2 (a s + b t)(c s + d t) / den with
+    independent factors gets two independent isotropic vectors, also
+    when q11 or q22 is 0."""
+    assume(k.of(a * d - b * c) != k.zero)
+    q11, q12, q22 = (k.div(k.of(x), k.of(den))
+                     for x in (2 * a * c, a * d + b * c, 2 * b * d))
+    pair = loci._isotropic_pair(k, q11, q12, q22)
+    assert pair is not None
+    for s, t in pair:
+        assert k.add(k.add(k.mul(q11, k.mul(s, s)),
+                           k.mul(k.of(2), k.mul(q12, k.mul(s, t)))),
+                     k.mul(q22, k.mul(t, t))) == k.zero
+    (s1, t1), (s2, t2) = pair
+    assert k.sub(k.mul(s1, t2), k.mul(s2, t1)) != k.zero
+
+
+def test_isotropic_pair_needs_a_rational_square_root():
+    q = RationalField()
+    assert loci._isotropic_pair(q, q.of(1), q.zero, q.of(-2)) is None
+    assert loci._isotropic_pair(q, q.of(1), q.zero, q.of(1)) is None
+    # (s - 3t)(s + 3t) / 4: the discriminant 9/16 has the root 3/4
+    assert loci._isotropic_pair(q, Fraction(1, 4), q.zero,
+                                Fraction(-9, 4)) == (
+        ((Fraction(3), q.one), (Fraction(-3), q.one)))
