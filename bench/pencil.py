@@ -81,7 +81,7 @@ def _stacked(k, base, dirv, clock, batch):
         t0 = clock()
         prods = power_products(duals, 3, frames[:, s:s + batch])
         t1 = clock()
-        dets.extend(int(d) for d in det_stack(k, prods.transpose(1, 2, 0)))
+        dets.extend(det_stack(k, prods.transpose(1, 2, 0)).tolist())
         build, det = build + t1 - t0, det + clock() - t1
     return build, det, dets
 

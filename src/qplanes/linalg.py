@@ -163,8 +163,8 @@ def _echelon(a: np.ndarray, p: int, width: int):
 
 
 def det_stack(k: PrimeField, a) -> np.ndarray:
-    """Determinants over F_p of a (B, n, n) stack of reduced int64
-    matrices, as an int64 array of B residues.
+    """Determinants over F_p of a (B, n, n) stack of int64 matrices, as
+    an int64 array of B residues.
 
     One Gaussian elimination runs over the whole stack: at step c each
     matrix takes the first row at or below c with a nonzero entry in
@@ -174,7 +174,7 @@ def det_stack(k: PrimeField, a) -> np.ndarray:
     every step, the trailing block only when one more update could
     leave int64 (see the module docstring)."""
     p = k.p
-    a = np.array(a, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64) % p
     count, n = a.shape[:2]
     if a.shape != (count, n, n):
         raise ValueError("det_stack needs a stack of square matrices")

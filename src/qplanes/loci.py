@@ -485,8 +485,8 @@ class PencilReport:
 
 # det along the pencil has degree 36: 37 samples fix it, 40 leave a check
 DET_SAMPLES = 40
-# jump matrices per det_stack call: 8 stacked 84x84 matrices keep the
-# pencil's peak traced allocation near 1.5 MB; all 40 at once take 6.9 MB
+# jump matrices per det_stack call: with 8 stacked 84x84 matrices a
+# pencil's peak traced allocation is 1.4 MiB, with all 40 it is 6.6 MiB
 DET_BATCH = 8
 PENCIL_RETRIES = 10
 
@@ -559,7 +559,7 @@ def _pencil_dets(k: PrimeField, base, dirv) -> list:
     dets = []
     for t0 in range(0, DET_SAMPLES, DET_BATCH):
         prods = power_products(duals, 3, frames[:, t0:t0 + DET_BATCH])
-        dets.extend(int(d) for d in det_stack(k, prods.transpose(1, 2, 0)))
+        dets.extend(det_stack(k, prods.transpose(1, 2, 0)).tolist())
     return dets
 
 

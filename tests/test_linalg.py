@@ -128,7 +128,8 @@ def test_det_stack_matches_loop(seed, p, n, kinds):
 def test_det_stack_small_cases():
     assert list(linalg.det_stack(K, np.zeros((3, 0, 0), dtype=np.int64))) \
         == [1, 1, 1]
-    assert list(linalg.det_stack(K, [[[5]], [[0]]])) == [5, 0]
+    assert list(linalg.det_stack(K, [[[5]], [[0]], [[-1]]])) == \
+        [5, 0, K.p - 1]  # entries are reduced on the way in
     # 84x84, one member singular, the others full rank with a swap
     rng = np.random.default_rng(4)
     stack = rng.integers(0, K.p, (3, 84, 84))

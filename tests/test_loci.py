@@ -609,6 +609,7 @@ def test_isotropic_pair_needs_a_rational_square_root():
     q = RationalField()
     assert loci._isotropic_pair(q, q.of(1), q.zero, q.of(-2)) is None
     assert loci._isotropic_pair(q, q.of(1), q.zero, q.of(1)) is None
+    assert loci._isotropic_pair(q, Fraction(1, 2), q.zero, q.of(-1)) is None
     # (s - 3t)(s + 3t) / 4: the discriminant 9/16 has the root 3/4
     assert loci._isotropic_pair(q, Fraction(1, 4), q.zero,
                                 Fraction(-9, 4)) == (
