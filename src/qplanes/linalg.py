@@ -188,8 +188,7 @@ def det_stack(k: PrimeField, a) -> np.ndarray:
         col = a[:, c:, c] % p
         r = np.argmax(col != 0, axis=1)  # 0 also when the column is zero
         piv = col[at, r]
-        det = det * piv % p
-        det = np.where(r > 0, p - det, det) % p  # a row swap
+        det = det * np.where(r > 0, p - piv, piv) % p  # a swap negates
         if c == n - 1:
             break
         # the pivot row leaves row c + r, and row c moves there
