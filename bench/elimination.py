@@ -1,11 +1,13 @@
 """Time row reduction before and after blocked elimination.
 
-Captures the matrices the library row-reduces at five real shapes (the
+Captures the matrices the library row-reduces at two real shapes (the
 84x84 jump matrix and the 448x55 degree-9 minor ideal piece of a random
-plane, and the 332x175, 828x588 and 1710x1470 systems of the slow Cremona
-pipeline), then times on each the unblocked Gauss-Jordan loop, the only
-path before blocked elimination, against ``linalg._rref`` as it now
-chooses its path.  Writes BENCH_elimination.json at the repository root.
+plane) and builds three more (the dense 332x175, 828x588 and 1710x1470
+proportionality systems of the slow Cremona pipeline, from the points it
+samples; the pipeline itself now solves them block by block), then times
+on each the unblocked Gauss-Jordan loop, the only path before blocked
+elimination, against ``linalg._rref`` as it now chooses its path.  Writes
+BENCH_elimination.json at the repository root.
 
     PYTHONPATH=src python3 bench/elimination.py [--seed 1] [--repeat 3]
 """
@@ -31,27 +33,51 @@ from qplanes.poly import Poly, monomial_basis
 SHAPES = [(84, 84), (448, 55), (332, 175), (828, 588), (1710, 1470)]
 
 
+def dense_inverse_system(k: PrimeField, xs, m) -> np.ndarray:
+    """The proportionality system of find_inverse as one matrix: per
+    sample point x and i = 1..n-1, the row with m(y) in block i and
+    -x_i m(y) in block 0, where m(y) is the row of m for x."""
+    size, nv = m.shape[1], xs.shape[1]
+    rows = np.zeros((len(m), nv - 1, nv * size), dtype=np.int64)
+    for i in range(1, nv):
+        rows[:, i - 1, i * size:(i + 1) * size] = m
+        rows[:, i - 1, :size] = k.reduce(-xs[:, i:i + 1] * m)
+    return rows.reshape(-1, nv * size)
+
+
 def capture(k: PrimeField, seed: int) -> dict:
-    """The first matrix of each shape in SHAPES that reaches _rref."""
+    """The first matrix of each shape in SHAPES that reaches _rref, or
+    that is the dense form of a proportionality system the pipeline
+    solves."""
     found = {}
     rref = linalg._rref
+    solve = constructions._proportionality_kernel
 
-    def spy(a, field):
+    def keep(a):
         if a.shape in SHAPES and a.shape not in found:
             found[a.shape] = a.copy()
+
+    def spy(a, field):
+        keep(a)
         return rref(a, field)
+
+    def spy_system(field, xs, m):
+        keep(dense_inverse_system(field, xs, m))
+        return solve(field, xs, m)
 
     rng = random.Random(seed)
     plane = QuadricPlane.from_polys(
         [Poly(k, 4, {e: k.random_element(rng) for e in monomial_basis(4, 2)})
          for _ in range(3)])
     linalg._rref = spy
+    constructions._proportionality_kernel = spy_system
     try:
         loci.jump_matrix(plane).rank()
         linalg.ideal_piece_dim(loci._minor_cubics(plane), 9)
         constructions.cremona_pipeline(k, seed, slow=True)
     finally:
         linalg._rref = rref
+        constructions._proportionality_kernel = solve
     return found
 
 

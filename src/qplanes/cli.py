@@ -33,7 +33,12 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _emit(record: dict):
+def _emit(record: dict, k: Field):
+    """Write one report line; over a prime field other than the default
+    the record names its prime, so a saved report says which field it
+    checked (the default prime's reports stay as they were)."""
+    if k.kind == "prime" and k.p != DEFAULT_PRIME:
+        record = {**record, "prime": k.p}
     sys.stdout.write(json.dumps(record, sort_keys=True,
                                 default=_json_default) + "\n")
 
@@ -71,7 +76,7 @@ def cmd_classify(args) -> int:
     _emit({"op": "classify", "seed": args.seed, "input_digest": digest,
            "verdict": c.verdict, "pfaffian_zero": on_divisor,
            "secant": c.secant_hit, "jump_dim": c.jump_dim,
-           "ok": bool(consistent)})
+           "ok": bool(consistent)}, k)
     return EXIT_OK if consistent else EXIT_FAIL
 
 
@@ -83,7 +88,7 @@ def cmd_verify(args) -> int:
     for rec in records:
         rec = {"op": "verify", "seed": args.seed, **rec}
         all_ok = all_ok and rec["ok"]
-        _emit(rec)
+        _emit(rec, k)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -97,7 +102,7 @@ def cmd_pencil(args) -> int:
         all_ok = all_ok and ok
         _emit({"op": "pencil", "seed": sub, "degrees": list(rep.degrees),
                "factorization_ok": rep.factorization_ok,
-               "resamples": rep.resamples, "ok": bool(ok)})
+               "resamples": rep.resamples, "ok": bool(ok)}, k)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -115,16 +120,17 @@ def cmd_gale(args) -> int:
         _emit({"op": "gale", "seed": sub, "hf": res.hf.values,
                "chain_dims": list(res.chain_dims),
                "segre_span": res.segre_span_dim, "pfaffian_zero": pf_zero,
-               "jump_dim": jump, "resamples": res.resamples, "ok": bool(ok)})
+               "jump_dim": jump, "resamples": res.resamples, "ok": bool(ok)},
+              k)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def cmd_cremona(args) -> int:
-    rec = battery.criterion_8(PrimeField(args.prime), seed=args.seed,
-                              slow=args.slow)
+    k = PrimeField(args.prime)
+    rec = battery.criterion_8(k, seed=args.seed, slow=args.slow)
     rec = {"op": "cremona", "seed": args.seed,
            **{kk: v for kk, v in rec.items() if kk != "criterion"}}
-    _emit(rec)
+    _emit(rec, k)
     return EXIT_OK if rec["ok"] else EXIT_FAIL
 
 

@@ -23,11 +23,12 @@ import numpy as np
 from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
                         annihilator, contract)
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, ideal_piece, ideal_piece_dim
+from .linalg import (FormSpace, Matrix, ideal_piece, ideal_piece_dim,
+                     null_basis)
 from .loci import (GenericityError, jump_matrix, jump_matrix_from_quadrics,
                    lperp)
-from .poly import (Poly, dot, monomial_basis, mult_table, power_products,
-                   var_shift)
+from .poly import (Poly, dot, monomial_basis, monomial_values, mult_table,
+                   power_products, var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
@@ -185,26 +186,13 @@ def apply_map(f: RationalMap, p) -> tuple | None:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_values(k: Field, nvars: int, d: int, point) -> np.ndarray:
-    basis = monomial_basis(nvars, d)
-    vec = k.zeros(len(basis))
-    for i, e in enumerate(basis):
-        v = k.one
-        for xj, ej in zip(point, e):
-            for _ in range(ej):
-                v = k.mul(v, xj)
-        vec[i] = v
-    return vec
-
-
 def forms_through(points: PointSet, d: int) -> FormSpace:
     """Degree-d forms vanishing at every point (kernel of evaluation)."""
     if points.ambient != "projective":
         raise ValueError("forms_through expects projective points")
     k = points.field
     nvars = points.n + 1
-    rows = [_monomial_values(k, nvars, d, p) for p in points.points]
-    ker = Matrix(k, rows).right_kernel()
+    ker = Matrix(k, monomial_values(k, nvars, d, points.points)).right_kernel()
     return FormSpace.from_matrix(k, nvars, d, ker)
 
 
@@ -232,13 +220,11 @@ def initial_system(points: PointSet, require_143: bool = True):
     nvars = points.n
     pieces = {}
     hf_vals = []
+    values = [monomial_values(k, nvars, e, points.points) for e in range(4)]
     for d in range(4):
         # evaluation on all monomials of degree <= d, then project to
         # the top-degree block
-        rows = [np.concatenate([_monomial_values(k, nvars, e, p)
-                                for e in range(d + 1)])
-                for p in points.points]
-        ker = Matrix(k, rows).right_kernel()
+        ker = Matrix(k, np.concatenate(values[:d + 1], axis=1)).right_kernel()
         top = len(monomial_basis(nvars, d))
         pieces[d] = FormSpace.from_matrix(k, nvars, d,
                                           Matrix(k, ker.data[:, -top:]))
@@ -489,9 +475,30 @@ def octic_surface(z: PointSet):
 def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     """Inverse of degree d2 for a Cremona transformation, or None.
 
-    Candidate coefficient vectors come from a sampled proportionality
-    system (a necessary condition, so an empty kernel proves absence);
-    each candidate is then certified symbolically: g(f(x)) = lambda(x)*x
+    Candidate coefficient vectors g = (g_0, ..., g_{n-1}) come from a
+    sampled proportionality system (a necessary condition, so an empty
+    kernel proves absence): g(y) is proportional to x at y = f(x), that
+    is m(y).g_i = x_i m(y).g_0 for i = 1..n-1, with m(y) the values of
+    the N degree-d2 monomials and x_0 = 1.  Over S sample points this is
+    M g_i = D_i M g_0 with M the S x N matrix of the m(y) and
+    D_i = diag(x_i), and it is solved in that form, never as the dense
+    (n-1)S x nN matrix (1710 x 1470 for the octic Cremona at d2 = 4):
+
+    * the RREF of [M | I_S] is [R | E_top] over [0 | E_bot], so
+      E M = [R; 0] with E invertible.  M g_i = b_i is solvable iff
+      E_bot b_i = 0, and then g_i is E_top b_i at the pivot columns of R
+      and 0 elsewhere, plus any v in ker M;
+    * so g_0 runs over the kernel of C, the blocks E_bot D_i M stacked
+      over i, and each g_0 in a basis of it gives one kernel vector, with
+      g_i = E_top D_i M g_0 at the pivots.  Each v in ker M, put in block
+      i >= 1, gives another (v in block 0 is already there: C v = 0, and
+      its g_i vanish).
+
+    These vectors are independent and span the kernel of the dense
+    system, and the RREF of a subspace is unique, so their RREF is the
+    dense matrix's right_kernel, row for row.
+
+    Each candidate is then certified symbolically: g(f(x)) = lambda(x)*x
     as an exact polynomial identity, with lambda of degree
     deg(f)*d2 - 1 extracted by exact division.  Returns (g, lambda) on
     success.
@@ -503,37 +510,14 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     if f.target_vars != nv:
         raise ValueError("inverse search needs a self-map")
     d1 = f.degree
-    rng = random.Random(seed)
-    mono_y = monomial_basis(nv, d2)
-    ncols = nv * len(mono_y)
-    samples = (ncols // max(nv - 1, 1)) + 40
-    rows = []
-    tries = 0
-    while len(rows) < samples * (nv - 1) and tries < 50 * samples:
-        tries += 1
-        x = tuple([k.one] + [k.random_element(rng) for _ in range(nv - 1)])
-        y = tuple(form.evaluate(x) for form in f.forms)
-        if all(v == k.zero for v in y):
-            continue
-        my = _monomial_values(k, nv, d2, y)
-        for i in range(1, nv):
-            row = k.zeros(ncols)
-            row[i * len(mono_y):(i + 1) * len(mono_y)] = my  # g_i * x_0
-            row[0:len(mono_y)] = k.reduce(-x[i] * my)  # -g_0 * x_i
-            rows.append(row)
-    if len(rows) < samples * (nv - 1):
-        raise GenericityError("could not sample enough points off the base locus")
-    ker = Matrix(k, np.stack(rows)).right_kernel()
+    ker = _proportionality_kernel(k, *_inverse_samples(f, d2, seed))
     if ker.rows == 0:
         return None
-    prods = power_products(f.forms, d2)  # len(mono_y) x dim Sym^{d1 d2}
+    prods = power_products(f.forms, d2)  # N x dim Sym^{d1 d2}
 
     def composites(coeffs):
-        out = []
-        for i in range(nv):
-            gi = coeffs[i * len(mono_y):(i + 1) * len(mono_y)]
-            out.append(dot(k, gi, prods))
-        return out
+        """g_i(f(x)) for the candidates in coeffs, indexed [..., i, :]."""
+        return dot(k, coeffs.reshape(coeffs.shape[:-1] + (nv, -1)), prods)
 
     def certify(coeffs):
         comp = composites(coeffs)
@@ -546,9 +530,8 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
                 return None
         if not np.any(lam != k.zero):
             return None
-        g = RationalMap([Poly.from_coeff_vector(
-            k, nv, d2, coeffs[i * len(mono_y):(i + 1) * len(mono_y)])
-            for i in range(nv)])
+        g = RationalMap([Poly.from_coeff_vector(k, nv, d2, gi)
+                         for gi in coeffs.reshape(nv, -1)])
         return g, Poly.from_coeff_vector(k, nv, d1 * d2 - 1, lam)
 
     for r in range(ker.rows):
@@ -559,7 +542,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
         return None
     # the kernel mixes the inverse with forms vanishing on the image:
     # impose proportionality symbolically on the kernel coordinates
-    comp_basis = [composites(ker.data[r]) for r in range(ker.rows)]
+    comp_basis = composites(ker.data)
     big_rows = []
     for i in range(1, nv):
         block = []
@@ -575,6 +558,71 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
         if got is not None:
             return got
     return None
+
+
+def _inverse_samples(f: RationalMap, d2: int, seed: int):
+    """The sample points of find_inverse and the degree-d2 monomial
+    values at their images: (xs, m), one row per point.
+
+    Each try draws x = (1, x_1, ..., x_{n-1}) from random.Random(seed);
+    a point in the base locus (f(x) = 0) is skipped, and at most 50 tries
+    are made per sample.  Tries are evaluated in batches no larger than
+    the samples still missing, so the points are those a one-at-a-time
+    loop accepts."""
+    k = f.forms[0].field
+    nv = f.source_vars
+    rng = random.Random(seed)
+    samples = nv * len(monomial_basis(nv, d2)) // max(nv - 1, 1) + 40
+    coeffs = k.array([g.coeff_vector(f.degree) for g in f.forms])
+    xs, ys = [], []
+    have = tries = 0
+    while have < samples and tries < 50 * samples:
+        batch = min(samples - have, 50 * samples - tries)
+        tries += batch
+        x = np.ones((batch, nv), dtype=np.int64)
+        x[:, 1:] = np.reshape([k.random_element(rng)
+                               for _ in range(batch * (nv - 1))],
+                              (batch, nv - 1))
+        y = dot(k, monomial_values(k, nv, f.degree, x), coeffs.T)
+        keep = np.any(y != k.zero, axis=1)
+        xs.append(x[keep])
+        ys.append(y[keep])
+        have += int(keep.sum())
+    if have < samples:
+        raise GenericityError("could not sample enough points off the base locus")
+    ys = np.concatenate(ys)
+    return np.concatenate(xs), monomial_values(k, nv, d2, ys)
+
+
+def _proportionality_kernel(k: PrimeField, xs: np.ndarray,
+                            m: np.ndarray) -> Matrix:
+    """RREF basis of the g = (g_0, ..., g_{n-1}), concatenated, with
+    m g_i = D_i m g_0 for i = 1..n-1, where D_i = diag(xs[:, i]): the
+    block solve described in find_inverse."""
+    count, size = m.shape
+    nv = xs.shape[1]
+    red, pivots = Matrix(k, np.concatenate(
+        [m, np.eye(count, dtype=np.int64)], axis=1)).rref()
+    pivots = [c for c in pivots if c < size]  # those of R
+    rank = len(pivots)
+    top, e_top, e_bot = (red.data[:rank, :size], red.data[:rank, size:],
+                         red.data[rank:, size:])
+    scaled = xs.T[1:, None, :]  # E D_i: the columns of E scaled by x_i
+    # g_0 over the kernel of C; g_i = E_top D_i M g_0 at the pivots of R
+    g0 = Matrix(k, dot(k, k.reduce(e_bot * scaled), m).reshape(-1, size)
+                ).right_kernel().data
+    at_pivots = dot(k, k.reduce(e_top * scaled), dot(k, m, g0.T))
+    blocks = k.zeros((len(g0), nv, size))
+    blocks[:, 0] = g0
+    blocks[:, 1:, pivots] = at_pivots.transpose(2, 0, 1)
+    # and ker M in each block i >= 1
+    free = null_basis(k, top, pivots)
+    extra = k.zeros((nv - 1, len(free), nv, size))
+    for i in range(1, nv):
+        extra[i - 1, :, i] = free
+    basis = np.concatenate([blocks, extra.reshape(-1, nv, size)])
+    red, pivots = Matrix(k, basis.reshape(-1, nv * size)).rref()
+    return Matrix(k, red.data[:len(pivots)])
 
 
 def _exact_var_quotient(k: Field, vec, nvars: int, d: int, var: int):

@@ -14,7 +14,9 @@ paths:
   Its float64 GEMMs multiply and add non-negative integers below 2^53,
   so every result is exact.  At p = 32003 the bound holds up to ~8.8M
   rows or columns; at p = 2^31 - 1 it fails for every non-empty matrix,
-  so large primes stay on the int64 loop;
+  so large primes stay on the int64 loop.  poly.dot, the product of
+  field matrices used here and by the callers of Matrix, makes the same
+  argument for one float64 GEMM under inner (p-1)^2 < 2^53 (poly.EXACT);
 * over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
   Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
   keeps the RREF; a row of ints (the jump matrix is built in Python ints)
@@ -54,13 +56,12 @@ from math import isqrt, lcm
 import numpy as np
 
 from .fields import Field, PrimeField, is_prime
-from .poly import Poly, dot, monomial_basis, mult_table
+from .poly import EXACT, Poly, dot, monomial_basis, mult_table
 
 
 PANEL = 128  # column panel width of the blocked elimination
 _LEAF = 32  # narrowest panel width; such panels are factored by the loop
 _CHUNK = 256  # rows per GEMM in the blocked trailing update
-_EXACT = 2 ** 53  # float64 holds every integer below this exactly
 
 # The largest primes below fields.PRIME_BOUND, descending: the moduli of
 # the images of rational matrices, listed so that no image needs a
@@ -326,11 +327,23 @@ def _rref(a: np.ndarray, field: Field):
         return _rref_rationals(a)
     rows, cols = a.shape
     p = field.p
-    if cols > PANEL and (p - 1) + min(rows, cols) * p * (p - 1) < _EXACT:
+    if cols > PANEL and (p - 1) + min(rows, cols) * p * (p - 1) < EXACT:
         r, pivots, _ = _echelon(a, p, PANEL)
     else:
         r, pivots, _ = _gauss_jordan(a, p)
     return r, pivots
+
+
+def null_basis(field: Field, r: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """A basis of the kernel of a matrix, from its RREF r and pivot
+    columns: for each free column, the vector with 1 there, 0 at the
+    other free columns and minus that column of r at the pivots."""
+    cols = r.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = field.zeros((len(free), cols))
+    basis[np.arange(len(free)), free] = field.one
+    basis[:, pivots] = field.reduce(-r[:len(pivots)][:, free].T)
+    return basis
 
 
 class Matrix:
@@ -383,15 +396,8 @@ class Matrix:
         """Row-reduced basis of {v : Mv = 0}, one basis vector per row."""
         field = self.field
         r, pivots = _rref(self.data, field)
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = field.zeros((len(free), self.cols))
-        for bi, fc in enumerate(free):
-            basis[bi, fc] = field.one
-            for ri, pc in enumerate(pivots):
-                basis[bi, pc] = field.neg(r[ri, fc])
-        # rows are already in echelon form up to ordering of free columns;
-        # canonicalize anyway so kernel bases compare by equality
-        red, _ = _rref(basis, field)
+        # canonicalize, so that kernel bases compare by equality
+        red, _ = _rref(null_basis(field, r, pivots), field)
         return Matrix(field, red)
 
     def det(self):

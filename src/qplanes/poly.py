@@ -70,10 +70,60 @@ def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
     return k.reduce(out)
 
 
+# float64 holds every integer below this exactly
+EXACT = 2 ** 53
+# entries of a temporary in the per-product path of dot: 4 MiB of int64
+_DOT_CELLS = 1 << 19
+
+
 def dot(k: Field, a, b):
-    """The matrix product of a and b over the field, each product reduced
-    before it is summed so that int64 sums stay exact for p < 2^31."""
-    return k.reduce(k.reduce(a[..., :, None] * b).sum(axis=-2))
+    """The matrix product of a and b over the field, as np.matmul: a is
+    a vector, a matrix or a stack of them, b a matrix or, when a is a
+    vector, a stack of them.
+
+    Over F_p the operands are reduced first (for the GEMM, straight into
+    its float64 copies).  While inner (p-1)^2 < 2^53, every product and
+    partial sum is then a non-negative integer below 2^53, so one float64
+    GEMM is exact: always at p = 32003, never at p = 2^31 - 1.
+    Otherwise, and over Q, each product is reduced before it is summed,
+    so that int64 sums stay exact for p < 2^31, taking the rows of a in
+    blocks so that a temporary holds about _DOT_CELLS entries (at least
+    one row's worth)."""
+    if k.kind == "prime":
+        if a.shape[-1] * (k.p - 1) ** 2 < EXACT:
+            fa, fb = (np.remainder(x, k.p, out=np.empty(x.shape))
+                      for x in (a, b))
+            if b.ndim == 2:  # one GEMM: numpy's matmul over a stack skips BLAS
+                rows = fa.reshape(prod(a.shape[:-1]), a.shape[-1])
+                out = (rows @ fb).reshape(a.shape[:-1] + b.shape[-1:])
+            else:
+                out = fa @ fb
+            return out.astype(np.int64) % k.p
+        a, b = a % k.p, b % k.p
+    if a.ndim == 1:
+        return k.reduce(k.reduce(a[:, None] * b).sum(axis=-2))
+    n = a.shape[-2]
+    step = max(1, _DOT_CELLS * n // max(a.size * b.shape[-1], b.size, 1))
+    return np.concatenate(
+        [k.reduce(k.reduce(a[..., i:i + step, :, None] * b).sum(axis=-2))
+         for i in range(0, max(n, 1), step)], axis=-2)
+
+
+def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
+    """Values of the degree-d monomials at each of a batch of points, as
+    rows indexed by monomial_basis(nvars, d).
+
+    Degree e comes from degree e - 1 through mult_table(nvars, e - 1, 1):
+    every degree-e monomial is a degree-(e-1) one times a variable, and
+    the entries that land on one monomial are equal."""
+    pts = k.array(points).reshape(-1, nvars)
+    vals = k.array(np.ones((len(pts), 1), dtype=np.int64))
+    for e in range(1, d + 1):
+        nxt = k.zeros((len(pts), len(monomial_basis(nvars, e))))
+        nxt[:, mult_table(nvars, e - 1, 1)] = k.reduce(
+            vals[:, :, None] * pts[:, None, :])
+        vals = nxt
+    return vals
 
 
 def power_products(forms: list["Poly"], d2: int, rows=None) -> np.ndarray:

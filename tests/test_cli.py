@@ -57,6 +57,19 @@ def test_classify_generic_plane(tmp_path, capsys):
     assert recs[0]["jump_dim"] == 0
 
 
+def test_reports_name_a_prime_other_than_the_default(tmp_path, capsys):
+    path = _write(tmp_path, "plane.txt", "x0^2\nx1^2\nx2^2\n")
+    recs = {}
+    for flags in ([], ["--prime", "1000003"], ["--rationals"]):
+        code, _, (rec,) = _run(capsys, ["classify", path, *flags])
+        assert code == 0
+        recs[tuple(flags)] = rec
+    assert "prime" not in recs[()] and "prime" not in recs[("--rationals",)]
+    named = recs[("--prime", "1000003")]
+    assert named.pop("prime") == 1000003
+    assert named == recs[()]
+
+
 def test_classify_malformed_input(tmp_path, capsys):
     path = _write(tmp_path, "bad.txt", "x0^2\nx1^^2\nx2^2\n")
     code, _, _ = _run(capsys, ["classify", path])
@@ -124,6 +137,7 @@ def test_pencil_command(tmp_path, capsys):
     assert code == 0
     assert recs[0]["degrees"] == [36, 2, 10]
     assert recs[0]["factorization_ok"] is True
+    assert "prime" not in recs[0]
 
 
 def test_pencil_at_the_largest_prime(capsys):
@@ -133,7 +147,7 @@ def test_pencil_at_the_largest_prime(capsys):
                                   "--prime", "2147483647"])
     assert code == 0
     assert [r["degrees"] for r in recs] == [[36, 2, 10]] * 2
-    assert all(r["ok"] for r in recs)
+    assert all(r["ok"] and r["prime"] == 2147483647 for r in recs)
 
 
 def _cap_address_space():
@@ -163,6 +177,7 @@ def test_pipelines_at_the_largest_prime_in_bounded_memory(argv):
     assert run.returncode == 0, run.stderr[-2000:]
     records = [json.loads(line) for line in run.stdout.splitlines()]
     assert records and all(r["ok"] is True for r in records)
+    assert all(r["prime"] == 2147483647 for r in records)
 
 
 def test_classify_secant_plane_at_the_largest_prime_in_bounded_memory(
@@ -180,6 +195,7 @@ def test_classify_secant_plane_at_the_largest_prime_in_bounded_memory(
     assert run.returncode == 0, run.stderr[-2000:]
     (record,) = [json.loads(line) for line in run.stdout.splitlines()]
     assert record["secant"] is True and record["ok"] is True
+    assert record["prime"] == 2147483647
 
 
 def test_gale_command(capsys):
