@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, det_stack
+from .linalg import FormSpace, Matrix
 from .poly import Poly, contraction_rows, dot, monomial_basis
 
 
@@ -196,90 +196,42 @@ def _attempt_certificate(plane: QuadricPlane, w) -> tuple | None:
 
 
 def recover_cubic(plane: QuadricPlane, seed: int = 0, budget: int = 200):
-    """Best-effort search for (F, d1, d2, d3) with d_i F = q_i exactly.
+    """Search for (F, d1, d2, d3) with d_i F = q_i exactly.
 
-    Strategy: kernel vectors of the 12x12 skew certificate matrix encode
-    candidate operator triples; scan single kernel vectors, pencils of
-    kernel vectors (solving for the pencil parameter exactly), coordinate
-    operator triples, and random kernel combinations, up to the budget.
-    Returns None when the budget is exhausted; absence of a certificate
-    is never proof that no cubic exists.
+    The kernel of the 12x12 skew certificate matrix is exactly the set of
+    operator triples (d1, d2, d3) with d_j q_i = d_i q_j.  Every
+    certificate lies in it, since d_j q_i = d_j d_i F = d_i q_j, and its
+    operators are independent, since the q_i are.  Conversely, when the
+    d_i are independent, complete them to coordinates y_1..y_4 in which
+    d_i = d/dy_i: the relations say that the 1-form sum q_i dy_i in
+    y_1, y_2, y_3, with y_4 as a parameter, is closed.  By the polynomial
+    Poincare lemma (dividing only by 1, 2 and 3, units for p >= 11) it has
+    a primitive, a cubic F.  So every kernel vector whose three operators
+    have rank 3 is a certificate.
+
+    The search tries the kernel basis rows in order, then seeded random
+    combinations of them, up to ``budget`` attempts in total.  When some
+    kernel vector has independent operators, one of their 3x3 minors is a
+    nonzero cubic in the combination's coefficients, and by Schwartz-Zippel
+    a random combination over F_p misses with probability at most 3/p.
+    Returns None when no kernel vector has independent operators, and then
+    no certificate exists, or when every attempt missed.
     """
     from .loci import smoothable_block_matrix
 
     k = plane.field
-    m = smoothable_block_matrix(plane.basis_polys())
-    kernel = m.right_kernel()
-    rng = random.Random(seed)
-    tried = 0
-
-    def attempts():
-        nonlocal tried
-        # single kernel vectors
-        for i in range(kernel.rows):
-            yield kernel.data[i]
-        # coordinate operator triples (cheap; handles degenerate planes)
-        from itertools import permutations
-        for perm in permutations(range(4), 3):
-            w = k.zeros(12)
-            w[8 + perm[0]] = k.one
-            w[4 + perm[1]] = k.one
-            w[perm[2]] = k.one
-            yield w
-        # pencils of pairs of kernel vectors, exact parameter scan
-        for i in range(kernel.rows):
-            for j in range(i + 1, kernel.rows):
-                yield from _pencil_candidates(plane, kernel.data[i],
-                                              kernel.data[j])
-        # random kernel combinations
-        while True:
-            coeffs = [k.random_element(rng) for _ in range(kernel.rows)]
-            w = k.zeros(12)
-            for c, row in zip(coeffs, kernel.data):
-                w = k.reduce(w + c * row)
-            yield w
-
+    kernel = smoothable_block_matrix(plane.basis_polys()).right_kernel()
     if kernel.rows == 0:
         return None
-    for w in attempts():
-        tried += 1
-        if tried > budget:
-            return None
+    rng = random.Random(seed)
+    for tried in range(budget):
+        if tried < kernel.rows:
+            w = kernel.data[tried]
+        else:
+            coeffs = k.array([k.random_element(rng)
+                              for _ in range(kernel.rows)])
+            w = dot(k, coeffs, kernel.data)
         got = _attempt_certificate(plane, w)
         if got is not None:
             return got
     return None
-
-
-def _pencil_candidates(plane: QuadricPlane, u, v):
-    """Parameters t for which w = u + t v can carry a certificate.
-
-    Consistency of the linear system in F along the pencil is detected
-    through the determinant of a randomly compressed augmented system,
-    which is a polynomial in t; its roots are the only candidates."""
-    from .unipoly import interpolate, roots_any_degree
-
-    k = plane.field
-    b = np.concatenate([q.coeff_vector(2) for q in plane.basis_polys()])
-    if not isinstance(k, PrimeField):
-        for t in range(-20, 21):
-            yield u + k.of(t) * v
-        return
-
-    def aug_at(t):
-        w = k.reduce(u + t * v)
-        ds = [w[8:12], w[4:8], w[0:4]]
-        a = _contraction_system(ds, k)
-        return np.concatenate([a, k.reduce(-b).reshape(-1, 1)], axis=1)
-
-    rng = random.Random(int(np.sum(u) + 7 * np.sum(v)))
-    r = k.array([[rng.randrange(k.p) for _ in range(30)] for _ in range(21)])
-    dets = det_stack(k, np.stack([dot(k, r, aug_at(t)) for t in range(23)]))
-    delta = interpolate(k, list(enumerate(dets)))
-    if delta.is_zero():
-        # compressed system degenerate for all t; probe a few directly
-        for t in [rng.randrange(k.p) for _ in range(20)]:
-            yield k.reduce(u + t * v)
-        return
-    for t in roots_any_degree(delta):
-        yield k.reduce(u + t * v)

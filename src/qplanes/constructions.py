@@ -15,6 +15,7 @@ of its chords, so every accepted prime works.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -647,7 +648,19 @@ GALE_MEMBERS = 3
 
 def _retry(name: str, once, k: Field, seed: int, *args):
     """Run once(k, rng, attempt, *args) on derived sub-seeds until a
-    configuration is generic, so that a fixed seed stays deterministic."""
+    configuration is generic, so that a fixed seed stays deterministic.
+
+    Both pipelines need a smooth member of a cubic pencil with more than
+    MEMBER_SAMPLES points, and by Hasse-Weil a smooth plane cubic over
+    F_p has at most p + 1 + 2*sqrt(p) of them: smaller primes are
+    refused."""
+    if k.kind == "prime":
+        most = k.p + 1 + math.isqrt(4 * k.p)
+        if most <= MEMBER_SAMPLES:
+            raise ValueError(
+                f"{name} pipeline needs a smooth cubic with more than "
+                f"{MEMBER_SAMPLES} points, and over F_{k.p} one has at most "
+                f"p + 1 + floor(2*sqrt(p)) = {most} (Hasse-Weil)")
     last = None
     for attempt in range(PIPELINE_ATTEMPTS):
         rng = random.Random(subseed(seed, attempt))
@@ -673,14 +686,19 @@ def _cubic_pencil(k: Field, rng):
 
 
 def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
-    """``wanted`` smooth members of the pencil at random parameters, from
-    at most 30 draws."""
+    """``wanted`` smooth members of the pencil at distinct random
+    parameters, from at most 30 draws; a repeated draw is skipped."""
     gamma2, c1, c2, ninth = pencil
     members = []
+    drawn = set()
     for _ in range(30):
+        s = k.random_element(rng)
+        if s in drawn:
+            continue
+        drawn.add(s)
         try:
-            members.append(elliptic_member(c1, c2, gamma2, ninth,
-                                           k.random_element(rng), projection))
+            members.append(elliptic_member(c1, c2, gamma2, ninth, s,
+                                           projection))
         except NonGenericConfiguration:
             continue
         if len(members) == wanted:

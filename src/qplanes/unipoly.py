@@ -5,7 +5,9 @@ are recovered by evaluation + Lagrange interpolation, and the cube
 structure of the resulting degree-36 polynomial is detected with a
 gcd-based squarefree decomposition (valid since p exceeds every degree
 in play).  The root scans evaluate on all of F_p, so their memory grows
-with p; roots_any_degree serves only apolarity.recover_cubic.
+with p.  No code in the package calls them: roots_in_field is the scan
+oracle of the tests, and both stay while the perfbench tracer wraps them
+by name.
 """
 
 from __future__ import annotations
@@ -276,7 +278,8 @@ def roots_in_field(f: UniPoly) -> list:
 
 
 def roots_any_degree(f: UniPoly) -> list:
-    """Root scan without the degree cap, for internal use."""
+    """Root scan without the degree cap.  No code in the package calls
+    it; the perfbench tracer wraps it by name."""
     field = f.field
     if not isinstance(field, PrimeField):
         raise ValueError("root scan requires a prime field")

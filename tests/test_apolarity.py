@@ -3,17 +3,21 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplanes.apolarity import (DependentContractions, HilbertFunction,
-                               QuadricPlane, _contraction_constraint_matrix,
+                               QuadricPlane, _attempt_certificate,
+                               _contraction_constraint_matrix,
                                _contraction_system, annihilator,
                                apolar_hilbert_function, contract,
                                plane_from_cubic, recover_cubic)
+from qplanes.constructions import (NonGenericConfiguration, initial_system,
+                                   random_affine_points)
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix
-from qplanes.poly import Poly, contraction_rows, monomial_basis, parse_poly
+from qplanes.loci import smoothable_block_matrix
+from qplanes.poly import Poly, contraction_rows, dot, monomial_basis, parse_poly
 
 K = PrimeField()
 V4 = ["x0", "x1", "x2", "x3"]
@@ -226,3 +230,96 @@ def test_contraction_system_matches_closed_form(seed, k):
         image = [_reference_contract(d, Poly.monomial(k, beta)).coeff_vector(2)
                  for d in ds]
         assert list(got[:, col]) == list(np.concatenate(image))
+
+
+# -- the certificate search is a search of one kernel ---------------------
+
+SEARCH_FIELDS = [PrimeField(11), K, PrimeField(2147483647)]
+NAMED_CUBICS = ["x0*x1*x2", "x0^3 + x1^3", "x0^2*x1 + x2^2*x3",
+                "x0^3 + x1^3 + x2^3 + x3^3"]
+
+
+def _operators(w):
+    """The operator triple (d1, d2, d3) that a kernel vector w encodes."""
+    return [w[8:12], w[4:8], w[0:4]]
+
+
+def _search_plane(k, rng, family):
+    """A plane of partials of a random or a named cubic by three sparse
+    linear operators, or the plane of a scaled limit of 8 random points
+    of A^4; None when the draw is degenerate.  The partials of x0^3 + x1^3
+    span only <x0^2, x1^2>, so that cubic enters plus a random cube of a
+    linear form."""
+    if family == "limit":
+        try:
+            return initial_system(random_affine_points(k, 4, 8, rng))[2]
+        except NonGenericConfiguration:
+            return None
+    if family == "random":
+        f = _random_form(k, rng, 4, 3)
+    else:
+        f = _p(family, k)
+        if family == "x0^3 + x1^3":
+            cube = _random_form(k, rng, 4, 1)
+            f = f + cube * cube * cube
+    try:
+        return plane_from_cubic(f, *(_sparse_form(k, rng, 4, 1)
+                                     for _ in range(3)))
+    except DependentContractions:
+        return None
+
+
+@given(st.integers(0, 10**6), st.sampled_from(SEARCH_FIELDS),
+       st.sampled_from(["random", "limit"] + NAMED_CUBICS))
+@settings(max_examples=60, deadline=None)
+def test_kernel_vectors_with_independent_operators_are_certificates(
+        seed, k, family):
+    rng = random.Random(seed)
+    plane = _search_plane(k, rng, family)
+    assume(plane is not None)
+    m = smoothable_block_matrix(plane.basis_polys())
+    kernel = m.right_kernel()
+    # the basis rows, dense random combinations and sparse 0/1 ones
+    combos = list(kernel.data)
+    for _ in range(4):
+        for draw in (lambda: k.random_element(rng), lambda: rng.choice([0, 1])):
+            coeffs = k.array([draw() for _ in range(kernel.rows)])
+            combos.append(dot(k, coeffs, kernel.data))
+    for w in combos:
+        if Matrix(k, _operators(w)).rank() == 3:
+            assert _attempt_certificate(plane, w) is not None
+    got = recover_cubic(plane, seed=seed)
+    if family != "limit":
+        assert got is not None  # partials always have a certificate
+    if got is not None:
+        f, *ds = got
+        for d, q in zip(ds, plane.basis_polys()):
+            assert contract(d, f) == q
+        w = np.concatenate([d.coeff_vector(1) for d in reversed(ds)])
+        assert not dot(k, w, m.data).any()  # w.m = -(m.w), m being skew
+
+
+def test_recover_cubic_at_the_smallest_prime():
+    """A search that interpolates at t = 0..22 fails at p = 11, where
+    those abscissae repeat; the kernel search needs no sample points."""
+    k = PrimeField(11)
+    f = _p("x0^2*x1 + x2^2*x3", k)
+    plane = plane_from_cubic(f, *(_p(v, k) for v in V4[:3]))
+    got = recover_cubic(plane)
+    assert got is not None
+    f2, *ds = got
+    for d, q in zip(ds, plane.basis_polys()):
+        assert contract(d, f2) == q
+
+
+@pytest.mark.parametrize("p", [11, 32003])
+def test_recover_cubic_none_without_independent_kernel_operators(p):
+    """A regression fixture: no kernel vector of <x0^2, x0*x1, x1^2> has
+    three independent operators, so no certificate exists."""
+    k = PrimeField(p)
+    plane = QuadricPlane.from_polys([_p(s, k) for s in
+                                     ("x0^2", "x0*x1", "x1^2")])
+    kernel = smoothable_block_matrix(plane.basis_polys()).right_kernel()
+    assert kernel.rows > 0
+    assert all(Matrix(k, _operators(w)).rank() < 3 for w in kernel.data)
+    assert recover_cubic(plane) is None

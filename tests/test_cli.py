@@ -118,6 +118,30 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["gale", "cremona"])
+def test_pipelines_refuse_primes_without_enough_member_points(capsys,
+                                                              command):
+    """Over F_29 a smooth cubic has at most 29 + 1 + 10 = 40 points
+    (Hasse-Weil), too few for a member's samples: refused up front, not
+    retried until the retries run out."""
+    assert main([command, "--prime", "29"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Hasse-Weil" in captured.err
+    code, _, recs = _run(capsys, [command, "--prime", "31"])
+    assert code == 0 and recs[0]["prime"] == 31
+
+
+def test_gale_members_are_distinct_at_a_small_prime(capsys):
+    """At p = 31, four of these six pipelines draw a member parameter
+    twice; the repeat is skipped, since two equal members would span 2
+    Segre cubics, not 3."""
+    code, _, recs = _run(capsys, ["gale", "--prime", "31", "--samples", "6",
+                                  "--seed", "0"])
+    assert code == 0
+    assert [r["segre_span"] for r in recs] == [3] * 6
+    assert all(r["ok"] for r in recs)
+
+
 def test_readme_lists_the_flags_of_each_command():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     listed = {}
