@@ -7,9 +7,10 @@ two ways, each split into the build and the det:
 * loop: ``loci.jump_matrix_from_quadrics`` per t and the one-matrix
   pivot loop (the oracle of tests/test_linalg.py, which is what
   ``Matrix.det`` ran before det_stack);
-* stacked: ``poly.power_products`` on the frame vectors of a batch of
-  samples, then ``linalg.det_stack`` on the batch, for batches of
-  ``loci.DET_BATCH`` and of all ``loci.DET_SAMPLES``.
+* stacked: the cubic monomials in the frame's values at the sextic
+  points of ``loci.sextic_points`` for a batch of samples, then
+  ``linalg.det_stack`` on the batch, for batches of ``loci.DET_BATCH``
+  and of all ``loci.DET_SAMPLES``.
 
 Each path's dets are checked equal, and its tracemalloc peak is taken on
 a separate untimed pass.  One whole ``loci.pencil_experiment`` per seed
@@ -36,7 +37,7 @@ import numpy as np
 from qplanes import loci
 from qplanes.fields import DEFAULT_PRIME, PrimeField
 from qplanes.linalg import det_stack
-from qplanes.poly import Poly, power_products
+from qplanes.poly import Poly, dot
 
 from elimination import cpu_model
 
@@ -72,16 +73,16 @@ def _stacked(k, base, dirv, clock, batch):
     """(build seconds, det seconds, dets) of the stacked path: the body
     of loci._pencil_dets with a timer between build and det."""
     t0 = clock()
-    duals = [Poly.from_coeff_vector(k, 4, 2, b) for b in base]
-    ts = np.arange(loci.DET_SAMPLES)
-    frames = k.reduce(base[:, None] + ts[:, None] * dirv[:, None])
+    quad = loci.sextic_points(k)
+    vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
+    ts = np.arange(loci.DET_SAMPLES)[:, None, None]
     build, det = clock() - t0, 0.0
     dets = []
     for s in range(0, loci.DET_SAMPLES, batch):
         t0 = clock()
-        prods = power_products(duals, 3, frames[:, s:s + batch])
+        jumps = loci._cubic_monomials(k, k.reduce(vb + ts[s:s + batch] * vd))
         t1 = clock()
-        dets.extend(det_stack(k, prods.transpose(1, 2, 0)).tolist())
+        dets.extend(det_stack(k, jumps).tolist())
         build, det = build + t1 - t0, det + clock() - t1
     return build, det, dets
 

@@ -7,7 +7,10 @@ A 3-plane L of quadrics in four variables is classified through:
   associated scheme);
 * the 84x84 multiplication matrix Sym^3 of the perpendicular 7-space
   into sextics, whose kernel is the space of cubics through the
-  projected Veronese image;
+  projected Veronese image.  It is built by evaluation: row i holds the
+  cubic monomials in the values of the 7 quadrics at the i-th of 84
+  points on which no nonzero sextic vanishes, which multiplies the
+  matrix by an invertible one and keeps its kernel;
 * detection of rank <= 2 quadrics in the plane (the secant condition).
 
 The pencil experiment reproduces the degree bookkeeping 36 = 3*(10+2)
@@ -19,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt, lcm
 
@@ -29,7 +33,8 @@ from .fields import Field, PrimeField
 from .linalg import (FormSpace, Matrix, det_stack, ideal_piece,
                      ideal_piece_dim, pfaffian)
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
-                   monomial_index, mult_table, power_products, random_form)
+                   monomial_index, monomial_values, mult_table, power_products,
+                   random_form)
 from .unipoly import UniPoly, interpolate, squarefree_and_power
 
 
@@ -101,19 +106,74 @@ def lperp(plane: QuadricPlane) -> FormSpace:
     return annihilator(plane.space, 2).piece(2)
 
 
+@lru_cache(maxsize=None)
+def sextic_points(k: Field) -> np.ndarray:
+    """The values (84 x 10) of the quadric monomials at the 84 points P
+    of P^3 whose coordinates are the exponents of monomial_basis(4, 6).
+
+    These lattice points of the simplex a + b + c + d = 6 are unisolvent
+    for sextics (Chung and Yao, SIAM J. Numer. Anal. 14, 1977): their
+    matrix V of sextic monomial values, monomial_values(k, 4, 6, P), has
+    det V = 2^294 3^189 5^12.  Its rank is checked here once per field,
+    by blocks: V[P, m] = 0 unless supp m lies in supp P, so V is block
+    triangular over supports, and the diagonal blocks of supports of one
+    size are equal up to a permutation of the coordinates.  So V has
+    rank 84 when the blocks of the supports {0}, {0, 1}, {0, 1, 2} and
+    {0, 1, 2, 3} have full rank.  Over Q the values are Python ints, and
+    rank 84 modulo one prime proves rank 84."""
+    if k.kind == "rationals":  # the values, at most 36, are the residues
+        quad = sextic_points(PrimeField()).astype(object)
+    else:
+        pts = np.array(monomial_basis(4, 6))
+        v = monomial_values(k, 4, 6, pts)
+        for s in range(1, 5):
+            on = np.all((pts > 0) == (np.arange(4) < s), axis=1)
+            if Matrix(k, v[np.ix_(on, on)]).rank() != np.count_nonzero(on):
+                raise ArithmeticError(
+                    f"the sextic lattice points are not unisolvent over {k!r}")
+        quad = monomial_values(k, 4, 2, pts)
+    quad.flags.writeable = False  # one cached array is shared by all callers
+    return quad
+
+
+@lru_cache(maxsize=None)
+def _cubic_factors(n: int) -> np.ndarray:
+    """(3, C(n+2, 3)) table: column j holds the indices of the three
+    factors, in ascending order, of monomial_basis(n, 3)[j]."""
+    t = np.array([[i for i in range(n) for _ in range(e[i])]
+                  for e in monomial_basis(n, 3)]).T
+    t.flags.writeable = False
+    return t
+
+
+def _cubic_monomials(k: Field, vals):
+    """The cubic monomials in the n values on the last axis of vals,
+    ordered by monomial_basis(n, 3).  Over F_p each factor is below
+    p < 2^31, so each product is below 2^62."""
+    a, b, c = _cubic_factors(vals.shape[-1])
+    return k.reduce(k.reduce(vals[..., a] * vals[..., b]) * vals[..., c])
+
+
 def jump_matrix_from_quadrics(duals: list[Poly], rows=None) -> Matrix:
-    """Multiplication matrix: cubic monomials in the given quadrics,
-    expanded over the 84 sextic monomials in 4 variables.  ``rows``
-    replaces the quadrics' coefficient vectors as in power_products."""
-    return Matrix(duals[0].field, power_products(duals, 3, rows).T)
+    """Multiplication matrix of cubic monomials in the given quadrics of
+    P^3, evaluated at the points of sextic_points: V J, with V the
+    invertible 84x84 matrix of sextic monomial values there and J the
+    expansion of the cubics over the sextic monomials.  V J has the RREF
+    and the kernel of J.  ``rows`` replaces the quadrics' coefficient
+    vectors: a common multiple c of them gives c^3 V J."""
+    k = duals[0].field
+    if rows is None:
+        rows = np.stack([q.coeff_vector(2) for q in duals])
+    return Matrix(k, _cubic_monomials(k, dot(k, sextic_points(k), rows.T)))
 
 
 def jump_matrix(plane: QuadricPlane) -> Matrix:
-    """The 84x84 matrix of Sym^3 of the perpendicular space into sextics.
+    """The 84x84 matrix of Sym^3 of the perpendicular space, evaluated at
+    the sextic points: V J (see jump_matrix_from_quadrics).
 
-    Over F_p this is J itself.  Over Q it is c^3 J in Python ints, with c
-    the lcm of the denominators of the perpendicular basis: J has the
-    same kernel, and no Fraction is multiplied on the way."""
+    Over Q it is c^3 V J in Python ints, with c the lcm of the
+    denominators of the perpendicular basis: J has the same kernel, and
+    no Fraction is multiplied on the way."""
     perp = lperp(plane)
     rows = perp.basis.data
     if plane.field.kind == "rationals":
@@ -486,7 +546,7 @@ class PencilReport:
 # det along the pencil has degree 36: 37 samples fix it, 40 leave a check
 DET_SAMPLES = 40
 # jump matrices per det_stack call: with 8 stacked 84x84 matrices a
-# pencil's peak traced allocation is 1.4 MiB, with all 40 it is 6.6 MiB
+# pencil's peak traced allocation is 1.8 MiB, with all 40 it is 6.7 MiB
 DET_BATCH = 8
 PENCIL_RETRIES = 10
 
@@ -549,17 +609,18 @@ def _pencil_frame(k: PrimeField, rng):
 
 
 def _pencil_dets(k: PrimeField, base, dirv) -> list:
-    """det of the jump matrix of the frame base + t * dirv at t = 0, 1,
-    ..., DET_SAMPLES - 1, taken DET_BATCH samples at a time: the frame
-    vectors at those t are stacked rows for power_products, and the
-    stacked jump matrices go to det_stack."""
-    duals = [Poly.from_coeff_vector(k, 4, 2, b) for b in base]
-    ts = np.arange(DET_SAMPLES)
-    frames = k.reduce(base[:, None] + ts[:, None] * dirv[:, None])
+    """det of the jump matrix V J(t) of the frame base + t * dirv at
+    t = 0, 1, ..., DET_SAMPLES - 1: det V times det J(t), a nonzero
+    constant times the det polynomial.  The frame's values at the sextic
+    points are linear in t; DET_BATCH samples at a time, the cubic
+    monomials in them are stacked for det_stack."""
+    quad = sextic_points(k)
+    vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
+    ts = np.arange(DET_SAMPLES)[:, None, None]
     dets = []
     for t0 in range(0, DET_SAMPLES, DET_BATCH):
-        prods = power_products(duals, 3, frames[:, t0:t0 + DET_BATCH])
-        dets.extend(det_stack(k, prods.transpose(1, 2, 0)).tolist())
+        jumps = _cubic_monomials(k, k.reduce(vb + ts[t0:t0 + DET_BATCH] * vd))
+        dets.extend(det_stack(k, jumps).tolist())
     return dets
 
 

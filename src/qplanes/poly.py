@@ -78,8 +78,9 @@ _DOT_CELLS = 1 << 19
 
 def dot(k: Field, a, b):
     """The matrix product of a and b over the field, as np.matmul: a is
-    a vector, a matrix or a stack of them, b a matrix or, when a is a
-    vector, a stack of them.
+    a vector, a matrix or a stack of them, b a vector, a matrix or, when
+    a is a vector, a stack of matrices.  A vector b is a column that the
+    result drops, as in np.matmul.
 
     Over F_p the operands are reduced first (for the GEMM, straight into
     its float64 copies).  While inner (p-1)^2 < 2^53, every product and
@@ -100,6 +101,8 @@ def dot(k: Field, a, b):
                 out = fa @ fb
             return out.astype(np.int64) % k.p
         a, b = a % k.p, b % k.p
+    if b.ndim == 1:
+        return dot(k, a, b[:, None])[..., 0]
     if a.ndim == 1:
         return k.reduce(k.reduce(a[:, None] * b).sum(axis=-2))
     n = a.shape[-2]
@@ -126,19 +129,14 @@ def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
     return vals
 
 
-def power_products(forms: list["Poly"], d2: int, rows=None) -> np.ndarray:
+def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
     """Dense coefficient vectors of all degree-d2 monomials in the given
-    forms of one degree, as rows indexed by monomial_basis(len(forms), d2).
-
-    ``rows`` stands in for the forms' coefficient vectors: a common
-    multiple c of them gives c^d2 times the products.  Over Q, rows of
-    Python ints keep every product in Python ints."""
+    forms of one degree, as rows indexed by monomial_basis(len(forms), d2)."""
     k = forms[0].field
     n = len(forms)
     nvars = forms[0].nvars
     d = max(max(f.degree() for f in forms), 0)
-    if rows is None:
-        rows = [f.coeff_vector(d) for f in forms]
+    rows = [f.coeff_vector(d) for f in forms]
     if d2 == 0:
         return k.array([[k.one]])
     prev = dict(zip(monomial_basis(n, 1), rows))  # x_i -> row i

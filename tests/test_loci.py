@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import Matrix, ideal_piece_dim
-from qplanes.poly import Poly, monomial_basis, mult_table, parse_poly
+from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
+                          mult_table, parse_poly, power_products)
 
 K = PrimeField()
 V4 = ["x0", "x1", "x2", "x3"]
@@ -369,6 +371,65 @@ def _fraction_power_products(forms, d2):
     return np.stack([prev[e] for e in monomial_basis(n, d2)])
 
 
+def _sextic_values(k):
+    """V: the 84 sextic monomials at each point of loci.sextic_points."""
+    return monomial_values(k, 4, 6, monomial_basis(4, 6))
+
+
+def _as_ints(a):
+    """An object array of integral Fractions as Python ints."""
+    assert all(x.denominator == 1 for x in a.flat)
+    return np.frompyfunc(int, 1, 1)(a)
+
+
+def _smoothable_plane(rng, k=K):
+    return plane_from_cubic(_random_form(k, rng, 4, 3),
+                            *(_random_form(k, rng, 4, 1) for _ in range(3)))
+
+
+@pytest.mark.parametrize("p", [11, 2147483647])
+def test_sextic_points_are_unisolvent(p):
+    """V has rank 84, and its block check passes; a singular V fails it."""
+    k = PrimeField(p)
+    assert Matrix(k, _sextic_values(k)).rank() == 84
+    quad = loci.sextic_points(k)
+    assert np.array_equal(quad, monomial_values(k, 4, 2, monomial_basis(4, 6)))
+    singular = _sextic_values(k)
+    singular[:, 1] = 0
+    with mock.patch.object(loci, "monomial_values",
+                           lambda k, nvars, d, pts: singular):
+        with pytest.raises(ArithmeticError):
+            loci.sextic_points.__wrapped__(k)
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from(sorted(PLANES) + ["smoothable"]),
+       st.sampled_from([PrimeField(11), K, PrimeField(2147483647),
+                        RationalField()]))
+@settings(max_examples=24, deadline=None)
+def test_evaluation_jump_matrix_is_v_times_the_coefficient_build(seed, kind,
+                                                                  k):
+    """J_eval = V J exactly, J the coefficient build (the oracle), and
+    the two have one RREF.  Over Q both sides are scaled by c^3."""
+    rng = random.Random(seed)
+    try:
+        plane = {**PLANES, "smoothable": _smoothable_plane}[kind](rng, k)
+    except ValueError:  # dependent forms, at p = 11
+        assume(False)
+    perp = loci.lperp(plane)
+    coeff = power_products(perp.polys(), 3).T
+    v = _sextic_values(k)
+    if k.kind == "rationals":
+        c = lcm(*(x.denominator for x in perp.basis.data.flat))
+        coeff, v = _as_ints(c ** 3 * coeff), _as_ints(v)
+        want = v.dot(coeff)
+    else:
+        want = dot(k, v, coeff)
+    jump = loci.jump_matrix(plane)
+    assert np.array_equal(jump.data, want)
+    assert jump.rref() == Matrix(k, coeff).rref()
+
+
 def _rational_plane(kind, rng):
     q = RationalField()
     while True:
@@ -387,15 +448,18 @@ def _rational_plane(kind, rng):
                                               "smoothable"]))
 @settings(max_examples=9, deadline=None)
 def test_integer_jump_matrix_matches_fraction_oracle(seed, kind):
-    """Over Q the jump matrix is c^3 J in Python ints, c the common
-    denominator of the perpendicular basis, with the kernel of J."""
+    """Over Q the jump matrix is V c^3 J in Python ints, with V the
+    sextic monomials at the points of loci.sextic_points and c the common
+    denominator of the perpendicular basis, and it has the kernel of J."""
+    q = RationalField()
     plane = _rational_plane(kind, random.Random(seed))
     perp = loci.lperp(plane)
     oracle = _fraction_power_products(perp.polys(), 3).T
     c = lcm(*(x.denominator for x in perp.basis.data.flat))
     jump = loci.jump_matrix(plane)
     assert all(type(x) is int for x in jump.data.flat)
-    assert np.array_equal(jump.data, c ** 3 * oracle)
+    want = _as_ints(_sextic_values(q)).dot(_as_ints(c ** 3 * oracle))
+    assert np.array_equal(jump.data, want)
     assert jump.right_kernel() == Matrix(RationalField(), oracle).right_kernel()
 
 
@@ -434,6 +498,25 @@ def test_pencil_dets_match_per_sample_jump_matrices(seed):
          for b, d in zip(base, dirv)]).det()
         for t in range(loci.DET_SAMPLES)]
     assert loci._pencil_dets(K, base, dirv) == loop
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pencil_dets_are_det_v_times_the_coefficient_dets(seed):
+    """Each of the 40 dets is det V times the det of the coefficient
+    build J(t), so the det polynomial is scaled by a nonzero constant."""
+    rng = random.Random(seed)
+    drawn = None
+    while drawn is None:
+        drawn = loci._pencil_frame(K, rng)
+    _, base, dirv = drawn
+    det_v = Matrix(K, _sextic_values(K)).det()
+    assert det_v != 0
+    oracle = [Matrix(K, power_products(
+        [Poly.from_coeff_vector(K, 4, 2, K.reduce(b + t * d))
+         for b, d in zip(base, dirv)], 3).T).det()
+        for t in range(loci.DET_SAMPLES)]
+    assert loci._pencil_dets(K, base, dirv) == \
+        [det_v * x % K.p for x in oracle]
 
 
 def test_pencil_peak_allocation_is_bounded():

@@ -257,6 +257,23 @@ def test_dot_matches_integer_products(seed, p, shapes):
     assert np.array_equal(got, want.astype(np.int64))
 
 
+@pytest.mark.parametrize("p", [11, 32003, 1000003, 2147483647])
+def test_dot_matrix_times_vector_matches_integer_products(p):
+    """b a vector, as in np.matmul: a column that the result drops.  The
+    per-product path at 2^31 - 1 once broadcast it along a's rows."""
+    k = PrimeField(p)
+    assert dot(k, np.array([[1, 2], [3, 4]]), np.array([5, 6])).tolist() \
+        == [17 % p, 39 % p]
+    rng = np.random.default_rng(p)
+    for shape in [(3, 5), (2, 3, 5), (5,)]:
+        a = rng.integers(-p, 2 * p, size=shape)
+        b = rng.integers(-p, 2 * p, size=5)
+        want = np.matmul(a.astype(object), b.astype(object)) % p
+        got = dot(k, a, b)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+
+
 def test_dot_at_the_largest_prime_holds_a_few_rows_at_a_time():
     """A (6, 75, 285) stack times a 285x210 matrix, as in the Cremona
     inverse search: one temporary of all its products would take 215 MB,
