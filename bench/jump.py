@@ -101,9 +101,9 @@ def plane_rows(seed: int, repeat: int) -> list[dict]:
     for k in (PrimeField(DEFAULT_PRIME), PrimeField(2147483647),
               RationalField()):
         plane = planes(k, seed)["general"]
-        duals, rows = loci.lperp(plane).polys(), _perp_rows(plane)
+        rows = _perp_rows(plane)
         before, after = (lambda: _product_build(k, rows),
-                         lambda: loci.jump_matrix_from_quadrics(duals, rows))
+                         lambda: loci.jump_matrix_from_quadrics(k, rows))
         v = _sextic_values(k)
         want = v.dot(before()) if k.kind == "rationals" else \
             dot(k, v, before())
@@ -130,9 +130,9 @@ def pencil_row(seed: int, repeat: int) -> dict:
     def after():  # the builds of loci._pencil_dets
         quad = loci.sextic_points(k)
         vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
-        return [loci._cubic_monomials(k, k.reduce(
-            vb + ts[t0:t0 + step, None, None] * vd))
-            for t0 in range(0, len(ts), step)]
+        return [monomial_values(k, 7, 3,
+                                vb + ts[t0:t0 + step, None, None] * vd)
+                for t0 in range(0, len(ts), step)]
 
     det_v = Matrix(k, _sextic_values(k)).det()
     got = [x for m in after() for x in det_stack(k, m).tolist()]

@@ -7,8 +7,9 @@ two ways, each split into the build and the det:
 * loop: ``loci.jump_matrix_from_quadrics`` per t and the one-matrix
   pivot loop (the oracle of tests/test_linalg.py, which is what
   ``Matrix.det`` ran before det_stack);
-* stacked: the cubic monomials in the frame's values at the sextic
-  points of ``loci.sextic_points`` for a batch of samples, then
+* stacked: the cubic monomials (``poly.monomial_values``) in the
+  frame's values at the sextic points of ``loci.sextic_points`` for a
+  batch of samples, then
   ``linalg.det_stack`` on the batch, for batches of ``loci.DET_BATCH``
   and of all ``loci.DET_SAMPLES``.
 
@@ -37,7 +38,7 @@ import numpy as np
 from qplanes import loci
 from qplanes.fields import DEFAULT_PRIME, PrimeField
 from qplanes.linalg import det_stack
-from qplanes.poly import Poly, dot
+from qplanes.poly import dot, monomial_values
 
 from elimination import cpu_model
 
@@ -60,9 +61,7 @@ def _loop(k, base, dirv, clock):
     dets = []
     for t in range(loci.DET_SAMPLES):
         t0 = clock()
-        m = loci.jump_matrix_from_quadrics(
-            [Poly.from_coeff_vector(k, 4, 2, k.reduce(b + t * d))
-             for b, d in zip(base, dirv)])
+        m = loci.jump_matrix_from_quadrics(k, k.reduce(base + t * dirv))
         t1 = clock()
         dets.append(int(_loop_det(m.data, k)))
         build, det = build + t1 - t0, det + clock() - t1
@@ -80,7 +79,7 @@ def _stacked(k, base, dirv, clock, batch):
     dets = []
     for s in range(0, loci.DET_SAMPLES, batch):
         t0 = clock()
-        jumps = loci._cubic_monomials(k, k.reduce(vb + ts[s:s + batch] * vd))
+        jumps = monomial_values(k, 7, 3, vb + ts[s:s + batch] * vd)
         t1 = clock()
         dets.extend(det_stack(k, jumps).tolist())
         build, det = build + t1 - t0, det + clock() - t1

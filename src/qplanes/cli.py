@@ -82,6 +82,10 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     k = PrimeField(args.prime)
+    try:  # criterion 5 runs pencils: refuse before any criterion runs
+        loci.check_pencil_field(k)
+    except ValueError as exc:
+        raise ValueError(f"verify: {exc}") from None
     records = battery.run_battery(k, samples=args.samples, seed=args.seed,
                                   slow=args.slow)
     all_ok = True

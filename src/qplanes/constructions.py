@@ -418,7 +418,8 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
                 "the chart identifications are inconsistent")
     # relations among the 5 restricted quadrics: kernel of the 84x35
     # multiplication matrix
-    m = jump_matrix_from_quadrics(restricted)
+    m = jump_matrix_from_quadrics(
+        k, np.stack([r.coeff_vector(2) for r in restricted]))
     ker = m.right_kernel()
     if ker.rows < 1:
         raise NonGenericConfiguration("no cubic relation for this member")
@@ -499,10 +500,15 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     system, and the RREF of a subspace is unique, so their RREF is the
     dense matrix's right_kernel, row for row.
 
-    Each candidate is then certified symbolically: g(f(x)) = lambda(x)*x
+    Each kernel row is then certified symbolically: g(f(x)) = lambda(x)*x
     as an exact polynomial identity, with lambda of degree
-    deg(f)*d2 - 1 extracted by exact division.  Returns (g, lambda) on
-    success.
+    deg(f)*d2 - 1 extracted by exact division.  Returns (g, lambda) for
+    the first row that certifies, else None.  If f is dominant and g is
+    an inverse of least degree e <= d2, the exact kernel is {h g : deg h
+    = d2 - e}, and every nonzero vector of it certifies.  So a row that
+    fails means the sampled kernel is larger than the exact one: the
+    samples were unlucky, and the pipelines resample when they need an
+    inverse.
     """
     k = f.forms[0].field
     if not isinstance(k, PrimeField):
@@ -515,49 +521,16 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     if ker.rows == 0:
         return None
     prods = power_products(f.forms, d2)  # N x dim Sym^{d1 d2}
-
-    def composites(coeffs):
-        """g_i(f(x)) for the candidates in coeffs, indexed [..., i, :]."""
-        return dot(k, coeffs.reshape(coeffs.shape[:-1] + (nv, -1)), prods)
-
-    def certify(coeffs):
-        comp = composites(coeffs)
+    for coeffs in ker.data:
+        comp = dot(k, coeffs.reshape(nv, -1), prods)  # g_i(f(x)) in row i
         lam = _exact_var_quotient(k, comp[0], nv, d1 * d2, 0)
-        if lam is None:
-            return None
-        for i in range(1, nv):
-            if np.any(k.reduce(var_shift(k, lam, nv, d1 * d2 - 1, i)
-                               - comp[i]) != k.zero):
-                return None
-        if not np.any(lam != k.zero):
-            return None
-        g = RationalMap([Poly.from_coeff_vector(k, nv, d2, gi)
-                         for gi in coeffs.reshape(nv, -1)])
-        return g, Poly.from_coeff_vector(k, nv, d1 * d2 - 1, lam)
-
-    for r in range(ker.rows):
-        got = certify(ker.data[r])
-        if got is not None:
-            return got
-    if ker.rows == 1:
-        return None
-    # the kernel mixes the inverse with forms vanishing on the image:
-    # impose proportionality symbolically on the kernel coordinates
-    comp_basis = composites(ker.data)
-    big_rows = []
-    for i in range(1, nv):
-        block = []
-        for r in range(ker.rows):
-            col = k.reduce(var_shift(k, comp_basis[r][i], nv, d1 * d2, 0)
-                           - var_shift(k, comp_basis[r][0], nv, d1 * d2, i))
-            block.append(col)
-        big_rows.append(np.stack(block, axis=1))
-    small_ker = Matrix(k, np.concatenate(big_rows, axis=0)).right_kernel()
-    for r in range(small_ker.rows):
-        coeffs = dot(k, small_ker.data[r], ker.data)
-        got = certify(coeffs)
-        if got is not None:
-            return got
+        if lam is None or not np.any(lam != k.zero):
+            continue
+        if all(np.all(k.reduce(var_shift(k, lam, nv, d1 * d2 - 1, i)
+                              - comp[i]) == k.zero) for i in range(1, nv)):
+            g = RationalMap([Poly.from_coeff_vector(k, nv, d2, gi)
+                             for gi in coeffs.reshape(nv, -1)])
+            return g, Poly.from_coeff_vector(k, nv, d1 * d2 - 1, lam)
     return None
 
 

@@ -40,8 +40,8 @@ a product of residues, at most (p-1)^2, so s updates stay within int64
 while s (p-1)^2 + p < 2^63.  The pivot column and row are reduced at
 every step, the trailing block only when one more update would break
 that bound: never within 84 steps at p = 32003 (s is about 9 * 10^9),
-every 2 steps at p = 2^31 - 1.  Over the rationals det is the Fraction
-loop.
+every 2 steps at p = 2^31 - 1.  No determinant is taken over the
+rationals: Matrix.det refuses them.
 
 The reduced row echelon form is canonical, so every path returns the
 same matrix and pivots as plain Gauss–Jordan over the field.
@@ -403,26 +403,9 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        field = self.field
-        if field.kind == "prime":
-            return int(det_stack(field, self.data[None])[0])
-        a = self.data.copy()
-        n = self.rows
-        acc = field.one
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if len(nz) == 0:
-                return field.zero
-            pr = c + int(nz[0])
-            if pr != c:
-                a[[c, pr]] = a[[pr, c]]
-                acc = field.neg(acc)
-            acc = field.mul(acc, a[c, c])
-            inv = field.inv(a[c, c])
-            col = field.reduce(a[c + 1:, c] * inv)
-            a[c + 1:] -= np.outer(col, a[c])
-            a = field.reduce(a)
-        return acc
+        if self.field.kind != "prime":
+            raise ValueError("determinant implemented for prime fields")
+        return int(det_stack(self.field, self.data[None])[0])
 
     def inverse(self) -> "Matrix":
         n = self.rows

@@ -136,51 +136,33 @@ def sextic_points(k: Field) -> np.ndarray:
     return quad
 
 
-@lru_cache(maxsize=None)
-def _cubic_factors(n: int) -> np.ndarray:
-    """(3, C(n+2, 3)) table: column j holds the indices of the three
-    factors, in ascending order, of monomial_basis(n, 3)[j]."""
-    t = np.array([[i for i in range(n) for _ in range(e[i])]
-                  for e in monomial_basis(n, 3)]).T
-    t.flags.writeable = False
-    return t
-
-
-def _cubic_monomials(k: Field, vals):
-    """The cubic monomials in the n values on the last axis of vals,
-    ordered by monomial_basis(n, 3).  Over F_p each factor is below
-    p < 2^31, so each product is below 2^62."""
-    a, b, c = _cubic_factors(vals.shape[-1])
-    return k.reduce(k.reduce(vals[..., a] * vals[..., b]) * vals[..., c])
-
-
-def jump_matrix_from_quadrics(duals: list[Poly], rows=None) -> Matrix:
-    """Multiplication matrix of cubic monomials in the given quadrics of
-    P^3, evaluated at the points of sextic_points: V J, with V the
-    invertible 84x84 matrix of sextic monomial values there and J the
-    expansion of the cubics over the sextic monomials.  V J has the RREF
-    and the kernel of J.  ``rows`` replaces the quadrics' coefficient
-    vectors: a common multiple c of them gives c^3 V J."""
-    k = duals[0].field
-    if rows is None:
-        rows = np.stack([q.coeff_vector(2) for q in duals])
-    return Matrix(k, _cubic_monomials(k, dot(k, sextic_points(k), rows.T)))
+def jump_matrix_from_quadrics(k: Field, rows) -> Matrix:
+    """Multiplication matrix of the cubic monomials in the quadrics of
+    P^3 with the given coefficient rows, evaluated at the points of
+    sextic_points: V J, with V the invertible 84x84 matrix of sextic
+    monomial values there and J the expansion of the cubics over the
+    sextic monomials.  V J has the RREF and the kernel of J.  Rows
+    scaled by a common c give c^3 V J; over Q, rows of Python ints give
+    it in Python ints."""
+    return Matrix(k, monomial_values(k, len(rows), 3,
+                                     dot(k, sextic_points(k), rows.T)))
 
 
 def jump_matrix(plane: QuadricPlane) -> Matrix:
     """The 84x84 matrix of Sym^3 of the perpendicular space, evaluated at
-    the sextic points: V J (see jump_matrix_from_quadrics).
+    the sextic points: V J (see jump_matrix_from_quadrics), built from
+    the rows of the perpendicular basis.
 
     Over Q it is c^3 V J in Python ints, with c the lcm of the
     denominators of the perpendicular basis: J has the same kernel, and
     no Fraction is multiplied on the way."""
-    perp = lperp(plane)
-    rows = perp.basis.data
-    if plane.field.kind == "rationals":
+    k = plane.field
+    rows = lperp(plane).basis.data
+    if k.kind == "rationals":
         c = lcm(*(x.denominator for x in rows.flat))
         rows = np.frompyfunc(lambda x: x.numerator * (c // x.denominator),
                              1, 1)(rows)
-    return jump_matrix_from_quadrics(perp.polys(), rows)
+    return jump_matrix_from_quadrics(k, rows)
 
 
 def jump_dimension(plane: QuadricPlane):
@@ -551,6 +533,12 @@ DET_BATCH = 8
 PENCIL_RETRIES = 10
 
 
+def check_pencil_field(k: Field):
+    """Refuse a field the pencil experiment cannot run over."""
+    if not isinstance(k, PrimeField) or k.p <= 40:
+        raise ValueError("pencil experiment needs a prime field with p > 40")
+
+
 def pencil_experiment(k: Field, seed: int) -> PencilReport:
     """Interpolate det and Pfaffian along a random pencil of planes.
 
@@ -560,8 +548,7 @@ def pencil_experiment(k: Field, seed: int) -> PencilReport:
     polynomially in t with a constant transition determinant and
     det(jump matrix) is an honest polynomial of degree 36.
     """
-    if not isinstance(k, PrimeField) or k.p <= 40:
-        raise ValueError("pencil experiment needs a prime field with p > 40")
+    check_pencil_field(k)
     rng = random.Random(seed)
     resamples = 0
     while resamples <= PENCIL_RETRIES:
@@ -612,14 +599,15 @@ def _pencil_dets(k: PrimeField, base, dirv) -> list:
     """det of the jump matrix V J(t) of the frame base + t * dirv at
     t = 0, 1, ..., DET_SAMPLES - 1: det V times det J(t), a nonzero
     constant times the det polynomial.  The frame's values at the sextic
-    points are linear in t; DET_BATCH samples at a time, the cubic
-    monomials in them are stacked for det_stack."""
+    points are linear in t; DET_BATCH samples at a time, monomial_values
+    takes the cubic monomials in them as one stack for det_stack, as
+    jump_matrix_from_quadrics takes them for one sample."""
     quad = sextic_points(k)
     vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
     ts = np.arange(DET_SAMPLES)[:, None, None]
     dets = []
     for t0 in range(0, DET_SAMPLES, DET_BATCH):
-        jumps = _cubic_monomials(k, k.reduce(vb + ts[t0:t0 + DET_BATCH] * vd))
+        jumps = monomial_values(k, 7, 3, vb + ts[t0:t0 + DET_BATCH] * vd)
         dets.extend(det_stack(k, jumps).tolist())
     return dets
 

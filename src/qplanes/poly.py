@@ -112,20 +112,38 @@ def dot(k: Field, a, b):
          for i in range(0, max(n, 1), step)], axis=-2)
 
 
-def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
-    """Values of the degree-d monomials at each of a batch of points, as
-    rows indexed by monomial_basis(nvars, d).
+@lru_cache(maxsize=None)
+def _factor_table(nvars: int, d: int) -> np.ndarray:
+    """(d, C(nvars+d-1, d)) table: column j holds the indices of the d
+    variables, in ascending order, whose product is
+    monomial_basis(nvars, d)[j]."""
+    t = np.array([[i for i in range(nvars) for _ in range(e[i])]
+                  for e in monomial_basis(nvars, d)], dtype=np.int64).T
+    t.flags.writeable = False
+    return t
 
-    Degree e comes from degree e - 1 through mult_table(nvars, e - 1, 1):
-    every degree-e monomial is a degree-(e-1) one times a variable, and
-    the entries that land on one monomial are equal."""
-    pts = k.array(points).reshape(-1, nvars)
-    vals = k.array(np.ones((len(pts), 1), dtype=np.int64))
-    for e in range(1, d + 1):
-        nxt = k.zeros((len(pts), len(monomial_basis(nvars, e))))
-        nxt[:, mult_table(nvars, e - 1, 1)] = k.reduce(
-            vals[:, :, None] * pts[:, None, :])
-        vals = nxt
+
+def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
+    """Values of the degree-d monomials at a batch of points, indexed by
+    monomial_basis(nvars, d) on the last axis.  The leading axes of
+    points are kept; a flat sequence is read as rows of nvars.
+
+    Each monomial is the product of its factors in _factor_table, taken
+    one factor at a time and reduced after each multiplication: over
+    F_p both operands are below p < 2^31, so every product is below
+    2^62.  Over Q an object array is used as it is, so Python ints stay
+    ints; anything else is converted by k.array."""
+    pts = np.asarray(points)
+    if k.kind == "prime" or pts.dtype != object:
+        pts = k.array(pts)
+    if pts.ndim < 2:
+        pts = pts.reshape(-1, nvars)
+    if d == 0:  # the empty product
+        return np.ones(pts.shape[:-1] + (1,), dtype=pts.dtype)
+    table = _factor_table(nvars, d)
+    vals = pts[..., table[0]]
+    for col in table[1:]:
+        vals = k.reduce(vals * pts[..., col])
     return vals
 
 

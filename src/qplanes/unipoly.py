@@ -202,7 +202,8 @@ def sylvester(field: Field, f: list, g: list) -> Matrix:
 
 
 def resultant(f: UniPoly, g: UniPoly):
-    """Sylvester-matrix resultant; zero iff f, g share a root in the closure."""
+    """Sylvester-matrix resultant over F_p (Matrix.det refuses Q); zero
+    iff f, g share a root in the closure."""
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
     return sylvester(f.field, f.coeffs, g.coeffs).det()

@@ -257,3 +257,14 @@ def test_verify_smoke(capsys):
     assert len(recs) == 9
     assert all(r["ok"] for r in recs)
     assert sorted(r["criterion"] for r in recs) == list(range(1, 10))
+
+
+def test_verify_refuses_a_field_too_small_for_the_pencil(capsys):
+    """Criterion 5 runs pencils, which need p > 40: verify refuses such a
+    prime before any criterion runs, under its own name."""
+    assert main(["verify", "--prime", "37"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verify" in captured.err and "p > 40" in captured.err
+    code, _, recs = _run(capsys, ["verify", "--prime", "41", "--samples", "1"])
+    assert code == 0 and len(recs) == 9 and all(r["ok"] for r in recs)

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -373,6 +374,23 @@ def test_find_inverse_involution():
     assert lam.scale(K.inv(c)) == _p3("x*y*z")
     # no linear inverse exists
     assert con.find_inverse(f, 1) is None
+
+
+@pytest.mark.parametrize("d2", [3, 4])
+def test_find_inverse_on_a_kernel_of_several_rows(d2):
+    """Above degree 2 the kernel of the involution's system is
+    {h (yz, xz, xy) : deg h = d2 - 2}, of 3 and 6 rows: the inverse found
+    is one of its vectors, and g(f(x)) = lambda x."""
+    f = con.RationalMap([_p3("y*z"), _p3("x*z"), _p3("x*y")])
+    ker = con._proportionality_kernel(K, *con._inverse_samples(f, d2, 0))
+    assert ker.rows == math.comb(d2, 2)
+    g, lam = con.find_inverse(f, d2)
+    h = Poly(K, 3, {(a, b - 1, c - 1): v
+                    for (a, b, c), v in g.forms[0].terms.items()})
+    assert not h.is_zero() and h.degree() == d2 - 2
+    assert [h * fi for fi in f.forms] == g.forms
+    for i, gi in enumerate(g.forms):
+        assert gi.substitute_polys(f.forms) == lam * Poly.variable(K, 3, i)
 
 
 def test_find_inverse_round_trips():

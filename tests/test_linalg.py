@@ -42,6 +42,12 @@ def test_det_known():
     assert singular.det() == 0
 
 
+def test_det_refuses_the_rationals():
+    """det_stack is the one determinant, and it works over F_p only."""
+    with pytest.raises(ValueError):
+        Matrix(RationalField(), [[2, 1], [1, 2]]).det()
+
+
 def test_inverse():
     rng = random.Random(20)
     for k in (K, RationalField()):

@@ -493,10 +493,8 @@ def test_pencil_dets_match_per_sample_jump_matrices(seed):
     while drawn is None:
         drawn = loci._pencil_frame(K, rng)
     _, base, dirv = drawn
-    loop = [loci.jump_matrix_from_quadrics(
-        [Poly.from_coeff_vector(K, 4, 2, K.reduce(b + t * d))
-         for b, d in zip(base, dirv)]).det()
-        for t in range(loci.DET_SAMPLES)]
+    loop = [loci.jump_matrix_from_quadrics(K, K.reduce(base + t * dirv))
+            .det() for t in range(loci.DET_SAMPLES)]
     assert loci._pencil_dets(K, base, dirv) == loop
 
 

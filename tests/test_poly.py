@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
@@ -222,16 +222,38 @@ def _monomial_values_loop(k, nvars, d, point):
 
 
 @given(st.integers(0, 10**6), WIDE, st.integers(1, 7), st.integers(0, 4),
-       st.integers(0, 6))
+       st.integers(0, 6), st.integers(2, 3))
+@example(0, K, 3, 0, 0, 2)  # d = 0 on no points
+@example(0, RationalField(), 7, 3, 4, 2)
 @settings(max_examples=60, deadline=None)
-def test_monomial_values_match_the_point_loop(seed, k, nvars, d, count):
+def test_monomial_values_match_the_point_loop(seed, k, nvars, d, count,
+                                              batches):
+    """A flat list of points, a (batches, count, nvars) stack, and over
+    Q an object array of Python ints, whose values stay ints."""
     rng = random.Random(seed)
+    size = len(monomial_basis(nvars, d))
     points = [tuple(rng.choice([0, 1, k.random_element(rng)])
                     for _ in range(nvars)) for _ in range(count)]
     got = monomial_values(k, nvars, d, points)
-    assert got.shape == (count, len(monomial_basis(nvars, d)))
+    assert got.shape == (count, size)
     for row, point in zip(got, points):
         assert list(row) == list(_monomial_values_loop(k, nvars, d, point))
+    stack = np.array([k.random_element(rng)
+                      for _ in range(batches * count * nvars)],
+                     dtype=object).reshape(batches, count, nvars)
+    if k.kind == "prime":
+        stack = stack.astype(np.int64)
+    stacks = [stack]
+    if k.kind == "rationals":  # random_element is integral
+        stacks.append(np.frompyfunc(int, 1, 1)(stack))
+    for pts in stacks:
+        got = monomial_values(k, nvars, d, pts)
+        assert got.shape == (batches, count, size)
+        assert [list(row) for row in got.reshape(-1, size)] == \
+            [list(_monomial_values_loop(k, nvars, d, point))
+             for point in pts.reshape(-1, nvars)]
+    if k.kind == "rationals":
+        assert all(type(x) is int for x in got.flat)
 
 
 # -- dot against Python integer products ----------------------------------
