@@ -2,7 +2,8 @@
 
 Captures the matrices the library row-reduces at two real shapes (the
 84x84 jump matrix and the 448x55 degree-9 minor ideal piece of a random
-plane) and builds three more (the dense 332x175, 828x588 and 1710x1470
+plane, generators x lattice points, as the secant stage builds its pieces
+up to degree 7) and builds three more (the dense 332x175, 828x588 and 1710x1470
 proportionality systems of the slow Cremona pipeline, from the points it
 samples; the pipeline itself now solves them block by block), then times
 on each the unblocked Gauss-Jordan loop, the only path before blocked
@@ -73,7 +74,9 @@ def capture(k: PrimeField, seed: int) -> dict:
     constructions._proportionality_kernel = spy_system
     try:
         loci.jump_matrix(plane).rank()
-        linalg.ideal_piece_dim(loci._minor_cubics(plane), 9)
+        hessians = loci._hessians(k, plane.space.basis.data)
+        linalg.Matrix(k, loci.ideal_piece_values(
+            k, 3, 3, 9, loci._minor_values(k, hessians, 9))).rank()
         constructions.cremona_pipeline(k, seed, slow=True)
     finally:
         linalg._rref = rref

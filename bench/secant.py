@@ -1,10 +1,12 @@
 """Time classify on planes that meet the secant locus.
 
-Times ``loci.classify`` on planes through l1*l2 (secant) and through l^2
-(rank 1), built from seeded random linear forms and quadrics, at each
-prime of ``--primes``, and records a sha256 digest of each verdict with
-its rank <= 2 element and witness sextics, so that two runs can be
-checked to agree.  The results go into BENCH_secant.json at the
+Times ``loci.classify``, and its secant stage ``loci.secant_intersects``
+alone, on planes through l1*l2 (secant) and through l^2 (rank 1), built
+from seeded random linear forms and quadrics, at each prime of
+``--primes``, and over Q on those planes and random ones (general), with
+integer coefficients in [-50, 50].  It records a sha256 digest of each
+verdict with its rank <= 2 element and witness sextics, so that two runs
+can be checked to agree.  The results go into BENCH_secant.json at the
 repository root under ``--label``; other labels already in the file are
 kept, so running the script once against each of two source trees puts
 both side by side:
@@ -12,6 +14,8 @@ both side by side:
     PYTHONPATH=<other tree>/src python3 bench/secant.py --label before
     PYTHONPATH=src python3 bench/secant.py --label after \\
         --primes 32003 1000003 2147483647
+
+``--primes`` with no prime times the planes over Q only.
 
 A tree that finds the element by scanning F_p needs a 16 GB array at
 p = 2^31 - 1, so that prime is for trees that do not scan.
@@ -34,7 +38,7 @@ import numpy as np
 
 from qplanes import loci
 from qplanes.apolarity import QuadricPlane
-from qplanes.fields import PrimeField
+from qplanes.fields import PrimeField, RationalField
 from qplanes.poly import Poly, monomial_basis
 
 from elimination import cpu_model
@@ -51,8 +55,11 @@ def _form(k, d, rng):
 
 
 def _plane(k, kind, seed):
-    """A plane through l1*l2 ("secant") or l^2 ("rank1")."""
+    """A plane through l1*l2 ("secant") or l^2 ("rank1"), or of three
+    random quadrics ("general")."""
     rng = random.Random(seed)
+    if kind == "general":
+        return QuadricPlane.from_polys([_form(k, 2, rng) for _ in range(3)])
     l1 = _form(k, 1, rng)
     l2 = _form(k, 1, rng) if kind == "secant" else l1
     return QuadricPlane.from_polys([l1 * l2, _form(k, 2, rng),
@@ -68,8 +75,9 @@ def _answer(c):
 
 def _timed(planes, repeat):
     """Median and minimum seconds per classify over ``repeat`` passes, the
-    planes without an element, and a digest of the answers."""
-    per_call = []
+    median of the secant stage alone, the planes without an element, and
+    a digest of the answers."""
+    per_call, per_stage = [], []
     for _ in range(repeat):
         answers = []
         for plane in planes:
@@ -77,9 +85,13 @@ def _timed(planes, repeat):
             c = loci.classify(plane)
             per_call.append(time.perf_counter() - t0)
             answers.append(_answer(c))
+            t0 = time.perf_counter()
+            loci.secant_intersects(plane)
+            per_stage.append(time.perf_counter() - t0)
     return {"calls": len(per_call),
             "median_s": round(statistics.median(per_call), 5),
             "min_s": round(min(per_call), 5),
+            "secant_median_s": round(statistics.median(per_stage), 5),
             "no_element": sum(a[2] is None for a in answers),
             "digest": hashlib.sha256(repr(answers).encode()).hexdigest()[:16]}
 
@@ -89,15 +101,16 @@ def main():
     ap.add_argument("--label", required=True,
                     help="key of this run in the output, e.g. before/after")
     ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--primes", type=int, nargs="+", default=list(PRIMES))
+    ap.add_argument("--primes", type=int, nargs="*", default=list(PRIMES))
     args = ap.parse_args()
     rows = []
-    for p in args.primes:
-        k = PrimeField(p)
-        for kind in ("secant", "rank1"):
+    fields = [(PrimeField(p), ("secant", "rank1")) for p in args.primes]
+    for k, kinds in fields + [(RationalField(), ("general", "secant",
+                                                 "rank1"))]:
+        for kind in kinds:
             planes = [_plane(k, kind, s) for s in SEEDS]
             loci.classify(planes[0])  # warm the cached index tables
-            rows.append({"prime": p, "planes": kind,
+            rows.append({"prime": k.p or "Q", "planes": kind,
                          **_timed(planes, args.repeat),
                          "max_rss_mb": round(resource.getrusage(
                              resource.RUSAGE_SELF).ru_maxrss / 1024, 1)})
@@ -105,10 +118,11 @@ def main():
     path = ROOT / "BENCH_secant.json"
     out = json.loads(path.read_text()) if path.exists() else {}
     out.update({
-        "what": "seconds per loci.classify on planes through l1*l2 and "
-                "l^2, one entry per source tree; equal digests mean equal "
-                "verdicts, elements and witnesses; max_rss_mb is the "
-                "process peak so far",
+        "what": "seconds per loci.classify, and per secant stage "
+                "(secant_median_s), on planes through l1*l2 and l^2 and, "
+                "over Q, random planes, one entry per source tree; equal "
+                "digests mean equal verdicts, elements and witnesses; "
+                "max_rss_mb is the process peak so far",
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version()},
         "numpy": np.__version__,

@@ -24,10 +24,9 @@ import numpy as np
 from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
                         annihilator, contract)
 from .fields import Field, PrimeField
-from .linalg import (FormSpace, Matrix, ideal_piece, ideal_piece_dim,
-                     null_basis)
-from .loci import (GenericityError, jump_matrix, jump_matrix_from_quadrics,
-                   lperp)
+from .linalg import FormSpace, Matrix, null_basis
+from .loci import (GenericityError, ideal_piece_values, jump_matrix,
+                   jump_matrix_from_quadrics, lattice_points, lperp)
 from .poly import (Poly, dot, monomial_basis, monomial_values, mult_table,
                    power_products, var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
@@ -254,6 +253,16 @@ def _random_gl(k: Field, n: int, rng) -> np.ndarray:
             return m
 
 
+def _plane_values(k: Field, rows, e: int, d: int) -> np.ndarray:
+    """Values at lattice_points(k, 3, d) of plane forms of degree e."""
+    return dot(k, monomial_values(k, 3, e, lattice_points(k, 3, d)), rows.T)
+
+
+def _plane_piece(k: Field, rows, e: int, d: int) -> np.ndarray:
+    """ideal_piece_values of the plane forms of degree e with these rows."""
+    return ideal_piece_values(k, 3, e, d, _plane_values(k, rows, e, d))
+
+
 def ninth_base_point(c1: Poly, c2: Poly, known: PointSet):
     """The residual ninth common zero of two plane cubics through 8
     known points.
@@ -269,13 +278,16 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet):
     if len(known) != 8:
         raise ValueError("need exactly 8 known points")
     k = c1.field
-    ideal4 = FormSpace.from_matrix(k, 3, 4, ideal_piece([c1, c2], 4))
+    cubics = np.stack([c1.coeff_vector(3), c2.coeff_vector(3)])
+    ideal4 = _plane_piece(k, cubics, 3, 4)
+    rank4 = Matrix(k, ideal4).rank()
     # the quartics through the known points have dimension at least 7,
     # (c1, c2) at most 6, so one of them lies outside
-    f = next(f for f in forms_through(known, 4).polys()
-             if not ideal4.contains(f))
-    rows = np.concatenate([ideal_piece([f], 5).data,
-                           ideal_piece([c1, c2], 5).data])
+    f = next(f for f in forms_through(known, 4).basis.data
+             if Matrix(k, np.vstack([ideal4, _plane_piece(k, f[None], 4, 4)])
+                       ).rank() > rank4)
+    rows = np.concatenate([_plane_piece(k, f[None], 4, 5),
+                           _plane_piece(k, cubics, 3, 5)])
     lines = Matrix(k, rows.T).right_kernel()
     point = Matrix(k, lines.data[:, :3]).right_kernel()
     if lines.rows != 2 or point.rows != 1:
@@ -365,9 +377,10 @@ def elliptic_member(c1: Poly, c2: Poly, known: PointSet, q, s,
     k = c1.field
     cs = c1 + c2.scale(s)
     grad = [contract(Poly.variable(k, 3, i), cs) for i in range(3)]
-    # the partials have no common zero iff they fill degree 4, the
-    # Macaulay bound
-    if ideal_piece_dim(grad, 4) != len(monomial_basis(3, 4)):
+    # the partials have no common zero iff they fill degree 4 (15
+    # monomials), the Macaulay bound
+    conics = np.stack([g.coeff_vector(2) for g in grad])
+    if Matrix(k, _plane_piece(k, conics, 2, 4)).rank() != 15:
         raise NonGenericConfiguration(f"member at s={s} is singular")
     proj = projection_from_point(q, k) if projection is None else projection
     pts = list(known.points) + [_normalize_projective(k, q)]
@@ -424,10 +437,8 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
     if ker.rows < 1:
         raise NonGenericConfiguration("no cubic relation for this member")
     # inclusion of the 5-space into the 7-dim perpendicular space
-    incl = []
-    for r in restricted:
-        sol = perp.basis.transpose().solve(r.coeff_vector(2))
-        incl.append(sol)
+    incl = [perp.basis.transpose().solve(r.coeff_vector(2))
+            for r in restricted]
     lifts = []
     z_subs = [Poly(k, 7, {tuple(1 if t == j else 0 for t in range(7)): incl[i][j]
                           for j in range(7)}) for i in range(5)]
@@ -459,8 +470,10 @@ def octic_surface(z: PointSet):
             f"quartics through the points have dimension {quartics.dim}, not 7")
     embed = RationalMap(quartics.polys())
     # quadrics through the image: kernel of Sym^2 of the quartic space
-    # into degree-8 plane forms
-    ker = Matrix(k, power_products(quartics.polys(), 2).T).right_kernel()
+    # into degree-8 plane forms, evaluated at the 45 lattice points of
+    # degree 8, which multiplies it by an invertible matrix
+    ker = Matrix(k, monomial_values(k, 7, 2, _plane_values(
+        k, quartics.basis.data, 4, 8))).right_kernel()
     quadrics = FormSpace.from_matrix(k, 7, 2, ker)
     if quadrics.dim != 7:
         raise NonGenericConfiguration(

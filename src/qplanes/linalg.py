@@ -19,18 +19,18 @@ paths:
   argument for one float64 GEMM under inner (p-1)^2 < 2^53 (poly.EXACT);
 * over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
   Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
-  keeps the RREF; a row of ints (the jump matrix is built in Python ints)
-  has denominator 1 and stays as it is.  The integer matrix A is
-  row-reduced by the int64 loop modulo primes below 2^31, largest first.
-  Only the images of the highest rank and, among those, the earliest
-  pivot columns are kept: the rank of A modulo p never exceeds its rank
-  over Q.  The free-column entries of the kept images are combined by CRT
-  and rebuilt by rational reconstruction with a common denominator D, and
-  the candidate R is accepted only if D A[:, free] == A[:, pivots]
-  (D R)[:, free] holds in Python integers.  That puts every row of A in
-  the row space of R, whose dimension is at most the rank of A, so R is
-  the RREF of A.  An image of full column rank proves the RREF is the
-  identity at once.
+  keeps the RREF; a row of ints (the jump matrix and the secant pieces
+  are built in Python ints) has denominator 1 and stays as it is.  The
+  integer matrix A is row-reduced by the int64 loop modulo primes below
+  2^31, largest first.  Only the images of the highest rank and, among
+  those, the earliest pivot columns are kept: the rank of A modulo p
+  never exceeds its rank over Q.  The free-column entries of the kept
+  images are combined by CRT and rebuilt by rational reconstruction with
+  a common denominator D, and the candidate R is accepted only if
+  D A[:, free] == A[:, pivots] (D R)[:, free] holds in Python integers.
+  That puts every row of A in the row space of R, whose dimension is at
+  most the rank of A, so R is the RREF of A.  An image of full column
+  rank proves the RREF is the identity at once.
 
 Determinants over F_p come from det_stack: one Gaussian elimination over
 a (B, n, n) stack, with a pivot search and row swap per matrix, that
@@ -56,7 +56,7 @@ from math import isqrt, lcm
 import numpy as np
 
 from .fields import Field, PrimeField, is_prime
-from .poly import EXACT, Poly, dot, monomial_basis, mult_table
+from .poly import EXACT, Poly, dot, monomial_basis
 
 
 PANEL = 128  # column panel width of the blocked elimination
@@ -360,10 +360,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        m = field.zeros((n, n))
-        for i in range(n):
-            m[i, i] = field.one
-        return cls(field, m)
+        return cls(field, field.array(np.eye(n, dtype=np.int64)))
 
     @property
     def rows(self) -> int:
@@ -561,24 +558,3 @@ class FormSpace:
         return (f"FormSpace(dim={self.dim}, degree={self.degree}, "
                 f"nvars={self.nvars})")
 
-
-def ideal_piece(gens: list[Poly], d: int) -> Matrix:
-    """The rows x^m * g, g over the given nonzero forms of one degree e
-    and m over the monomials of degree d - e, which span the degree-d
-    piece of the ideal they generate.
-
-    Each row is the coefficient vector of g moved by the index table of
-    the monomial m."""
-    k, nvars, e = gens[0].field, gens[0].nvars, gens[0].degree()
-    table = mult_table(nvars, d - e, e)
-    rows = k.zeros((len(gens), table.shape[0], len(monomial_basis(nvars, d))))
-    for g, block in zip(gens, rows):
-        block[np.arange(table.shape[0])[:, None], table] = g.coeff_vector(e)
-    return Matrix(k, rows.reshape(-1, rows.shape[-1]))
-
-
-def ideal_piece_dim(gens: list[Poly], d: int) -> int:
-    """Dimension of the degree-d piece of the ideal generated by forms
-    of one degree."""
-    gens = [g for g in gens if not g.is_zero()]
-    return ideal_piece(gens, d).rank() if gens else 0

@@ -11,7 +11,10 @@ A 3-plane L of quadrics in four variables is classified through:
   cubic monomials in the values of the 7 quadrics at the i-th of 84
   points on which no nonzero sextic vanishes, which multiplies the
   matrix by an invertible one and keeps its kernel;
-* detection of rank <= 2 quadrics in the plane (the secant condition).
+* detection of rank <= 2 quadrics in the plane (the secant condition),
+  from the ideal of the sixteen 3x3 minors.  Its pieces, like every
+  ideal piece, are values at lattice_points: an invertible matrix times
+  the coefficient piece, with its rank and kernel, and no form product.
 
 The pencil experiment reproduces the degree bookkeeping 36 = 3*(10+2)
 by interpolation along a pencil of planes.
@@ -30,8 +33,7 @@ import numpy as np
 
 from .apolarity import QuadricPlane, annihilator
 from .fields import Field, PrimeField
-from .linalg import (FormSpace, Matrix, det_stack, ideal_piece,
-                     ideal_piece_dim, pfaffian)
+from .linalg import FormSpace, Matrix, det_stack, pfaffian
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
                    monomial_index, monomial_values, mult_table, power_products,
                    random_form)
@@ -52,17 +54,7 @@ def quadric_to_matrix(q: Poly) -> np.ndarray:
     k = q.field
     if q.nvars != 4 or (not q.is_zero() and (not q.is_homogeneous() or q.degree() != 2)):
         raise ValueError("need a homogeneous quadric in 4 variables")
-    half = k.inv(k.of(2))
-    a = k.zeros((4, 4))
-    for e, c in q.terms.items():
-        idx = [i for i in range(4) for _ in range(e[i])]
-        i, j = idx
-        if i == j:
-            a[i, i] = c
-        else:
-            a[i, j] = k.mul(c, half)
-            a[j, i] = a[i, j]
-    return a
+    return k.reduce(_hessians(k, q.coeff_vector(2)) * k.inv(k.of(2)))
 
 
 def symmetric_rank(q: Poly) -> int:
@@ -107,31 +99,49 @@ def lperp(plane: QuadricPlane) -> FormSpace:
 
 
 @lru_cache(maxsize=None)
-def sextic_points(k: Field) -> np.ndarray:
-    """The values (84 x 10) of the quadric monomials at the 84 points P
-    of P^3 whose coordinates are the exponents of monomial_basis(4, 6).
-
-    These lattice points of the simplex a + b + c + d = 6 are unisolvent
-    for sextics (Chung and Yao, SIAM J. Numer. Anal. 14, 1977): their
-    matrix V of sextic monomial values, monomial_values(k, 4, 6, P), has
-    det V = 2^294 3^189 5^12.  Its rank is checked here once per field,
-    by blocks: V[P, m] = 0 unless supp m lies in supp P, so V is block
-    triangular over supports, and the diagonal blocks of supports of one
-    size are equal up to a permutation of the coordinates.  So V has
-    rank 84 when the blocks of the supports {0}, {0, 1}, {0, 1, 2} and
-    {0, 1, 2, 3} have full rank.  Over Q the values are Python ints, and
-    rank 84 modulo one prime proves rank 84."""
-    if k.kind == "rationals":  # the values, at most 36, are the residues
-        quad = sextic_points(PrimeField()).astype(object)
+def lattice_points(k: Field, nvars: int, e: int) -> np.ndarray:
+    """The exponents of monomial_basis(nvars, e) as points: the lattice
+    points of the simplex of size e, unisolvent for forms of degree e
+    (Chung and Yao, SIAM J. Numer. Anal. 14, 1977); det V_6 = 2^294 3^189
+    5^12 for the degree-e monomial values V_e in 4 variables.  V_e is block
+    triangular over supports, with equal diagonal blocks for supports of
+    one size; a singular block of {0}, {0, 1}, ... raises ArithmeticError.
+    Over Q the points are Python ints, and full rank mod one prime proves
+    it over Q."""
+    if k.kind == "rationals":
+        pts = lattice_points(PrimeField(), nvars, e).astype(object)
     else:
-        pts = np.array(monomial_basis(4, 6))
-        v = monomial_values(k, 4, 6, pts)
-        for s in range(1, 5):
-            on = np.all((pts > 0) == (np.arange(4) < s), axis=1)
+        pts = np.array(monomial_basis(nvars, e))
+        v = monomial_values(k, nvars, e, pts)
+        for s in range(1, min(nvars, e) + 1):
+            on = np.all((pts > 0) == (np.arange(nvars) < s), axis=1)
             if Matrix(k, v[np.ix_(on, on)]).rank() != np.count_nonzero(on):
                 raise ArithmeticError(
-                    f"the sextic lattice points are not unisolvent over {k!r}")
-        quad = monomial_values(k, 4, 2, pts)
+                    f"the lattice points of size {e} in {nvars} variables "
+                    f"are not unisolvent over {k!r}")
+    pts.flags.writeable = False  # one cached array is shared by all callers
+    return pts
+
+
+def ideal_piece_values(k: Field, nvars: int, e: int, d: int,
+                       values) -> np.ndarray:
+    """The degree-d piece of the ideal of forms of degree e, from their
+    values (points x forms) at lattice_points(k, nvars, d): row (g, m)
+    holds x^m g there, m over monomial_basis(nvars, d - e).  It is the
+    coefficient piece times V_d^T: one rank, the same row relations, and
+    a right kernel that times V_d spans the coefficient one."""
+    pts = lattice_points(k, nvars, d)
+    m = monomial_values(k, nvars, d - e, pts)
+    return k.reduce(values.T[:, None, :] * m.T[None, :, :]).reshape(
+        -1, len(pts))
+
+
+@lru_cache(maxsize=None)
+def sextic_points(k: Field) -> np.ndarray:
+    """The values (84 x 10) of the quadric monomials at the 84 points of
+    lattice_points(k, 4, 6), on which no nonzero sextic vanishes.  Over
+    Q the values, at most 36, are Python ints."""
+    quad = monomial_values(k, 4, 2, lattice_points(k, 4, 6))
     quad.flags.writeable = False  # one cached array is shared by all callers
     return quad
 
@@ -148,20 +158,26 @@ def jump_matrix_from_quadrics(k: Field, rows) -> Matrix:
                                      dot(k, sextic_points(k), rows.T)))
 
 
+def integral_rows(k: Field, rows) -> np.ndarray:
+    """Over Q, rows times the lcm of all their denominators, as Python
+    ints (one common scale keeps coordinates in the span); else the rows."""
+    if k.kind != "rationals":
+        return rows
+    c = lcm(*(x.denominator for x in rows.flat))
+    return np.frompyfunc(lambda x: x.numerator * (c // x.denominator),
+                         1, 1)(rows)
+
+
 def jump_matrix(plane: QuadricPlane) -> Matrix:
     """The 84x84 matrix of Sym^3 of the perpendicular space, evaluated at
     the sextic points: V J (see jump_matrix_from_quadrics), built from
     the rows of the perpendicular basis.
 
     Over Q it is c^3 V J in Python ints, with c the lcm of the
-    denominators of the perpendicular basis: J has the same kernel, and
-    no Fraction is multiplied on the way."""
+    denominators of the perpendicular basis (integral_rows): J has the
+    same kernel, and no Fraction is multiplied on the way."""
     k = plane.field
-    rows = lperp(plane).basis.data
-    if k.kind == "rationals":
-        c = lcm(*(x.denominator for x in rows.flat))
-        rows = np.frompyfunc(lambda x: x.numerator * (c // x.denominator),
-                             1, 1)(rows)
+    rows = integral_rows(k, lperp(plane).basis.data)
     return jump_matrix_from_quadrics(k, rows)
 
 
@@ -182,32 +198,28 @@ def jump_dimension(plane: QuadricPlane):
 # ---------------------------------------------------------------------------
 
 
-def _minor_cubics(plane: QuadricPlane) -> list[Poly]:
-    """The sixteen 3x3 minors of a*A1 + b*A2 + c*A3 as cubics in (a,b,c).
+def _hessians(k: Field, rows) -> np.ndarray:
+    """The Hessians (..., 4, 4) of the quadrics with the given coefficient
+    rows: twice their quadric_to_matrix, integral for integral rows."""
+    return k.reduce(rows[..., mult_table(4, 1, 1)]
+                    * (1 + np.eye(4, dtype=np.int64)))
 
-    Each minor is expanded along its first row on dense vectors; only
-    the 2x2 cofactors on the rows below a first row are built."""
-    k = plane.field
-    # entry (i, j) of the pencil matrix as a linear form in (a, b, c)
-    e = np.stack([quadric_to_matrix(q) for q in plane.basis_polys()], axis=-1)
-    low = list(combinations(range(1, 4), 2))
-    pairs = list(combinations(range(4), 2))
-    j, l = np.array(low).T[:, :, None]
-    b, c = np.array(pairs).T[:, None, :]
-    m2 = k.reduce(dense_mul(k, e[j, b], e[l, c], 3, 1, 1)
-                  - dense_mul(k, e[j, c], e[l, b], 3, 1, 1))
-    triples = list(combinations(range(4), 3))
-    lead, cofactor = [], []
-    for rows in triples:
-        for cols in triples:
-            for s in range(3):
-                lead.append(e[rows[0], cols[s]])
-                cofactor.append(m2[low.index(rows[1:]),
-                                   pairs.index(cols[:s] + cols[s + 1:])])
-    terms = dense_mul(k, np.stack(lead).reshape(16, 3, 3),
-                      np.stack(cofactor).reshape(16, 3, 6), 3, 1, 2)
-    minors = k.reduce(terms[:, 0] - terms[:, 1] + terms[:, 2])
-    return [Poly.from_coeff_vector(k, 3, 3, v) for v in minors]
+
+def _minor_values(k: Field, hessians, d: int) -> np.ndarray:
+    """The sixteen 3x3 minors of a H1 + b H2 + c H3 at the points of
+    lattice_points(k, 3, d), points x minors: 8 times those of the
+    matrices, expanded along the first row with every product reduced,
+    so that over F_p no intermediate reaches 2^62."""
+    pts = lattice_points(k, 3, d)
+    m = dot(k, pts, hessians.reshape(3, 16)).reshape(-1, 4, 4)
+    t = np.array(list(combinations(range(4), 3)))  # rows, and columns
+    sub = m[:, t[:, None, :, None], t[None, :, None, :]]
+    i, j = [1, 0, 0], [2, 2, 1]  # the columns of the first row's cofactors
+    cof = (k.reduce(sub[..., 1, i] * sub[..., 2, j])
+           - k.reduce(sub[..., 1, j] * sub[..., 2, i]))
+    terms = k.reduce(sub[..., 0, :] * cof)
+    return k.reduce(terms[..., 0] - terms[..., 1]
+                    + terms[..., 2]).reshape(len(pts), 16)
 
 
 # Three general combinations of cubics in 3 variables without a common
@@ -226,21 +238,30 @@ def secant_intersects(plane: QuadricPlane):
     since I_d = S_d implies I_{d+1} = S_{d+1}.  Over F_p this certifies
     emptiness over the closure of F_p.
 
+    The minors are taken at lattice points (_minor_values), over Q from
+    integral_rows, so no Fraction is multiplied.  Those independent at
+    the ten points of degree 3 span I_3 and generate the ideal; each
+    piece is built from them alone, generators x points, so that its rank
+    stays on the unblocked elimination (36 columns at d = 7).
+
     Returns (hit, certificate) where the certificate records the piece
     dimensions of the degrees checked and, on a hit, an explicit rank
     <= 2 element of the plane when _find_rank_le2 finds one.
     """
-    minors = [m for m in _minor_cubics(plane) if not m.is_zero()]
-    dims = {}
-    for d in range(3, MACAULAY_BOUND + 1):
-        got, full = ideal_piece_dim(minors, d), len(monomial_basis(3, d))
-        dims[d] = (got, full)
-        if got == full:
-            break
-    hit = got < full
+    k = plane.field
+    hessians = _hessians(k, integral_rows(k, plane.space.basis.data))
+    _, keep = Matrix(k, _minor_values(k, hessians, 3)).rref()
+    dims, pieces = {3: (len(keep), 10)}, {}
+    d = 3
+    while dims[d][0] < dims[d][1] and d < MACAULAY_BOUND:
+        d += 1
+        pieces[d] = ideal_piece_values(
+            k, 3, 3, d, _minor_values(k, hessians, d)[:, keep])
+        dims[d] = (Matrix(k, pieces[d]).rank(), pieces[d].shape[1])
+    hit = dims[d][0] < dims[d][1]
     cert = {"piece_dims": dims, "element": None}
     if hit:
-        cert["element"] = _find_rank_le2(plane, minors, dims)
+        cert["element"] = _find_rank_le2(plane, pieces, dims)
     return hit, cert
 
 
@@ -250,7 +271,7 @@ def secant_intersects(plane: QuadricPlane):
 SECANT_DEGREE = 10
 
 
-def _find_rank_le2(plane: QuadricPlane, minors: list[Poly], dims: dict):
+def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
     """Explicit rank <= 2 element of the plane, or None.
 
     Basis vectors and small combinations are probed first.  Then the
@@ -262,23 +283,26 @@ def _find_rank_le2(plane: QuadricPlane, minors: list[Poly], dims: dict):
     X_j B_c = B_j defines X_j with the one eigenvalue P_j / P_c, so
     P_j / P_c = tr(X_j) / r.  c is the last coordinate with rank B_c =
     r, so the last nonzero coordinate of P is 1.  Several points or a
-    curve give an element that fails the rank check, hence None."""
+    curve give an element that fails the rank check, hence None.
+
+    K = mu V_d, mu the right kernel of the piece in point form, spans the
+    coefficient kernel; row operations on K keep the pivots of B_c and
+    the traces, so K need not be reduced."""
     k = plane.field
-    basis = plane.basis_polys()
-    candidates = list(basis)
-    for c1 in (k.one, k.of(2), k.of(3)):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                candidates.append(basis[i] + basis[j].scale(c1))
+    rows = plane.space.basis.data
+    candidates = list(rows) + [k.reduce(rows[i] + k.of(c1) * rows[j])
+                               for c1 in (1, 2, 3) for i in range(3)
+                               for j in range(i + 1, 3)]
     for q in candidates:
-        if symmetric_rank(q) <= 2:
-            return q
+        if Matrix(k, _hessians(k, q)).rank() <= 2:
+            return Poly.from_coeff_vector(k, 4, 2, q)
     codim = {d: full - got for d, (got, full) in dims.items()}
     d = next((d for d in range(4, MACAULAY_BOUND + 1)
               if codim[d - 1] == codim[d] <= SECANT_DEGREE), None)
     if d is None:
         return None
-    ker = ideal_piece(minors, d).right_kernel().data
+    mu = Matrix(k, pieces[d]).right_kernel().data
+    ker = dot(k, mu, monomial_values(k, 3, d, lattice_points(k, 3, d)))
     r = ker.shape[0]
     blocks = [ker[:, col] for col in mult_table(3, d - 1, 1).T]
     for c in (2, 1, 0):
@@ -290,8 +314,10 @@ def _find_rank_le2(plane: QuadricPlane, minors: list[Poly], dims: dict):
     inv = Matrix(k, blocks[c][:, cols]).inverse().data
     lam = k.array([k.div(k.of(sum(np.diagonal(dot(k, b[:, cols], inv)))),
                          k.of(r)) for b in blocks])
-    q = Poly.from_coeff_vector(k, 4, 2, dot(k, lam, plane.space.basis.data))
-    return q if symmetric_rank(q) <= 2 else None
+    q = dot(k, lam, rows)
+    if Matrix(k, _hessians(k, q)).rank() <= 2:
+        return Poly.from_coeff_vector(k, 4, 2, q)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -315,32 +341,24 @@ def rank_le2_adapted_change(q: Poly):
     if r == 1:
         # q = c * l^2 with l spanning the row space
         row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
-        u = row
-        minv = Matrix(k, _complete_basis(k, [u])).inverse()
-        qn = q.substitute_linear(minv.data)
-        c = qn.coefficient((2, 0, 0, 0))
-        return minv.data, 1, c
+        minv = Matrix(k, _complete_basis(k, [row])).inverse().data
+        return minv, 1, q.substitute_linear(minv).coefficient((2, 0, 0, 0))
     # rank 2: find two independent isotropic vectors in a complement of rad
-    c1, c2 = _complete_basis(k, list(rad.data))[rad.rows:]
-    q11 = _eval_form(k, a, c1, c1)
-    q12 = _eval_form(k, a, c1, c2)
-    q22 = _eval_form(k, a, c2, c2)
-    iso = _isotropic_pair(k, q11, q12, q22)
+    c1, c2 = pair = np.stack(_complete_basis(k, list(rad.data))[rad.rows:])
+    gram = dot(k, dot(k, pair, a), pair.T)
+    iso = _isotropic_pair(k, gram[0, 0], gram[0, 1], gram[1, 1])
     if iso is None:
         return None
     (s1, t1), (s2, t2) = iso
     e1 = k.reduce(s1 * c1 + t1 * c2)
     e2 = k.reduce(s2 * c1 + t2 * c2)
     # linear forms vanishing on <e2, rad> and <e1, rad> respectively
-    span2 = np.concatenate([e2.reshape(1, -1), rad.data], axis=0)
-    span1 = np.concatenate([e1.reshape(1, -1), rad.data], axis=0)
-    u = Matrix(k, span2).right_kernel().data[0]
-    v = Matrix(k, span1).right_kernel().data[0]
+    u, v = (Matrix(k, np.vstack([e, rad.data])).right_kernel().data[0]
+            for e in (e2, e1))
     minv = Matrix(k, _complete_basis(k, [u, v])).inverse()
     qn = q.substitute_linear(minv.data)
     c = qn.coefficient((1, 1, 0, 0))
-    expected = Poly(k, 4, {(1, 1, 0, 0): c})
-    if c == k.zero or qn != expected:
+    if c == k.zero or qn != Poly(k, 4, {(1, 1, 0, 0): c}):
         return None
     return minv.data, 2, c
 
@@ -356,14 +374,6 @@ def _complete_basis(k, rows):
         if len(out) == 4:
             break
     return out
-
-
-def _eval_form(k, a, x, y):
-    acc = k.zero
-    for i in range(4):
-        for j in range(4):
-            acc = k.add(acc, k.mul(k.mul(a[i][j], x[i]), y[j]))
-    return acc
 
 
 def _sqrt_mod(k: PrimeField, a):

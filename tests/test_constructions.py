@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplanes import constructions as con
-from qplanes.apolarity import annihilator
+from qplanes.apolarity import annihilator, contract
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix
 from qplanes.loci import (GenericityError, jump_dimension, secant_intersects,
@@ -329,6 +329,131 @@ def test_segre_cubic_rejects_foreign_plane():
             continue
     with pytest.raises(ValueError):
         con.segre_cubic(res.members[0], other)
+
+
+# ---------------------------------------------------------------------------
+# Pieces by evaluation against the coefficient builds
+# ---------------------------------------------------------------------------
+
+
+def _dict_rows(gens, d):
+    """The coefficient rows x^m g of the degree-d piece of the ideal of
+    the nonzero plane forms gens, from dict products."""
+    k = gens[0].field
+    return np.array([(Poly.monomial(k, m) * g).coeff_vector(d)
+                     for g in gens if not g.is_zero()
+                     for m in monomial_basis(3, d - g.degree())])
+
+
+def _ninth_base_point_oracle(c1, c2, known):
+    """ninth_base_point on coefficient pieces: the point, or None where
+    the configuration is not generic."""
+    k = c1.field
+    ideal4 = FormSpace.from_matrix(k, 3, 4, Matrix(k, _dict_rows([c1, c2], 4)))
+    f = next(f for f in con.forms_through(known, 4).polys()
+             if not ideal4.contains(f))
+    rows = np.concatenate([_dict_rows([f], 5), _dict_rows([c1, c2], 5)])
+    lines = Matrix(k, rows.T).right_kernel()
+    point = Matrix(k, lines.data[:, :3]).right_kernel()
+    if lines.rows != 2 or point.rows != 1:
+        return None
+    q = tuple(k.of(c) for c in point.data[0])
+    return None if q in known.points else q
+
+
+@pytest.mark.parametrize("p", [31, 2**31 - 1])
+def test_ninth_base_point_matches_the_coefficient_build(p):
+    k = PrimeField(p)
+    found = 0
+    for seed in range(10):
+        setup = _random_pencil(k, seed)
+        if setup is None:
+            continue
+        pts, c1, c2 = setup
+        want = _ninth_base_point_oracle(c1, c2, pts)
+        try:
+            got = con.ninth_base_point(c1, c2, pts)
+        except con.NonGenericConfiguration:
+            got = None
+        assert got == want
+        found += want is not None
+    assert found >= 5
+
+
+def _line_conic_pencil(k, rng):
+    """8 points, 3 on a line L and 5 on a conic C, and a basis (L C, c2)
+    of the cubics through them: the member at s = 0 is singular."""
+    while True:
+        a, b = k.random_element(rng), k.random_element(rng)
+        on_line = [(x, k.add(k.mul(a, x), b), 1) for x in range(3)]
+        on_conic = con.random_projective_points(k, 2, 5, rng)
+        conics = con.forms_through(on_conic, 2)
+        try:
+            known = con.PointSet(k, "projective", 2,
+                                 on_line + on_conic.points)
+        except ValueError:  # a point on both
+            continue
+        cubics = con.forms_through(known, 3)
+        if conics.dim != 1 or cubics.dim != 2:
+            continue
+        line = Poly(k, 3, {(1, 0, 0): a, (0, 1, 0): k.neg(1),
+                           (0, 0, 1): b})
+        c1 = line * conics.polys()[0]
+        c2 = next(c for c in cubics.polys()
+                  if not FormSpace.from_polys([c1]).contains(c))
+        return known, c1, c2
+
+
+@pytest.mark.parametrize("p", [31, 2**31 - 1])
+def test_member_smoothness_check_matches_the_coefficient_build(p):
+    """elliptic_member refuses a member as singular exactly when the
+    dict-built degree-4 piece of its partials is not full."""
+    k = PrimeField(p)
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(3):
+        known, c1, c2 = _line_conic_pencil(k, rng)
+        try:
+            q = con.ninth_base_point(c1, c2, known)
+        except con.NonGenericConfiguration:
+            continue
+        for s in range(p) if p < 100 else [0, 1, 2, 3]:
+            cs = c1 + c2.scale(s)
+            grad = [contract(Poly.variable(k, 3, i), cs) for i in range(3)]
+            smooth = Matrix(k, _dict_rows(grad, 4)).rank() == 15
+            try:
+                con.elliptic_member(c1, c2, known, q, s)
+                refused = False
+            except con.NonGenericConfiguration as exc:
+                refused = "singular" in str(exc)
+            assert refused == (not smooth)
+            seen.add(smooth)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [31, 2**31 - 1])
+def test_octic_quadrics_match_the_coefficient_build(p):
+    """The quadrics through the octic surface are the kernel of Sym^2 of
+    the quartics, built from dict products."""
+    k = PrimeField(p)
+    checked = 0
+    for seed in range(6):
+        z = con.random_projective_points(k, 2, 8, random.Random(seed))
+        quartics = con.forms_through(z, 4).polys()
+        prods = np.array([
+            (quartics[i] * quartics[j]).coeff_vector(8)
+            for i, j in ([t for t in range(7) for _ in range(e[t])]
+                         for e in monomial_basis(7, 2))])
+        want = FormSpace.from_matrix(
+            k, 7, 2, Matrix(k, prods.T).right_kernel())
+        try:
+            got = con.octic_surface(z)[1]
+        except con.NonGenericConfiguration:
+            assert len(quartics) != 7 or want.dim != 7
+            continue
+        assert got == want
+        checked += 1
+    assert checked >= 4
 
 
 # ---------------------------------------------------------------------------

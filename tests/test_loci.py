@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
-from qplanes.linalg import Matrix, ideal_piece_dim
+from qplanes.linalg import Matrix
 from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
                           mult_table, parse_poly, power_products)
 
@@ -161,29 +161,96 @@ PLANES = {"general": _random_plane, "secant": _secant_plane,
           "rank1": _rank1_plane}
 
 
-def _dict_piece_dim(gens, d):
-    """Piece dimension from rows built with dict Poly products."""
+def _dict_piece_rows(gens, d):
+    """The rows x^m g of the degree-d piece, built with dict Poly
+    products."""
     k = gens[0].field
-    rows = [(Poly.monomial(k, m) * g).coeff_vector(d)
+    return [(Poly.monomial(k, m) * g).coeff_vector(d)
             for g in gens if not g.is_zero()
             for m in monomial_basis(g.nvars, d - g.degree())]
-    return Matrix(k, rows).rank() if rows else 0
+
+
+def _dict_piece_dim(gens, d):
+    """Piece dimension from rows built with dict Poly products."""
+    rows = _dict_piece_rows(gens, d)
+    return Matrix(gens[0].field, rows).rank() if rows else 0
+
+
+def _minor_piece(plane, d):
+    """The degree-d piece of all sixteen minors in point form: their
+    values at the lattice points of size d, generators x points."""
+    k = plane.field
+    hessians = loci._hessians(k, loci.integral_rows(k, plane.space.basis.data))
+    return loci.ideal_piece_values(k, 3, 3, d,
+                                   loci._minor_values(k, hessians, d))
+
+
+def _two_rank2_plane(rng, k=K):
+    """A plane through l1*l2 and l3*l4: the minors cut two points."""
+    l1, l2, l3, l4 = (_random_form(k, rng, 4, 1) for _ in range(4))
+    return QuadricPlane.from_polys([l1 * l2, l3 * l4,
+                                    _random_form(k, rng, 4, 2)])
+
+
+def _null_minor_plane(rng, k=K):
+    """<x0^2, x0 x1, x1^2>: every 3x3 minor vanishes."""
+    return QuadricPlane.from_polys([_p("x0^2", k), _p("x0*x1", k),
+                                    _p("x1^2", k)])
+
+
+MINOR_PLANES = {**PLANES, "two": _two_rank2_plane, "null": _null_minor_plane}
+FIELDS = [PrimeField(11), K, PrimeField(2147483647), RationalField()]
 
 
 @given(st.integers(0, 10**6), st.sampled_from(sorted(PLANES)))
 @settings(max_examples=12, deadline=None)
-def test_ideal_piece_dim_matches_dict_rows(seed, kind):
-    minors = loci._minor_cubics(PLANES[kind](random.Random(seed)))
+def test_minor_piece_rank_matches_dict_rows(seed, kind):
+    plane = PLANES[kind](random.Random(seed))
+    minors = _dict_minor_cubics(plane)
     for d in range(3, 10):
-        assert ideal_piece_dim(minors, d) == _dict_piece_dim(minors, d)
+        assert Matrix(K, _minor_piece(plane, d)).rank() == \
+            _dict_piece_dim(minors, d)
 
 
-def test_ideal_piece_dim_rationals():
+@given(st.integers(0, 10**6), st.sampled_from(sorted(MINOR_PLANES)),
+       st.sampled_from(FIELDS))
+@settings(max_examples=30, deadline=None)
+def test_minor_piece_in_point_form_matches_the_coefficient_piece(seed, kind,
+                                                                  k):
+    """The piece in point form has the rank of the dict-built coefficient
+    piece, and its right kernel mu gives the coefficient kernel: the RREF
+    of mu V_d, V_d the degree-d monomials at the lattice points, is the
+    right kernel of the dict rows."""
+    try:
+        plane = MINOR_PLANES[kind](random.Random(seed), k)
+    except ValueError:  # dependent forms, at p = 11
+        assume(False)
+    minors = _dict_minor_cubics(plane)
+    dims = loci.secant_intersects(plane)[1]["piece_dims"]
+    for d in range(3, loci.MACAULAY_BOUND + 1):
+        piece = Matrix(k, _minor_piece(plane, d))
+        rank = piece.rank()
+        assert rank == _dict_piece_dim(minors, d)
+        if d in dims:  # the degrees secant_intersects checked
+            assert dims[d] == (rank, len(monomial_basis(3, d)))
+        v = monomial_values(k, 3, d, loci.lattice_points(k, 3, d))
+        rows = _dict_piece_rows(minors, d)
+        want = (Matrix(k, rows).right_kernel() if rows
+                else Matrix.identity(k, len(v)))
+        assert Matrix(k, dot(k, piece.right_kernel().data, v)).rref()[0] \
+            == want
+
+
+def test_ideal_piece_values_rank_rationals():
     q = RationalField()
     rng = random.Random(18)
     gens = [_random_form(q, rng, 3, 2) for _ in range(2)] + [Poly.zero(q, 3)]
+    rows = np.stack([g.coeff_vector(2) for g in gens])
     for d in range(2, 6):
-        assert ideal_piece_dim(gens, d) == _dict_piece_dim(gens, d)
+        values = dot(q, monomial_values(q, 3, 2, loci.lattice_points(q, 3, d)),
+                     rows.T)
+        piece = loci.ideal_piece_values(q, 3, 2, d, values)
+        assert Matrix(q, piece).rank() == _dict_piece_dim(gens, d)
 
 
 def test_secant_early_exit_matches_degrees_7_to_9():
@@ -197,10 +264,10 @@ def test_secant_early_exit_matches_degrees_7_to_9():
         dims = cert["piece_dims"]
         assert list(dims) == list(range(3, 3 + len(dims)))
         assert all(got < full for got, full in list(dims.values())[:-1])
-        minors = loci._minor_cubics(plane)
+        minors = _dict_minor_cubics(plane)
         for d in (7, 8, 9):
             full = len(monomial_basis(3, d))
-            assert hit == (ideal_piece_dim(minors, d) < full)
+            assert hit == (_dict_piece_dim(minors, d) < full)
 
 
 def test_secant_detects_rank2():
@@ -399,7 +466,48 @@ def test_sextic_points_are_unisolvent(p):
     with mock.patch.object(loci, "monomial_values",
                            lambda k, nvars, d, pts: singular):
         with pytest.raises(ArithmeticError):
-            loci.sextic_points.__wrapped__(k)
+            loci.lattice_points.__wrapped__(k, 4, 6)
+
+
+# every (nvars, e) of a lattice the package evaluates at: the minor
+# pieces, the ninth base point, the member check, the octic quadrics and
+# the jump matrix
+LATTICES = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 6)]
+
+
+@pytest.mark.parametrize("nvars,e", LATTICES)
+@pytest.mark.parametrize("p", [11, 31, 2147483647])
+def test_lattice_points_are_unisolvent(nvars, e, p):
+    """The points are the exponents of monomial_basis(nvars, e), their
+    V_e has full rank, and the block check accepts them."""
+    k = PrimeField(p)
+    pts = loci.lattice_points(k, nvars, e)
+    assert pts.tolist() == [list(m) for m in monomial_basis(nvars, e)]
+    v = monomial_values(k, nvars, e, pts)
+    assert Matrix(k, v).rank() == len(pts)
+
+
+@pytest.mark.parametrize("nvars,e", LATTICES)
+def test_lattice_points_over_rationals_are_python_ints(nvars, e):
+    pts = loci.lattice_points(RationalField(), nvars, e)
+    assert all(type(x) is int for x in pts.flat)
+    values = monomial_values(RationalField(), nvars, e, pts)
+    assert all(type(x) is int for x in values.flat)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_lattice_points_refuse_a_singular_block(size):
+    """A V_8 in 3 variables whose diagonal block of the support
+    {0, ..., size - 1} has a zero column is refused."""
+    k = PrimeField(31)
+    pts = np.array(monomial_basis(3, 8))
+    singular = monomial_values(k, 3, 8, pts)
+    on = np.all((pts > 0) == (np.arange(3) < size), axis=1)
+    singular[:, np.flatnonzero(on)[0]] = 0
+    with mock.patch.object(loci, "monomial_values",
+                           lambda k, nvars, d, pts: singular):
+        with pytest.raises(ArithmeticError):
+            loci.lattice_points.__wrapped__(k, 3, 8)
 
 
 @given(st.integers(0, 10**6),
@@ -559,9 +667,19 @@ def _dict_minor_cubics(plane):
 @given(st.integers(0, 10**6), st.sampled_from(sorted(PLANES)),
        st.sampled_from([K, PrimeField(2147483647), RationalField()]))
 @settings(max_examples=24, deadline=None)
-def test_minor_cubics_match_dict_expansion(seed, kind, k):
+def test_minor_values_match_dict_expansion(seed, kind, k):
+    """The piece of degree 3 holds the sixteen minors at the ten lattice
+    points: 8 c^3 times the dict minors there, c the common denominator
+    of the basis over Q (1 over F_p)."""
     plane = PLANES[kind](random.Random(seed), k)
-    assert loci._minor_cubics(plane) == _dict_minor_cubics(plane)
+    basis = plane.space.basis.data
+    scale = 8
+    if k.kind == "rationals":
+        scale *= lcm(*(x.denominator for x in basis.flat)) ** 3
+    want = [[k.mul(k.of(scale), m.evaluate(tuple(pt)))
+             for pt in monomial_basis(3, 3)]
+            for m in _dict_minor_cubics(plane)]
+    assert np.array_equal(_minor_piece(plane, 3), k.array(want))
 
 
 def test_classify_witnesses_on_secant_and_rank1_planes():
@@ -591,7 +709,7 @@ def _minor_zeros(plane):
     grid = np.ones((p, p), dtype=bool)  # the points (x, y, 1)
     line = np.ones(p, dtype=bool)  # the points (x, 1, 0)
     corner = True  # the point (1, 0, 0)
-    for minor in loci._minor_cubics(plane):
+    for minor in _dict_minor_cubics(plane):
         c = np.zeros((4, 4, 4), dtype=np.int64)  # c[i, j, l] at x^i y^j z^l
         for e, v in minor.terms.items():
             c[e] = v
