@@ -1,11 +1,15 @@
-"""Time the ninth base point and the Gale and Cremona pipelines.
+"""Time the ninth base point, the pencil members and the Gale and Cremona
+pipelines.
 
 Times ``ninth_base_point(c1, c2, known)`` on the cubic pencils through 8
-random plane points, ``gale_pipeline(k, seed)`` and the fast
-``cremona_pipeline(k, seed)`` at p = 32003 and p = 1000003, and records a
-sha256 digest of each result (the ninth points, the member quadric spaces
-and Segre data of the Gale runs, the c_E inverses of the Cremona runs), so
-that two runs can be checked to agree.  The results go into
+random plane points, ``elliptic_member`` at seeded parameters of those
+pencils, ``segre_cubic`` on the members of the Gale runs,
+``gale_pipeline(k, seed)`` and the fast ``cremona_pipeline(k, seed)`` at
+p = 31, 32003 and 1000003, and records a sha256 digest of each result
+(the ninth points, the member quadric spaces or refusals, the Segre
+spaces, the member quadric spaces and Segre data of the Gale runs, the
+c_E inverses of the Cremona runs), so that two runs can be checked to
+agree.  The results go into
 BENCH_pipelines.json at the repository root under ``--label``; other
 labels already in the file are kept, so running the script once against
 each of two source trees puts both side by side:
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -35,7 +40,10 @@ from qplanes.loci import GenericityError
 from elimination import cpu_model
 
 ROOT = Path(__file__).resolve().parent.parent
-PRIMES = (32003, 1000003)
+PRIMES = (31, 32003, 1000003)
+MEMBERS_PER_PENCIL = 4
+# older trees' elliptic_member also takes the 8 points of the pencil
+TAKES_KNOWN = "known" in inspect.signature(cons.elliptic_member).parameters
 PENCIL_SEEDS = range(20)
 PIPELINE_SEEDS = (0, 1, 2)
 
@@ -60,6 +68,35 @@ def _ninth(pencil):
         return cons.ninth_base_point(c1, c2, pts)
     except (cons.NonGenericConfiguration, GenericityError) as exc:
         return type(exc).__name__
+
+
+def _members(k, pencils):
+    """(c1, c2, ninth, s, projection) for MEMBERS_PER_PENCIL seeded
+    parameters of each pencil with a ninth base point."""
+    out = []
+    for i, (pts, c1, c2) in enumerate(pencils):
+        ninth = _ninth((pts, c1, c2))
+        if isinstance(ninth, str):
+            continue
+        rng = random.Random(i)
+        proj = cons.projection_from_point(ninth, k, rng)
+        out.extend((pts, c1, c2, ninth, k.random_element(rng), proj)
+                   for _ in range(MEMBERS_PER_PENCIL))
+    return out
+
+
+def _member(item):
+    pts, c1, c2, ninth, s, proj = item
+    args = (c1, c2, pts, ninth) if TAKES_KNOWN else (c1, c2, ninth)
+    try:
+        return cons.elliptic_member(*args, s, proj).quadrics.basis.data.tolist()
+    except cons.NonGenericConfiguration as exc:
+        return str(exc)
+
+
+def _segre(item):
+    member, plane = item
+    return cons.segre_cubic(member, plane).basis.data.tolist()
 
 
 def _gale(k, seed):
@@ -99,8 +136,12 @@ def main():
     for p in PRIMES:
         k = PrimeField(p)
         pencils = _pencils(k, PENCIL_SEEDS)
+        gales = [cons.gale_pipeline(k, s) for s in PIPELINE_SEEDS]
         for name, fn, items in (
                 ("ninth_base_point", _ninth, pencils),
+                ("elliptic_member", _member, _members(k, pencils)),
+                ("segre_cubic", _segre,
+                 [(m, res.plane) for res in gales for m in res.members]),
                 ("gale_pipeline", lambda s: _gale(k, s), PIPELINE_SEEDS),
                 ("cremona_pipeline", lambda s: _cremona(k, s),
                  PIPELINE_SEEDS)):
@@ -111,14 +152,16 @@ def main():
     path = ROOT / "BENCH_pipelines.json"
     out = json.loads(path.read_text()) if path.exists() else {}
     out.update({
-        "what": "seconds per call of the ninth base point and the Gale and "
-                "fast Cremona pipelines, one entry per source tree; equal "
-                "digests mean equal results",
+        "what": "seconds per call of the ninth base point, the pencil "
+                "members, the Segre cubics and the Gale and fast Cremona "
+                "pipelines, one entry per source tree; equal digests mean "
+                "equal results",
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version()},
         "numpy": np.__version__,
         "pencil_seeds": list(PENCIL_SEEDS),
         "pipeline_seeds": list(PIPELINE_SEEDS),
+        "members_per_pencil": MEMBERS_PER_PENCIL,
         "repeat": args.repeat,
     })
     out.setdefault("runs", {})[args.label] = rows

@@ -108,21 +108,23 @@ def _contraction_constraint_matrix(space: FormSpace, d: int) -> Matrix:
                   rows.swapaxes(-1, -2).reshape(-1, rows.shape[-2]))
 
 
+def annihilator_piece(space: FormSpace, d: int) -> FormSpace:
+    """The degree-d dual operators annihilating the given space of forms:
+    one kernel, or every operator above the degree of the space."""
+    k = space.field
+    if d > space.degree:
+        return FormSpace.full(k, space.nvars, d)
+    ker = _contraction_constraint_matrix(space, d).right_kernel()
+    return FormSpace.from_matrix(k, space.nvars, d, ker)
+
+
 def annihilator(space: FormSpace, up_to: int) -> GradedIdeal:
     """Graded pieces of the ideal of dual operators annihilating the
     given space of forms, degrees 0..up_to."""
     if up_to < space.degree:
         raise ValueError("up_to must be at least the degree of the space")
-    k = space.field
-    pieces = {}
-    for d in range(up_to + 1):
-        if d > space.degree:
-            pieces[d] = FormSpace.full(k, space.nvars, d)
-            continue
-        m = _contraction_constraint_matrix(space, d)
-        ker = m.right_kernel()
-        pieces[d] = FormSpace.from_matrix(k, space.nvars, d, ker)
-    return GradedIdeal(pieces)
+    return GradedIdeal({d: annihilator_piece(space, d)
+                        for d in range(up_to + 1)})
 
 
 @dataclass

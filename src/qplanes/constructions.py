@@ -7,22 +7,21 @@ degree-8 scheme with Hilbert function (1, 4, 3); elliptic members of
 the pencil supply the special cubics through the projected Veronese.
 Quadrics through an elliptic quintic or through the octic surface give
 Cremona transformations whose inverses are computed and certified
-exactly.  Nothing here scans the field: the ninth base point is read off
-a colon ideal of the pencil and the points of a member are third points
-of its chords, so every accepted prime works.
+exactly.  Nothing here scans the field or samples a curve: the ninth
+base point is read off a colon ideal of the pencil, and the quadrics
+through a member's image off one kernel at the lattice points of plane
+quartics, so every accepted prime works.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
-                        annihilator, contract)
+                        annihilator_piece, contract)
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, null_basis
 from .loci import (GenericityError, ideal_piece_values, jump_matrix,
@@ -233,7 +232,7 @@ def initial_system(points: PointSet, require_143: bool = True):
     hf = HilbertFunction(hf_vals)
     plane = None
     if hf == [1, 4, 3]:
-        plane = QuadricPlane(annihilator(pieces[2], 2).piece(2))
+        plane = QuadricPlane(annihilator_piece(pieces[2], 2))
     elif require_143:
         raise NonGenericConfiguration(
             f"limit Hilbert function is {hf}, not (1, 4, 3)")
@@ -352,25 +351,21 @@ def gale_dual(gamma2: PointSet, q,
 @dataclass
 class EllipticMember:
     s: object
-    samples: PointSet
     quadrics: FormSpace
 
 
-MEMBER_SAMPLES = 40
-
-
-def elliptic_member(c1: Poly, c2: Poly, known: PointSet, q, s,
+def elliptic_member(c1: Poly, c2: Poly, q, s,
                     projection: RationalMap | None = None) -> EllipticMember:
-    """Points of a smooth member c = c1 + s*c2 of the pencil, pushed
-    through the projection from q, and the 5 quadrics through the image
-    curve.
+    """The 5 quadrics through the image of a smooth member c = c1 + s*c2
+    of the pencil under the projection from q, a base point of the pencil.
 
-    The member passes through the 8 known points and q.  For two points
-    P, Q on it, c(sP + tQ) = st(a*s + b*t) with a = grad c(P).Q and
-    b = grad c(Q).P, so the chord PQ meets it again in b*P - a*Q.  Third
-    points of chords, over pairs in a fixed order, supply MEMBER_SAMPLES
-    images; a quadric through more than 10 points of the image quintic
-    contains it.
+    A smooth plane cubic is irreducible, so its ideal is (c), and a
+    quadric Q contains the image curve exactly when Q(proj) = l*c for a
+    linear form l.  Both sides are plane quartics, which agree exactly
+    when they agree at the 15 points of lattice_points(k, 3, 4); so the
+    quadrics are the Q-parts of the kernel of [Q(proj) | x_j*c] evaluated
+    there, a 15 x 18 matrix (l = 0 when Q = 0, so the Q-part keeps the
+    dimension).
 
     One pipeline run must use one projection throughout; pass the same
     map that produced the point configuration."""
@@ -383,29 +378,15 @@ def elliptic_member(c1: Poly, c2: Poly, known: PointSet, q, s,
     if Matrix(k, _plane_piece(k, conics, 2, 4)).rank() != 15:
         raise NonGenericConfiguration(f"member at s={s} is singular")
     proj = projection_from_point(q, k) if projection is None else projection
-    pts = list(known.points) + [_normalize_projective(k, q)]
-    grads = [[g.evaluate(p) for g in grad] for p in pts]
-    # a smooth cubic contains no line, so a and b never both vanish
-    pairs = ((i, j) for j in itertools.count(1) for i in range(j))
-    for i, j in pairs:
-        if len(pts) > MEMBER_SAMPLES or j == len(pts):
-            break
-        a = k.of(sum(k.mul(u, v) for u, v in zip(grads[i], pts[j])))
-        b = k.of(sum(k.mul(u, v) for u, v in zip(grads[j], pts[i])))
-        third = _normalize_projective(k, [k.sub(k.mul(b, x), k.mul(a, y))
-                                          for x, y in zip(pts[i], pts[j])])
-        if third not in pts:
-            pts.append(third)
-            grads.append([g.evaluate(third) for g in grad])
-    if len(pts) <= MEMBER_SAMPLES:
-        raise NonGenericConfiguration("too few rational points on the member")
-    images = [apply_map(proj, p) for p in pts[:8] + pts[9:]]
-    samples = PointSet(k, "projective", 4, images)
-    quadrics = forms_through(samples, 2)
+    rows = np.stack([f.coeff_vector(2) for f in proj.forms])
+    pulled = monomial_values(k, 5, 2, _plane_values(k, rows, 2, 4))
+    times_c = _plane_piece(k, cs.coeff_vector(3)[None], 3, 4).T
+    ker = Matrix(k, np.concatenate([pulled, times_c], axis=1)).right_kernel()
+    quadrics = FormSpace.from_matrix(k, 5, 2, Matrix(k, ker.data[:, :15]))
     if quadrics.dim != 5:
         raise NonGenericConfiguration(
             f"member quadrics have dimension {quadrics.dim}, not 5")
-    return EllipticMember(s, samples, quadrics)
+    return EllipticMember(s, quadrics)
 
 
 # ---------------------------------------------------------------------------
@@ -418,39 +399,33 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
     hyperplane at infinity of the limit chart, expressed in the 7
     coordinates dual to the canonical basis of the perpendicular space.
 
-    Every output cubic is checked to lie in the kernel of the jump
+    The restrictions are the coefficients free of x4.  In the RREF basis
+    of the perpendicular space a form's coordinates are its coefficients
+    at the pivots, so one product checks that the restrictions lie in
+    it.  Every output cubic is checked to lie in the kernel of the jump
     matrix of the plane.
     """
     k = plane.field
-    restricted = [q.set_var_zero(4) for q in member.quadrics.polys()]
-    perp = lperp(plane)
-    for r in restricted:
-        if not perp.contains(r):
-            raise ValueError(
-                "restricted quadrics do not land in the perpendicular space; "
-                "the chart identifications are inconsistent")
+    free = [i for i, e in enumerate(monomial_basis(5, 2)) if e[4] == 0]
+    restricted = member.quadrics.basis.data[:, free]
+    perp = lperp(plane).basis.data
+    pivots = [int(np.flatnonzero(row)[0]) for row in perp]
+    incl = restricted[:, pivots]
+    if np.any(dot(k, incl, perp) != restricted):
+        raise ValueError(
+            "restricted quadrics do not land in the perpendicular space; "
+            "the chart identifications are inconsistent")
     # relations among the 5 restricted quadrics: kernel of the 84x35
     # multiplication matrix
-    m = jump_matrix_from_quadrics(
-        k, np.stack([r.coeff_vector(2) for r in restricted]))
-    ker = m.right_kernel()
+    ker = jump_matrix_from_quadrics(k, restricted).right_kernel()
     if ker.rows < 1:
         raise NonGenericConfiguration("no cubic relation for this member")
-    # inclusion of the 5-space into the 7-dim perpendicular space
-    incl = [perp.basis.transpose().solve(r.coeff_vector(2))
-            for r in restricted]
-    lifts = []
-    z_subs = [Poly(k, 7, {tuple(1 if t == j else 0 for t in range(7)): incl[i][j]
-                          for j in range(7)}) for i in range(5)]
-    jm = jump_matrix(plane)
-    for r_i in range(ker.rows):
-        cubic5 = Poly.from_coeff_vector(k, 5, 3, ker.data[r_i])
-        cubic7 = cubic5.substitute_polys(z_subs)
-        vec = cubic7.coeff_vector(3)
-        if np.any(dot(k, vec, jm.data.T) != k.zero):
-            raise AssertionError("Segre cubic not in the jump kernel")
-        lifts.append(cubic7)
-    return FormSpace.from_polys(lifts, degree=3)
+    # substitute the coordinates z_i = incl[i] . y into each relation
+    lifts = dot(k, ker.data, power_products(
+        [Poly.from_coeff_vector(k, 7, 1, row) for row in incl], 3))
+    if np.any(dot(k, lifts, jump_matrix(plane).data.T) != k.zero):
+        raise AssertionError("Segre cubic not in the jump kernel")
+    return FormSpace.from_matrix(k, 7, 3, Matrix(k, lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -634,19 +609,7 @@ GALE_MEMBERS = 3
 
 def _retry(name: str, once, k: Field, seed: int, *args):
     """Run once(k, rng, attempt, *args) on derived sub-seeds until a
-    configuration is generic, so that a fixed seed stays deterministic.
-
-    Both pipelines need a smooth member of a cubic pencil with more than
-    MEMBER_SAMPLES points, and by Hasse-Weil a smooth plane cubic over
-    F_p has at most p + 1 + 2*sqrt(p) of them: smaller primes are
-    refused."""
-    if k.kind == "prime":
-        most = k.p + 1 + math.isqrt(4 * k.p)
-        if most <= MEMBER_SAMPLES:
-            raise ValueError(
-                f"{name} pipeline needs a smooth cubic with more than "
-                f"{MEMBER_SAMPLES} points, and over F_{k.p} one has at most "
-                f"p + 1 + floor(2*sqrt(p)) = {most} (Hasse-Weil)")
+    configuration is generic, so that a fixed seed stays deterministic."""
     last = None
     for attempt in range(PIPELINE_ATTEMPTS):
         rng = random.Random(subseed(seed, attempt))
@@ -674,7 +637,7 @@ def _cubic_pencil(k: Field, rng):
 def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
     """``wanted`` smooth members of the pencil at distinct random
     parameters, from at most 30 draws; a repeated draw is skipped."""
-    gamma2, c1, c2, ninth = pencil
+    _, c1, c2, ninth = pencil
     members = []
     drawn = set()
     for _ in range(30):
@@ -683,8 +646,7 @@ def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
             continue
         drawn.add(s)
         try:
-            members.append(elliptic_member(c1, c2, gamma2, ninth, s,
-                                           projection))
+            members.append(elliptic_member(c1, c2, ninth, s, projection))
         except NonGenericConfiguration:
             continue
         if len(members) == wanted:

@@ -31,7 +31,8 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .apolarity import QuadricPlane, annihilator
+from .apolarity import QuadricPlane, annihilator_piece
+from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, det_stack, pfaffian
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
@@ -95,7 +96,7 @@ def smoothable_pfaffian(plane: QuadricPlane):
 
 def lperp(plane: QuadricPlane) -> FormSpace:
     """The 7-dimensional space of dual quadrics annihilating the plane."""
-    return annihilator(plane.space, 2).piece(2)
+    return annihilator_piece(plane.space, 2)
 
 
 @lru_cache(maxsize=None)
@@ -466,13 +467,16 @@ def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
     # of supp(beta), x2 = x3 = 0 (rank 2) or x3 = 0 (rank 1); the ordered
     # triples of the 7 restricted duals cover the 84 products.  The duals
     # of the moved plane are those of the plane moved by change^-T, so
-    # the restriction sends x_i to sum_j change^-1[j, i] x_j over j < nv
+    # the restriction sends x_i to sum_j change^-1[j, i] x_j over j < nv.
+    # Over Q the quadrics in those forms and the perpendicular rows are
+    # scaled to integers (integral_rows), which scales each sextic by a
+    # nonzero constant, so that the products multiply no Fraction
     nv = 2 if rank == 2 else 3
     inverse = Matrix(k, change).inverse().data
     coordinate_forms = [Poly.from_coeff_vector(k, nv, 1, inverse[:nv, i])
                         for i in range(4)]
-    duals = dot(k, lperp(plane).basis.data,
-                power_products(coordinate_forms, 2))
+    duals = dot(k, integral_rows(k, lperp(plane).basis.data),
+                integral_rows(k, power_products(coordinate_forms, 2)))
     quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
     sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
     idx = monomial_index(nv, 6)
