@@ -222,7 +222,8 @@ def recover_cubic(plane: QuadricPlane, seed: int = 0, budget: int = 200):
     from .loci import smoothable_block_matrix
 
     k = plane.field
-    kernel = smoothable_block_matrix(plane.basis_polys()).right_kernel()
+    kernel = Matrix(k, smoothable_block_matrix(
+        k, plane.space.basis.data)).right_kernel()
     if kernel.rows == 0:
         return None
     rng = random.Random(seed)

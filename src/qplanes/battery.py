@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import constructions as cons
 from . import loci
 from .apolarity import (QuadricPlane, annihilator_piece,
@@ -16,7 +18,7 @@ from .apolarity import (QuadricPlane, annihilator_piece,
                         plane_from_cubic)
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field
-from .linalg import FormSpace, Matrix, pfaffian
+from .linalg import FormSpace, Matrix, pfaffian, pfaffian_stack
 from .poly import parse_poly, random_form
 
 
@@ -229,18 +231,19 @@ def criterion_9(k: Field, trials: int = 100, seed: int = 0) -> dict:
         pf = pfaffian(m)
         if k.mul(pf, pf) == m.det():
             pf_sq += 1
-    # scaling: Pf is quadratic in each slot
-    scaling_ok = True
+    # scaling: Pf is quadratic in each slot; each triple of quadrics is
+    # followed by its copies with slot 0, 1 and 2 scaled by lam
+    triples, lams = [], []
     for _ in range(10):
-        qs = [random_form(k, 4, 2, rng) for _ in range(3)]
-        lam = k.random_element(rng)
-        base = loci.smoothable_pfaffian_basis(qs)
-        for slot in range(3):
-            scaled = list(qs)
-            scaled[slot] = scaled[slot].scale(lam)
-            got = loci.smoothable_pfaffian_basis(scaled)
-            if got != k.mul(k.mul(lam, lam), base):
-                scaling_ok = False
+        qs = [random_form(k, 4, 2, rng).coeff_vector(2) for _ in range(3)]
+        lams.append(k.random_element(rng))
+        triples += [qs] + [[k.reduce(lams[-1] * q) if i == slot else q
+                            for i, q in enumerate(qs)] for slot in range(3)]
+    pf = pfaffian_stack(k, loci.smoothable_block_matrix(
+        k, k.array(triples))).reshape(10, 4)
+    lams = k.array(lams)
+    want = k.reduce(k.reduce(lams * lams)[:, None] * pf[:, :1])
+    scaling_ok = bool(np.all(pf[:, 1:] == want))
     # GL-equivariance of the classification verdict
     equiv = 0
     gl_trials = max(trials // 2, 1)

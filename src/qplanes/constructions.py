@@ -412,7 +412,7 @@ def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
     pivots = [int(np.flatnonzero(row)[0]) for row in perp]
     incl = restricted[:, pivots]
     if np.any(dot(k, incl, perp) != restricted):
-        raise ValueError(
+        raise AssertionError(
             "restricted quadrics do not land in the perpendicular space; "
             "the chart identifications are inconsistent")
     # relations among the 5 restricted quadrics: kernel of the 84x35
@@ -609,10 +609,12 @@ GALE_MEMBERS = 3
 
 def _retry(name: str, once, k: Field, seed: int, *args):
     """Run once(k, rng, attempt, *args) on derived sub-seeds until a
-    configuration is generic, so that a fixed seed stays deterministic."""
+    configuration is generic, so that a fixed seed stays deterministic.
+    Attempts are SUBSEED_STRIDE^2 apart, so that no attempt of one sample
+    (samples are SUBSEED_STRIDE apart) redraws one of another."""
     last = None
     for attempt in range(PIPELINE_ATTEMPTS):
-        rng = random.Random(subseed(seed, attempt))
+        rng = random.Random(subseed(seed, SUBSEED_STRIDE * attempt))
         try:
             return once(k, rng, attempt, *args)
         except (NonGenericConfiguration, GenericityError) as exc:

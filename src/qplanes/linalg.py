@@ -43,6 +43,14 @@ that bound: never within 84 steps at p = 32003 (s is about 9 * 10^9),
 every 2 steps at p = 2^31 - 1.  No determinant is taken over the
 rationals: Matrix.det refuses them.
 
+Pfaffians come from pfaffian_stack, an elimination over a (B, n, n)
+stack of skew matrices that keeps the skew Schur complement of the
+leading 2x2 block at each step; pfaffian passes a stack of one.  Over
+F_p every product is reduced at once: entries lie in [0, p), a product
+of two residues is at most (p-1)^2 < 2^62, and an updated entry lies in
+(-p, 2p), so no step leaves int64 for p < 2^31.  Over the rationals the
+same steps run on object arrays.
+
 The reduced row echelon form is canonical, so every path returns the
 same matrix and pivots as plain Gauss–Jordan over the field.
 """
@@ -378,9 +386,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.data.T.copy())
-
     def rref(self):
         r, pivots = _rref(self.data, self.field)
         return Matrix(self.field, r), pivots
@@ -435,12 +440,43 @@ class Matrix:
         return not bool(np.any(s != self.field.zero))
 
 
-def pfaffian(m: Matrix):
-    """Pfaffian of an even-size skew-symmetric matrix.
+def pfaffian_stack(k: Field, a) -> np.ndarray:
+    """Pfaffians of a (B, n, n) stack of skew-symmetric matrices of even
+    size n: int64 residues over F_p, an object array over Q.
 
-    Skew Gaussian elimination with pivot tracking, O(n^3).  The sign
-    convention satisfies pfaffian([[0, a], [-a, 0]]) = a.
-    """
+    With A = [[P, C], [-C^T, D]] and P = [[0, a], [-a, 0]], Pf A =
+    a Pf S for S = D - (u v^T - v u^T) / a, u and v the rows of C.  Each
+    step first swaps the first nonzero entry of row 0 into column 1, in
+    rows and columns alike, which negates Pf; a zero row 0 gives Pf 0
+    and zero updates."""
+    a = k.reduce(np.asarray(a, dtype=k.dtype))
+    count, n = a.shape[:2]
+    if a.shape != (count, n, n) or n % 2:
+        raise ValueError("pfaffian_stack needs a stack of even-size square "
+                         "matrices")
+    pf = k.array(np.ones(count, dtype=np.int64))
+    at = np.arange(count)
+    for m in range(n, 0, -2):
+        j = 1 + np.argmax(a[:, 0, 1:] != k.zero, axis=1)  # 1 when row 0 is 0
+        piv = a[at, 0, j]
+        pf = k.reduce(pf * np.where(j > 1, -piv, piv))
+        # swap index j into place 1; S is the block past the pair
+        perm = np.tile(np.arange(m), (count, 1))
+        perm[at, j], perm[:, 1] = 1, j
+        rest = perm[:, 2:]
+        inv = k.array([k.inv(x) if x != k.zero else k.zero for x in piv])
+        u = k.reduce(a[at[:, None], 0, rest] * inv[:, None])
+        v = a[at[:, None], j[:, None], rest]
+        vu = k.reduce(v[:, :, None] * u[:, None, :])
+        a = k.reduce(a[at[:, None, None], rest[:, :, None], rest[:, None, :]]
+                     + vu - vu.transpose(0, 2, 1))
+    return pf
+
+
+def pfaffian(m: Matrix):
+    """Pfaffian of an even-size skew-symmetric matrix: pfaffian_stack of
+    a stack of one.  The sign convention satisfies
+    pfaffian([[0, a], [-a, 0]]) = a."""
     n = m.rows
     if n != m.cols or n % 2 != 0:
         raise ValueError("pfaffian needs an even-size square matrix")
@@ -448,37 +484,7 @@ def pfaffian(m: Matrix):
         raise ValueError("pfaffian limited to size <= 16")
     if not m.is_skew():
         raise ValueError("matrix is not skew-symmetric")
-    field = m.field
-    a = [[m.data[i, j] for j in range(n)] for i in range(n)]
-    sign = field.one
-    acc = field.one
-    k = 0
-    while k < n:
-        # find pivot in column k below row k
-        pr = None
-        for i in range(k + 1, n):
-            if a[i][k] != field.zero:
-                pr = i
-                break
-        if pr is None:
-            return field.zero
-        if pr != k + 1:
-            a[k + 1], a[pr] = a[pr], a[k + 1]
-            for row in a:
-                row[k + 1], row[pr] = row[pr], row[k + 1]
-            sign = field.neg(sign)
-        piv = a[k + 1][k]
-        acc = field.mul(acc, field.neg(piv))  # pf uses a[k][k+1] = -a[k+1][k]
-        inv = field.inv(piv)
-        for i in range(k + 2, n):
-            if a[i][k] != field.zero:
-                factor = field.mul(a[i][k], inv)
-                for j in range(n):
-                    a[i][j] = field.sub(a[i][j], field.mul(factor, a[k + 1][j]))
-                for r2 in range(n):
-                    a[r2][i] = field.sub(a[r2][i], field.mul(factor, a[r2][k + 1]))
-        k += 2
-    return field.mul(sign, acc)
+    return m.field.of(pfaffian_stack(m.field, m.data[None])[0])
 
 
 class FormSpace:

@@ -34,7 +34,7 @@ import numpy as np
 from .apolarity import QuadricPlane, annihilator_piece
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, det_stack, pfaffian
+from .linalg import FormSpace, Matrix, det_stack, pfaffian, pfaffian_stack
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
                    monomial_index, monomial_values, mult_table, power_products,
                    random_form)
@@ -62,22 +62,16 @@ def symmetric_rank(q: Poly) -> int:
     return Matrix(q.field, quadric_to_matrix(q)).rank()
 
 
-def smoothable_block_matrix(quadrics: list[Poly]) -> Matrix:
-    """The 12x12 skew matrix [[0, A1, -A2], [-A1, 0, A3], [A2, -A3, 0]]."""
-    if len(quadrics) != 3:
-        raise ValueError("need exactly three quadrics")
-    k = quadrics[0].field
-    a1, a2, a3 = (quadric_to_matrix(q) for q in quadrics)
-    z = k.zeros((4, 4))
-    m = np.block([[z, a1, k.reduce(-a2)],
-                  [k.reduce(-a1), z, a3],
-                  [a2, k.reduce(-a3), z]])
-    return Matrix(k, m)
-
-
-def smoothable_pfaffian_basis(quadrics: list[Poly]):
-    """Pfaffian of the certificate matrix for an explicit basis."""
-    return pfaffian(smoothable_block_matrix(quadrics))
+def smoothable_block_matrix(k: Field, rows) -> np.ndarray:
+    """The 12x12 skew matrices [[0, A1, -A2], [-A1, 0, A3], [A2, -A3, 0]]
+    (..., 12, 12) of the quadrics with coefficient rows (..., 3, 10),
+    A_i the quadric_to_matrix of the i-th: half its Hessian."""
+    a = k.reduce(_hessians(k, rows) * k.inv(k.of(2)))
+    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
+    z = k.zeros(a1.shape)
+    return np.block([[z, a1, k.reduce(-a2)],
+                     [k.reduce(-a1), z, a3],
+                     [a2, k.reduce(-a3), z]])
 
 
 def smoothable_pfaffian(plane: QuadricPlane):
@@ -86,7 +80,9 @@ def smoothable_pfaffian(plane: QuadricPlane):
     The value depends on the basis (it scales by det^2 under GL_3 basis
     changes) but its vanishing does not.
     """
-    return smoothable_pfaffian_basis(plane.basis_polys())
+    k = plane.field
+    return pfaffian(Matrix(k, smoothable_block_matrix(
+        k, plane.space.basis.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +537,8 @@ class PencilReport:
 
 # det along the pencil has degree 36: 37 samples fix it, 40 leave a check
 DET_SAMPLES = 40
+# Pf along the pencil has degree 2: 3 samples fix it, 7 leave a check
+PF_SAMPLES = 7
 # jump matrices per det_stack call: with 8 stacked 84x84 matrices a
 # pencil's peak traced allocation is 1.8 MiB, with all 40 it is 6.7 MiB
 DET_BATCH = 8
@@ -578,8 +576,9 @@ def pencil_experiment(k: Field, seed: int) -> PencilReport:
 def _pencil_frame(k: PrimeField, rng):
     """A random pencil <q1, q2, u + t w> and the frame of its
     perpendicular spaces, v_i(t) = base[i] + t * dirv[i], as
-    ((q1, q2, u, w), base, dirv) with (7, 10) arrays base and dirv;
-    None for a degenerate draw."""
+    (quads, base, dirv) with the (4, 10) coefficient rows quads of q1,
+    q2, u and w and (7, 10) arrays base and dirv; None for a degenerate
+    draw."""
     basis10 = monomial_basis(4, 2)
     q1, q2, u = (random_form(k, 4, 2, rng) for _ in range(3))
     j_cols = sorted(rng.sample(range(10), 3))
@@ -589,9 +588,9 @@ def _pencil_frame(k: PrimeField, rng):
     span = FormSpace.from_polys([q1, q2, u, w], degree=2)
     if span.dim != 4:
         return None
+    quads = np.stack([q.coeff_vector(2) for q in (q1, q2, u, w)])
     # contraction pairing against the dual quadric monomials: m! * coeff
-    pairing = contraction_rows(
-        k, np.stack([q.coeff_vector(2) for q in (q1, q2, u, w)]), 4, 2, 0)
+    pairing = contraction_rows(k, quads, 4, 2, 0)
     rows0, row_w = pairing[:3, :, 0], pairing[3, :, 0]
     mj = Matrix(k, rows0[:, j_cols])
     if mj.rank() != 3:
@@ -606,7 +605,7 @@ def _pencil_frame(k: PrimeField, rng):
     col1[:, 2] = row_w[free_cols]
     base[:, j_cols] = k.reduce(-detj * dot(k, rows0[:, free_cols].T, mj_inv_t))
     dirv[:, j_cols] = k.reduce(-detj * dot(k, col1, mj_inv_t))
-    return (q1, q2, u, w), base, dirv
+    return quads, base, dirv
 
 
 def _pencil_dets(k: PrimeField, base, dirv) -> list:
@@ -626,28 +625,29 @@ def _pencil_dets(k: PrimeField, base, dirv) -> list:
     return dets
 
 
+def _pencil_pfaffians(k: PrimeField, quads) -> list:
+    """Pf of the certificate matrix of <q1, q2, u + t w> at t = 0, 1,
+    ..., PF_SAMPLES - 1, from the coefficient rows quads of q1, q2, u, w,
+    as one pfaffian_stack."""
+    rows = np.repeat(quads[None, :3], PF_SAMPLES, axis=0)
+    ts = np.arange(PF_SAMPLES)[:, None]
+    rows[:, 2] = k.reduce(quads[2] + ts * quads[3])
+    return pfaffian_stack(k, smoothable_block_matrix(k, rows)).tolist()
+
+
 def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
     drawn = _pencil_frame(k, rng)
     if drawn is None:
         return None
-    (q1, q2, u, w), base, dirv = drawn
+    quads, base, dirv = drawn
     det_poly = interpolate(k, list(enumerate(_pencil_dets(k, base, dirv))))
     if det_poly.degree() != 36:
         return None
-    pf_points = []
-    for t in range(7):
-        q3 = u + w.scale(t)
-        pf_points.append((t, smoothable_pfaffian_basis([q1, q2, q3])))
-    pf_poly = interpolate(k, pf_points)
+    pf_poly = interpolate(k, list(enumerate(_pencil_pfaffians(k, quads))))
     if pf_poly.degree() != 2:
         return None
-    try:
-        quotient = det_poly.exact_div(pf_poly * pf_poly * pf_poly)
-    except ValueError:
-        return PencilReport(det_poly, pf_poly, None,
-                            (det_poly.degree(), pf_poly.degree(), -1),
-                            False, 0)
-    sp = squarefree_and_power(quotient, 3)
+    quotient, rem = det_poly.divmod(pf_poly.pow(3))
+    sp = squarefree_and_power(quotient, 3) if rem.is_zero() else None
     if sp is None:
         return PencilReport(det_poly, pf_poly, None,
                             (det_poly.degree(), pf_poly.degree(), -1),

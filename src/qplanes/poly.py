@@ -343,14 +343,6 @@ class Poly:
             out = out + Poly.from_coeff_vector(f, nv, d * e, image)
         return out
 
-    def set_var_zero(self, i: int) -> "Poly":
-        """Drop all terms containing variable i and remove that variable."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                terms[e[:i] + e[i + 1:]] = c
-        return Poly(self.field, self.nvars - 1, terms)
-
     # -- coefficient vectors ------------------------------------------
 
     def coeff_vector(self, d: int) -> np.ndarray:

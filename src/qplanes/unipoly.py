@@ -1,13 +1,13 @@
 """Univariate polynomials: interpolation, squarefree structure, roots.
 
 These realize the pencil-degree experiments: determinants along a pencil
-are recovered by evaluation + Lagrange interpolation, and the cube
-structure of the resulting degree-36 polynomial is detected with a
-gcd-based squarefree decomposition (valid since p exceeds every degree
-in play).  The root scans evaluate on all of F_p, so their memory grows
-with p.  No code in the package calls them: roots_in_field is the scan
-oracle of the tests, and both stay while the perfbench tracer wraps them
-by name.
+are recovered by evaluation and interpolation, which is one solve of the
+Vandermonde system of the samples, and the cube structure of the
+resulting degree-36 polynomial is detected with a gcd-based squarefree
+decomposition (valid since p exceeds every degree in play).  The root
+scans evaluate on all of F_p, so their memory grows with p.  No code in
+the package calls them: roots_in_field is the scan oracle of the tests,
+and both stay while the perfbench tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -164,29 +164,19 @@ def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def interpolate(field: Field, samples: list[tuple]) -> UniPoly:
-    """Unique polynomial of degree < len(samples) through the samples.
-
-    Newton divided differences; raises on duplicate sample abscissae.
-    """
-    ts = [field.of(t) for t, _ in samples]
-    vs = [field.of(v) for _, v in samples]
-    if len(set(ts)) != len(ts):
+    """Unique polynomial of degree < len(samples) through the samples:
+    one Matrix.solve of the Vandermonde system, whose matrix is
+    invertible exactly when the abscissae are distinct; duplicate
+    abscissae are refused."""
+    ts = field.array([t for t, _ in samples])
+    if len(set(ts.tolist())) != len(ts):
         raise ValueError("duplicate sample abscissae")
-    n = len(ts)
-    # Newton form: divided differences
-    coef = list(vs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = field.sub(coef[i], coef[i - 1])
-            den = field.sub(ts[i], ts[i - j])
-            coef[i] = field.div(num, den)
-    # expand Newton form into the monomial basis
-    result = UniPoly.zero(field)
-    basis = UniPoly(field, [field.one])
-    for i in range(n):
-        result = result + basis.scale(coef[i])
-        basis = basis * UniPoly(field, [field.neg(ts[i]), field.one])
-    return result
+    vander = field.zeros((len(ts), len(ts)))
+    power = field.array(np.ones(len(ts), dtype=np.int64))
+    for j in range(len(ts)):
+        vander[:, j] = power
+        power = field.reduce(power * ts)
+    return UniPoly(field, Matrix(field, vander).solve([v for _, v in samples]))
 
 
 def sylvester(field: Field, f: list, g: list) -> Matrix:

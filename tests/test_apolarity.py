@@ -277,7 +277,7 @@ def test_kernel_vectors_with_independent_operators_are_certificates(
     rng = random.Random(seed)
     plane = _search_plane(k, rng, family)
     assume(plane is not None)
-    m = smoothable_block_matrix(plane.basis_polys())
+    m = Matrix(k, smoothable_block_matrix(k, plane.space.basis.data))
     kernel = m.right_kernel()
     # the basis rows, dense random combinations and sparse 0/1 ones
     combos = list(kernel.data)
@@ -319,7 +319,8 @@ def test_recover_cubic_none_without_independent_kernel_operators(p):
     k = PrimeField(p)
     plane = QuadricPlane.from_polys([_p(s, k) for s in
                                      ("x0^2", "x0*x1", "x1^2")])
-    kernel = smoothable_block_matrix(plane.basis_polys()).right_kernel()
+    kernel = Matrix(k, smoothable_block_matrix(
+        k, plane.space.basis.data)).right_kernel()
     assert kernel.rows > 0
     assert all(Matrix(k, _operators(w)).rank() < 3 for w in kernel.data)
     assert recover_cubic(plane) is None

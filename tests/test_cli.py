@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import qplanes
+from qplanes import constructions as cons
+from qplanes.apolarity import QuadricPlane
 from qplanes.cli import build_parser, main
 from qplanes.fields import PrimeField
 from qplanes.poly import VARS_P3, parse_poly
@@ -131,12 +133,25 @@ def test_pipelines_run_at_small_primes(capsys, argv, prime):
 
 
 def test_gale_members_are_distinct_at_a_small_prime(capsys):
-    """At p = 13, seed 0, this pipeline's member draws repeat a parameter
-    4 times; each repeat is skipped, since two equal members would span 2
-    Segre cubics, not 3."""
-    code, _, recs = _run(capsys, ["gale", "--prime", "13", "--seed", "0"])
+    """At p = 11, seed 6, this pipeline's member draws repeat a parameter
+    without a resample; the repeat is skipped, since two equal members
+    would span 2 Segre cubics, not 3."""
+    code, _, recs = _run(capsys, ["gale", "--prime", "11", "--seed", "6",
+                                  "--samples", "1"])
     assert code == 0
+    assert recs[0]["resamples"] == 0
     assert recs[0]["segre_span"] == 3 and recs[0]["ok"]
+
+
+def test_gale_raises_a_broken_segre_invariant(monkeypatch):
+    """Restricted member quadrics outside the perpendicular space are a
+    program fault: they raise, not exit 2 as a usage error would."""
+    k = PrimeField()
+    other = cons.lperp(QuadricPlane.from_polys(
+        [parse_poly(s, VARS_P3, k) for s in ("x0^2", "x1^2", "x2^2")]))
+    monkeypatch.setattr(cons, "lperp", lambda plane: other)
+    with pytest.raises(AssertionError, match="perpendicular space"):
+        main(["gale", "--samples", "1"])
 
 
 def test_readme_lists_the_flags_of_each_command():

@@ -330,7 +330,7 @@ def test_segre_cubic_rejects_foreign_plane():
             break
         except ValueError:
             continue
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="perpendicular space"):
         con.segre_cubic(res.members[0], other)
 
 
@@ -709,6 +709,17 @@ def test_cremona_pipeline_slow():
     assert res.cs8_inverse is not None
     assert res.cs8_inverse.degree == 4
     assert res.cs8_absent_deg3 is True
+
+
+def test_resampling_samples_draw_distinct_configurations():
+    """Samples of one command run at seeds SUBSEED_STRIDE apart; with
+    attempts at the same stride, sample i's attempt a would redraw
+    sample i + 1's attempt a - 1.  At p = 11 from seed 0, samples 0 and
+    1 resample."""
+    runs = [con.gale_pipeline(PrimeField(11), con.subseed(0, i))
+            for i in range(3)]
+    assert any(r.resamples for r in runs)
+    assert len({tuple(r.gamma2.points) for r in runs}) == 3
 
 
 def test_subseed_determinism():

@@ -173,6 +173,90 @@ def _pfaffian_matchings(m: Matrix):
     return rec(list(range(m.rows)))
 
 
+def _loop_pfaffian(m: Matrix):
+    """Pf by skew Gaussian elimination on one matrix, one field operation
+    per entry, with the pivot of column k moved to row k + 1: the oracle
+    for pfaffian_stack."""
+    field = m.field
+    n = m.rows
+    a = [[m.data[i, j] for j in range(n)] for i in range(n)]
+    acc = field.one
+    for k in range(0, n, 2):
+        pr = next((i for i in range(k + 1, n) if a[i][k] != field.zero),
+                  None)
+        if pr is None:
+            return field.zero
+        if pr != k + 1:
+            a[k + 1], a[pr] = a[pr], a[k + 1]
+            for row in a:
+                row[k + 1], row[pr] = row[pr], row[k + 1]
+            acc = field.neg(acc)
+        piv = a[k + 1][k]
+        acc = field.mul(acc, field.neg(piv))  # a[k][k+1] = -a[k+1][k]
+        inv = field.inv(piv)
+        for i in range(k + 2, n):
+            if a[i][k] != field.zero:
+                factor = field.mul(a[i][k], inv)
+                for j in range(n):
+                    a[i][j] = field.sub(a[i][j],
+                                        field.mul(factor, a[k + 1][j]))
+                for r in range(n):
+                    a[r][i] = field.sub(a[r][i],
+                                        field.mul(factor, a[r][k + 1]))
+    return acc
+
+
+def _skew_member(k, rng, n, kind):
+    """An n x n skew matrix over k: dense, sparse (half its entries
+    above the diagonal zero, so that pivots are swapped in), or singular
+    (a sum of n/2 - 1 dense rank-2 terms u v^T - v u^T)."""
+    def entries(shape):
+        if k.kind == "rationals":
+            return k.array(rng.integers(-50, 51, shape))
+        return rng.integers(0, k.p, shape)
+
+    if kind == "singular":
+        u, v = entries((2, n // 2 - 1, n))
+        a = k.reduce(dot(k, u.T, v) - dot(k, v.T, u))
+    else:
+        a = k.reduce(np.triu(entries((n, n)), 1))
+        if kind == "sparse":
+            a[rng.random((n, n)) < 0.5] = k.zero
+        a = k.reduce(a - a.T)
+    return Matrix(k, a)
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(11), PrimeField(32003),
+                        PrimeField(2147483647), RationalField()]),
+       st.sampled_from([2, 4, 6, 8, 10, 12]),
+       st.lists(st.sampled_from(["dense", "sparse", "singular"]),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_pfaffian_stack_matches_loop(seed, k, n, kinds):
+    rng = np.random.default_rng(seed)
+    members = [_skew_member(k, rng, n, kind) for kind in kinds]
+    got = linalg.pfaffian_stack(k, np.stack([m.data for m in members]))
+    assert got.shape == (len(kinds),)
+    want = [_loop_pfaffian(m) for m in members]
+    assert [k.of(x) for x in got] == want
+    assert [pfaffian(m) for m in members] == want
+    if n <= 8:
+        assert want == [_pfaffian_matchings(m) for m in members]
+    for m, kind in zip(members, kinds):
+        if kind == "singular":
+            assert pfaffian(m) == k.zero
+
+
+def test_pfaffian_stack_small_cases():
+    assert list(linalg.pfaffian_stack(K, np.zeros((3, 0, 0), dtype=np.int64))) \
+        == [1, 1, 1]
+    with pytest.raises(ValueError):
+        linalg.pfaffian_stack(K, np.zeros((2, 3, 3), dtype=np.int64))
+    with pytest.raises(ValueError):
+        linalg.pfaffian_stack(K, np.zeros((2, 4, 2), dtype=np.int64))
+
+
 def test_pfaffian_against_matching_expansion():
     rng = random.Random(1)
     for n in (4, 6, 8):

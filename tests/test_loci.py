@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
-from qplanes.linalg import Matrix
+from qplanes.linalg import Matrix, pfaffian
 from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
                           mult_table, parse_poly, power_products)
 
@@ -77,24 +77,48 @@ def test_symmetric_rank():
     assert loci.symmetric_rank(_p("x0^2 + x1^2 + x2^2 + x3^2")) == 4
 
 
+def _block_matrix_of(qs):
+    """The certificate matrix of three quadrics through quadric_to_matrix
+    of each, and its Pfaffian by pfaffian."""
+    k = qs[0].field
+    a1, a2, a3 = (loci.quadric_to_matrix(q) for q in qs)
+    z = k.zeros((4, 4))
+    m = Matrix(k, np.block([[z, a1, k.reduce(-a2)],
+                            [k.reduce(-a1), z, a3],
+                            [a2, k.reduce(-a3), z]]))
+    return m, pfaffian(m)
+
+
+def _rows(qs):
+    return np.stack([q.coeff_vector(2) for q in qs])
+
+
 def test_block_matrix_is_skew():
+    """Built from coefficient rows, alone or stacked, it is the block
+    matrix of the quadric_to_matrix of each quadric."""
     rng = random.Random(2)
-    qs = [_random_form(K, rng, 4, 2) for _ in range(3)]
-    m = loci.smoothable_block_matrix(qs)
-    assert m.is_skew()
-    assert m.rows == 12
+    for k in (K, PrimeField(2147483647), RationalField()):
+        triples = [[_random_form(k, rng, 4, 2) for _ in range(3)]
+                   for _ in range(2)]
+        stack = loci.smoothable_block_matrix(k, np.stack(
+            [_rows(qs) for qs in triples]))
+        assert stack.shape == (2, 12, 12)
+        for qs, got in zip(triples, stack):
+            m = Matrix(k, loci.smoothable_block_matrix(k, _rows(qs)))
+            assert m.is_skew()
+            assert m == Matrix(k, got) == _block_matrix_of(qs)[0]
 
 
 def test_pfaffian_scaling_in_each_slot():
     rng = random.Random(3)
     qs = [_random_form(K, rng, 4, 2) for _ in range(3)]
-    base = loci.smoothable_pfaffian_basis(qs)
+    base = _block_matrix_of(qs)[1]
     lam = K.of(7)
     for slot in range(3):
-        scaled = list(qs)
-        scaled[slot] = scaled[slot].scale(lam)
-        assert loci.smoothable_pfaffian_basis(scaled) == \
-            K.mul(K.mul(lam, lam), base)
+        scaled = _rows(qs)
+        scaled[slot] = K.reduce(lam * scaled[slot])
+        assert pfaffian(Matrix(K, loci.smoothable_block_matrix(K, scaled))) \
+            == K.mul(K.mul(lam, lam), base)
 
 
 def test_pfaffian_vanishes_on_partial_planes():
@@ -590,6 +614,20 @@ def test_pencil_determinism():
     a = loci.pencil_experiment(K, seed=5)
     b = loci.pencil_experiment(K, seed=5)
     assert a.det_poly == b.det_poly and a.pf_poly == b.pf_poly
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pencil_pfaffians_match_one_pfaffian_per_sample(seed):
+    """The stacked Pfaffians of the pencil are, at every sample t, the
+    Pfaffian of the certificate matrix of q1, q2 and u + t w as Polys."""
+    rng = random.Random(seed)
+    drawn = None
+    while drawn is None:
+        drawn = loci._pencil_frame(K, rng)
+    q1, q2, u, w = (Poly.from_coeff_vector(K, 4, 2, row) for row in drawn[0])
+    loop = [_block_matrix_of([q1, q2, u + w.scale(t)])[1]
+            for t in range(loci.PF_SAMPLES)]
+    assert loci._pencil_pfaffians(K, drawn[0]) == loop
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

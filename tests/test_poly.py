@@ -110,13 +110,6 @@ def test_coeff_vector_round_trip():
         parse_poly("x0 + x1^2", V3, K).coeff_vector(2)
 
 
-def test_set_var_zero():
-    f = parse_poly("x0^2 + x0*x2 + x1^2", V3, K)
-    g = f.set_var_zero(2)
-    assert g.nvars == 2
-    assert g == Poly(K, 2, {(2, 0): 1, (0, 2): 1})
-
-
 def test_rational_coefficients():
     q = RationalField()
     f = parse_poly("x0^2 - 2*x1^2", V3, q)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
 from qplanes.unipoly import (UniPoly, gcd, interpolate, resultant,
@@ -48,6 +50,46 @@ def test_interpolate_round_trip():
     assert interpolate(K, samples) == f
     with pytest.raises(ValueError):
         interpolate(K, [(0, 1), (0, 2)])
+
+
+def _newton_interpolate(field, samples):
+    """Newton's divided differences, expanded into the monomial basis:
+    the oracle for interpolate."""
+    ts = [field.of(t) for t, _ in samples]
+    coef = [field.of(v) for _, v in samples]
+    n = len(ts)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = field.div(field.sub(coef[i], coef[i - 1]),
+                                field.sub(ts[i], ts[i - j]))
+    result = UniPoly.zero(field)
+    basis = UniPoly(field, [field.one])
+    for i in range(n):
+        result = result + basis.scale(coef[i])
+        basis = basis * UniPoly(field, [field.neg(ts[i]), field.one])
+    return result
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(41), PrimeField(32003),
+                        PrimeField(2147483647), RationalField()]),
+       st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_interpolate_matches_newton(seed, k, n):
+    """Distinct abscissae in any order, negative ones over Q, and random
+    values; then one abscissa repeated."""
+    rng = random.Random(seed)
+    span = range(-60, 60) if k.kind == "rationals" else range(k.p)
+    ts = rng.sample(span, n)
+    samples = [(t, k.random_element(rng)) for t in ts]
+    got = interpolate(k, samples)
+    assert got == _newton_interpolate(k, samples)
+    assert got.degree() < n
+    assert all(got.evaluate(k.of(t)) == k.of(v) for t, v in samples)
+    if n:
+        t = rng.choice(ts)
+        with pytest.raises(ValueError, match="duplicate"):
+            interpolate(k, samples + [(t, k.random_element(rng))])
 
 
 def test_interpolate_rationals():
