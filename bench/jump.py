@@ -10,8 +10,9 @@ V J, V the invertible matrix of sextic monomial values there.  Timed:
 
 * the build for one random plane at p = 32003 and p = 2^31 - 1, and over
   Q from the integer-scaled rows, where both builds give Python ints;
-* a pencil's 40 builds at p = 32003, in stacks of ``loci.DET_BATCH`` as
-  ``loci._pencil_dets`` takes them;
+* a pencil's 40 builds at p = 32003, in stacks of 8 as
+  ``loci._pencil_dets`` took them before it shared one elimination
+  (``bench/pencil.py``);
 * the 84x84 ``right_kernel`` over Q of either matrix: V c^3 J has larger
   entries than c^3 J.
 
@@ -41,7 +42,7 @@ from qplanes.linalg import Matrix, det_stack
 from qplanes.poly import dense_mul, dot, monomial_basis, monomial_values
 
 from elimination import cpu_model
-from pencil import _frame
+from pencil import BATCH, _frame
 from rationals import planes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,17 +118,17 @@ def plane_rows(seed: int, repeat: int) -> list[dict]:
 
 
 def pencil_row(seed: int, repeat: int) -> dict:
-    """A pencil's 40 builds at p = 32003, DET_BATCH at a time."""
+    """A pencil's 40 builds at p = 32003, BATCH at a time."""
     k = PrimeField(DEFAULT_PRIME)
     base, dirv = _frame(k, seed)
-    ts, step = np.arange(loci.DET_SAMPLES), loci.DET_BATCH
+    ts, step = np.arange(loci.DET_SAMPLES), BATCH
 
     def before():
         frames = k.reduce(base[:, None] + ts[:, None] * dirv[:, None])
         return [_product_build(k, frames[:, t0:t0 + step])
                 for t0 in range(0, len(ts), step)]
 
-    def after():  # the builds of loci._pencil_dets
+    def after():  # the builds of the batched path of bench/pencil.py
         quad = loci.sextic_points(k)
         vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
         return [monomial_values(k, 7, 3,
@@ -142,7 +143,7 @@ def pencil_row(seed: int, repeat: int) -> dict:
         raise SystemExit("pencil: the dets are not det V times the "
                          "product build's")
     row = {"what": f"pencil builds, {loci.DET_SAMPLES} in stacks of "
-                   f"{loci.DET_BATCH}", "field": k.p,
+                   f"{BATCH}", "field": k.p,
            **timed({"before": before, "after": after}, repeat)}
     print(json.dumps(row), flush=True)
     return row

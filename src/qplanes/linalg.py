@@ -32,10 +32,14 @@ paths:
   most the rank of A, so R is the RREF of A.  An image of full column
   rank proves the RREF is the identity at once.
 
-Determinants over F_p come from det_stack: one Gaussian elimination over
-a (B, n, n) stack, with a pivot search and row swap per matrix, that
-updates only the trailing block; Matrix.det passes a stack of one.  Its
-reduction is delayed.  Entries start in [0, p) and each update subtracts
+Determinants over F_p come from eliminate_stack: one Gaussian
+elimination over the first m columns of a (B, n, w) stack, with a pivot
+search and row swap per matrix, that updates only the trailing block and
+returns the pivot products and that block.  det_stack is its square
+m = n case, and Matrix.det passes a stack of one; the pencil eliminates
+the columns of its jump matrices that do not move with t once and takes
+the dets of the small blocks left (loci._pencil_dets).  The reduction
+is delayed.  Entries start in [0, p) and each update subtracts
 a product of residues, at most (p-1)^2, so s updates stay within int64
 while s (p-1)^2 + p < 2^63.  The pivot column and row are reduced at
 every step, the trailing block only when one more update would break
@@ -171,29 +175,37 @@ def _echelon(a: np.ndarray, p: int, width: int):
     return out, pivots, order[:r]
 
 
-def det_stack(k: PrimeField, a) -> np.ndarray:
-    """Determinants over F_p of a (B, n, n) stack of int64 matrices, as
-    an int64 array of B residues.
+def eliminate_stack(k: PrimeField, a, m: int):
+    """Gaussian elimination over F_p of the first m columns of a
+    (B, n, w) stack of int64 matrices, m <= min(n, w).
 
-    One Gaussian elimination runs over the whole stack: at step c each
-    matrix takes the first row at or below c with a nonzero entry in
-    column c as its pivot row, and only the trailing block of rows and
-    columns after c is updated.  A matrix without a pivot has det 0 and
-    its updates are all zero.  The pivot column and row are reduced at
-    every step, the trailing block only when one more update could
-    leave int64 (see the module docstring)."""
+    One elimination runs over the whole stack: at step c < m each matrix
+    takes the first row at or below c with a nonzero entry in column c
+    as its pivot row, and only the trailing block of rows and columns
+    after c is updated.  A column without a pivot is skipped: its
+    updates are all zero.  The pivot column and row are reduced at every
+    step, the trailing block only when one more update could leave int64
+    (see the module docstring).
+
+    Returns (pivots, rest): the B products of the m pivots, negated once
+    per row swap and 0 for a matrix with a column without a pivot, as
+    int64 residues; and the reduced trailing (B, n - m, w - m) block.
+    For a nonzero product, rest is the Schur complement of the leading
+    m x m block after the row swaps, so a square [[A, X], [Y, D]] has
+    det pivots * det(rest)."""
     p = k.p
     a = np.asarray(a, dtype=np.int64) % p
+    if a.ndim != 3 or not 0 <= m <= min(a.shape[1:]):
+        raise ValueError("eliminate_stack needs a stack of matrices with at "
+                         "least m rows and columns")
     count, n = a.shape[:2]
-    if a.shape != (count, n, n):
-        raise ValueError("det_stack needs a stack of square matrices")
     # the largest s with s (p-1)^2 + p < 2^63: from entries in [0, p),
     # s updates by products in [0, (p-1)^2] stay within int64
     lazy = (2 ** 63 - 1 - p) // (p - 1) ** 2
     pending = 0  # updates since the trailing block was last reduced
     at = np.arange(count)
     det = np.ones(count, dtype=np.int64)
-    for c in range(n):
+    for c in range(m):
         col = a[:, c:, c] % p
         r = np.argmax(col != 0, axis=1)  # 0 also when the column is zero
         piv = col[at, r]
@@ -212,7 +224,17 @@ def det_stack(k: PrimeField, a) -> np.ndarray:
         a[:, c + 1:, c + 1:] -= (col[:, 1:] * inv[:, None] % p)[:, :, None] \
             * row[:, None, :]
         pending += 1
-    return det
+    return det, a[:, m:, m:] % p
+
+
+def det_stack(k: PrimeField, a) -> np.ndarray:
+    """Determinants over F_p of a (B, n, n) stack of int64 matrices, as
+    an int64 array of B residues: eliminate_stack over all n columns."""
+    a = np.asarray(a, dtype=np.int64)
+    count, n = a.shape[:2]
+    if a.shape != (count, n, n):
+        raise ValueError("det_stack needs a stack of square matrices")
+    return eliminate_stack(k, a, n)[0]
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,8 @@ import numpy as np
 from .apolarity import QuadricPlane, annihilator_piece
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, det_stack, pfaffian, pfaffian_stack
+from .linalg import (FormSpace, Matrix, det_stack, eliminate_stack,
+                     pfaffian, pfaffian_stack)
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
                    monomial_index, monomial_values, mult_table, power_products,
                    random_form)
@@ -539,9 +540,6 @@ class PencilReport:
 DET_SAMPLES = 40
 # Pf along the pencil has degree 2: 3 samples fix it, 7 leave a check
 PF_SAMPLES = 7
-# jump matrices per det_stack call: with 8 stacked 84x84 matrices a
-# pencil's peak traced allocation is 1.8 MiB, with all 40 it is 6.7 MiB
-DET_BATCH = 8
 PENCIL_RETRIES = 10
 
 
@@ -556,9 +554,15 @@ def pencil_experiment(k: Field, seed: int) -> PencilReport:
 
     The pencil is L(t) = <q1, q2, u + t w>.  The frame of the
     perpendicular space is built from a fixed 3-column pivot set J on
-    which the pairing row of w vanishes, so the frame varies
-    polynomially in t with a constant transition determinant and
-    det(jump matrix) is an honest polynomial of degree 36.
+    which the pairing row of w vanishes, so the frame varies linearly
+    in t with a constant transition determinant, and only in one
+    direction: after a change of frame of det +-1 (_pencil_dets) one
+    frame quadric y0 moves with t and six are constant.  Of the 84 cubic
+    monomials, those with y0 to the power 1, 2 and 3 (21, 6 and 1 of
+    them) have degree 1, 2 and 3 in t and the other 56 are constant, so
+    det(jump matrix) is a polynomial of degree at most 21 + 2*6 + 3 = 36,
+    and of degree 36 for a general pencil (a draw of lower degree
+    resamples).
     """
     check_pencil_field(k)
     rng = random.Random(seed)
@@ -611,18 +615,47 @@ def _pencil_frame(k: PrimeField, rng):
 def _pencil_dets(k: PrimeField, base, dirv) -> list:
     """det of the jump matrix V J(t) of the frame base + t * dirv at
     t = 0, 1, ..., DET_SAMPLES - 1: det V times det J(t), a nonzero
-    constant times the det polynomial.  The frame's values at the sextic
-    points are linear in t; DET_BATCH samples at a time, monomial_values
-    takes the cubic monomials in them as one stack for det_stack, as
-    jump_matrix_from_quadrics takes them for one sample."""
+    constant times the det polynomial.
+
+    dirv has rank 1 (_pencil_frame): its rows are a_j b, with a != 0
+    since w != 0.  With i the first row where a_i != 0, the frame change
+    G subtracts a_j / a_i times row i from every other row j and swaps
+    row i into row 0, so that only row 0 moves with t; det G = +-1, and
+    det Sym^3 G = (det G)^36 = 1 keeps every det.  monomial_basis lists
+    the 28 cubic monomials with y0 first, so J(t) = [R(t) | C]: the 56
+    columns of C are constant and R(t) has degree at most 3 in t.
+    Moving C to the front takes 28 * 56 column swaps, an even number.
+    One eliminate_stack of
+    [C | R(0) | R(1) | R(2) | R(3)] over the columns of C gives the
+    product delta of its pivots and the Schur complements S(0..3), which
+    take the same row operations.  S(t) is cubic in t, so the Lagrange
+    weights on 0..3 (Vandermonde rows at t times the inverse at 0..3)
+    give every S(t) from those four, and det J(t) = delta det S(t): one
+    det_stack of (DET_SAMPLES, 28, 28).  A C of rank below 56 gives
+    delta = 0, and every det is 0, as it must be."""
+    i, c = np.argwhere(dirv)[0]  # a_i != 0 and b_c != 0
+    ratios = k.reduce(dirv[:, c] * k.inv(dirv[i, c]))
+    frame = k.reduce(base - k.reduce(ratios[:, None] * base[i]))
+    frame[i] = base[i]
+    frame[[0, i]] = frame[[i, 0]]
     quad = sextic_points(k)
-    vb, vd = dot(k, quad, base.T), dot(k, quad, dirv.T)
-    ts = np.arange(DET_SAMPLES)[:, None, None]
-    dets = []
-    for t0 in range(0, DET_SAMPLES, DET_BATCH):
-        jumps = monomial_values(k, 7, 3, vb + ts[t0:t0 + DET_BATCH] * vd)
-        dets.extend(det_stack(k, jumps).tolist())
-    return dets
+    nodes = np.arange(4)
+    vals = np.repeat(dot(k, quad, frame.T)[None], len(nodes), axis=0)
+    vals[:, :, 0] = k.reduce(vals[:, :, 0]
+                             + nodes[:, None] * dot(k, quad, dirv[i]))
+    jumps = monomial_values(k, 7, 3, vals)
+    still = len(monomial_basis(6, 3))
+    moving = jumps.shape[-1] - still
+    delta, rest = eliminate_stack(
+        k, np.concatenate([jumps[0, :, moving:], *jumps[:, :, :moving]],
+                          axis=1)[None], still)
+    schur = rest[0].reshape(moving, len(nodes), moving).swapaxes(0, 1)
+    weights = dot(k, np.vander(np.arange(DET_SAMPLES), len(nodes),
+                               increasing=True),
+                  Matrix(k, np.vander(nodes, increasing=True)).inverse().data)
+    stack = dot(k, weights, schur.reshape(len(nodes), -1))
+    return (det_stack(k, stack.reshape(-1, moving, moving)) * int(delta[0])
+            % k.p).tolist()
 
 
 def _pencil_pfaffians(k: PrimeField, quads) -> list:

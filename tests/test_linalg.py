@@ -77,16 +77,19 @@ def test_det_multiplicative():
 # -- stacked determinants against the pivot loop ---------------------------
 
 
-def _loop_det(a, field):
-    """det over F_p by Gaussian elimination on one matrix, reducing the
-    whole matrix after every pivot: the oracle for det_stack."""
+def _loop_eliminate(a, field, m):
+    """Gaussian elimination over F_p of the first m columns of one
+    matrix, reducing the whole matrix after every pivot and skipping a
+    column without a pivot: the oracle for eliminate_stack.  Returns the
+    product of the pivots, negated once per row swap and 0 when a column
+    has no pivot, and the trailing block past m rows and columns."""
     a = a.copy()
-    n = a.shape[0]
     acc = field.one
-    for c in range(n):
+    for c in range(m):
         nz = np.nonzero(a[c:, c])[0]
         if len(nz) == 0:
-            return field.zero
+            acc = field.zero
+            continue
         pr = c + int(nz[0])
         if pr != c:
             a[[c, pr]] = a[[pr, c]]
@@ -96,7 +99,12 @@ def _loop_det(a, field):
         col = field.reduce(a[c + 1:, c] * inv)
         a[c + 1:] -= np.outer(col, a[c])
         a = field.reduce(a)
-    return acc
+    return acc, a[m:, m:]
+
+
+def _loop_det(a, field):
+    """det over F_p by the one-matrix loop: the oracle for det_stack."""
+    return _loop_eliminate(a, field, a.shape[0])[0]
 
 
 def _det_member(k, rng, n, kind):
@@ -145,6 +153,59 @@ def test_det_stack_small_cases():
         [_loop_det(a, K) for a in stack]
     with pytest.raises(ValueError):
         linalg.det_stack(K, np.zeros((2, 3, 4), dtype=np.int64))
+
+
+def _eliminate_member(k, rng, n, w, m, kind):
+    """An n x w matrix over F_p whose first m columns are uniform, of
+    rank < m, with a zero column, or with zeros on the diagonal."""
+    a = rng.integers(0, k.p, (n, w))
+    if kind == "low rank" and m > 0:
+        coeffs = rng.integers(0, 3, (n, m - 1))
+        a[:, :m] = coeffs @ rng.integers(0, k.p, (m - 1, m)) % k.p
+    elif kind == "zero column" and m > 0:
+        a[:, rng.integers(m)] = 0
+    elif kind == "swaps":
+        a[np.arange(min(n, w)), np.arange(min(n, w))] = 0
+    return a
+
+
+@given(st.integers(0, 10**6), st.sampled_from([11, 32003, 2147483647]),
+       st.integers(0, 10), st.integers(0, 6), st.integers(0, 6),
+       st.lists(st.sampled_from(
+           ["uniform", "low rank", "zero column", "swaps"]),
+           min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_eliminate_stack_matches_loop(seed, p, m, more_rows, more_cols,
+                                      kinds):
+    """m < n and m < w, and m = n and m = w; a low-rank or zero column
+    leaves a column without a pivot.  The square leading block of every
+    member, eliminated to its end, gives det_stack's products."""
+    k = PrimeField(p)
+    n, w = m + more_rows, m + more_cols
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_eliminate_member(k, rng, n, w, m, kind)
+                      for kind in kinds])
+    pivots, rest = linalg.eliminate_stack(k, stack, m)
+    assert rest.shape == (len(kinds), n - m, w - m)
+    for a, got, block in zip(stack, pivots, rest):
+        want, want_block = _loop_eliminate(a, k, m)
+        assert int(got) == want
+        assert np.array_equal(block, want_block)
+    s = min(n, w)
+    square = stack[:, :s, :s]
+    assert np.array_equal(linalg.eliminate_stack(k, square, s)[0],
+                          linalg.det_stack(k, square))
+
+
+def test_eliminate_stack_small_cases():
+    # det [[2, 1], [4, 3]] = 2 * (3 - 2 * 1), and a zero first column
+    pivots, rest = linalg.eliminate_stack(K, [[[2, 1], [4, 3]],
+                                              [[0, 1], [0, 3]]], 1)
+    assert list(pivots) == [2, 0] and rest.tolist() == [[[1]], [[3]]]
+    for shape, m in (((2, 3, 4), 4), ((2, 4, 3), 4), ((2, 3), 1),
+                     ((2, 3, 3), -1)):
+        with pytest.raises(ValueError):
+            linalg.eliminate_stack(K, np.zeros(shape, dtype=np.int64), m)
 
 
 def test_pfaffian_convention():
