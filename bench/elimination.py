@@ -7,8 +7,11 @@ up to degree 7) and builds three more (the dense 332x175, 828x588 and 1710x1470
 proportionality systems of the slow Cremona pipeline, from the points it
 samples; the pipeline itself now solves them block by block), then times
 on each the unblocked Gauss-Jordan loop, the only path before blocked
-elimination, against ``linalg._rref`` as it now chooses its path.  Writes
-BENCH_elimination.json at the repository root.
+elimination, against ``linalg._rref`` as it now chooses its path.  The
+"before" column is that loop as it is now, with delayed reduction
+(bench/gauss_jordan.py times it against the loop that reduced after
+every pivot), so it is faster than the loop blocked elimination first
+replaced.  Writes BENCH_elimination.json at the repository root.
 
     PYTHONPATH=src python3 bench/elimination.py [--seed 1] [--repeat 3]
 """

@@ -95,8 +95,8 @@ def _member(item):
 
 
 def _segre(item):
-    member, plane = item
-    return cons.segre_cubic(member, plane).basis.data.tolist()
+    members, plane = item
+    return [s.basis.data.tolist() for s in cons.segre_cubics(members, plane)]
 
 
 def _gale(k, seed):
@@ -140,8 +140,8 @@ def main():
         for name, fn, items in (
                 ("ninth_base_point", _ninth, pencils),
                 ("elliptic_member", _member, _members(k, pencils)),
-                ("segre_cubic", _segre,
-                 [(m, res.plane) for res in gales for m in res.members]),
+                ("segre_cubics", _segre,
+                 [(res.members, res.plane) for res in gales]),
                 ("gale_pipeline", lambda s: _gale(k, s), PIPELINE_SEEDS),
                 ("cremona_pipeline", lambda s: _cremona(k, s),
                  PIPELINE_SEEDS)):

@@ -24,7 +24,7 @@ from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
                         annihilator_piece, contract)
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, null_basis
-from .loci import (GenericityError, ideal_piece_values, jump_matrix,
+from .loci import (GenericityError, ideal_piece_values, integral_rows,
                    jump_matrix_from_quadrics, lattice_points, lperp)
 from .poly import (Poly, dot, monomial_basis, monomial_values, mult_table,
                    power_products, var_shift)
@@ -394,38 +394,44 @@ def elliptic_member(c1: Poly, c2: Poly, q, s,
 # ---------------------------------------------------------------------------
 
 
-def segre_cubic(member: EllipticMember, plane: QuadricPlane) -> FormSpace:
-    """Cubic relations among the member's quadrics restricted to the
-    hyperplane at infinity of the limit chart, expressed in the 7
+def segre_cubics(members: list[EllipticMember],
+                 plane: QuadricPlane) -> list[FormSpace]:
+    """For each member, the cubic relations among its quadrics restricted
+    to the hyperplane at infinity of the limit chart, expressed in the 7
     coordinates dual to the canonical basis of the perpendicular space.
 
     The restrictions are the coefficients free of x4.  In the RREF basis
     of the perpendicular space a form's coordinates are its coefficients
     at the pivots, so one product checks that the restrictions lie in
     it.  Every output cubic is checked to lie in the kernel of the jump
-    matrix of the plane.
+    matrix of the plane.  The perpendicular space and the jump matrix
+    are built once for all members.
     """
     k = plane.field
     free = [i for i, e in enumerate(monomial_basis(5, 2)) if e[4] == 0]
-    restricted = member.quadrics.basis.data[:, free]
     perp = lperp(plane).basis.data
     pivots = [int(np.flatnonzero(row)[0]) for row in perp]
-    incl = restricted[:, pivots]
-    if np.any(dot(k, incl, perp) != restricted):
-        raise AssertionError(
-            "restricted quadrics do not land in the perpendicular space; "
-            "the chart identifications are inconsistent")
-    # relations among the 5 restricted quadrics: kernel of the 84x35
-    # multiplication matrix
-    ker = jump_matrix_from_quadrics(k, restricted).right_kernel()
-    if ker.rows < 1:
-        raise NonGenericConfiguration("no cubic relation for this member")
-    # substitute the coordinates z_i = incl[i] . y into each relation
-    lifts = dot(k, ker.data, power_products(
-        [Poly.from_coeff_vector(k, 7, 1, row) for row in incl], 3))
-    if np.any(dot(k, lifts, jump_matrix(plane).data.T) != k.zero):
-        raise AssertionError("Segre cubic not in the jump kernel")
-    return FormSpace.from_matrix(k, 7, 3, Matrix(k, lifts))
+    jump = jump_matrix_from_quadrics(k, integral_rows(k, perp)).data
+    out = []
+    for member in members:
+        restricted = member.quadrics.basis.data[:, free]
+        incl = restricted[:, pivots]
+        if np.any(dot(k, incl, perp) != restricted):
+            raise AssertionError(
+                "restricted quadrics do not land in the perpendicular "
+                "space; the chart identifications are inconsistent")
+        # relations among the 5 restricted quadrics: kernel of the 84x35
+        # multiplication matrix
+        ker = jump_matrix_from_quadrics(k, restricted).right_kernel()
+        if ker.rows < 1:
+            raise NonGenericConfiguration("no cubic relation for this member")
+        # substitute the coordinates z_i = incl[i] . y into each relation
+        lifts = dot(k, ker.data, power_products(
+            [Poly.from_coeff_vector(k, 7, 1, row) for row in incl], 3))
+        if np.any(dot(k, lifts, jump.T) != k.zero):
+            raise AssertionError("Segre cubic not in the jump kernel")
+        out.append(FormSpace.from_matrix(k, 7, 3, Matrix(k, lifts)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +700,7 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     for sp in spaces:
         if not quads.contains_space(sp):
             raise NonGenericConfiguration("member quadrics not inside the 7")
-    segres = [segre_cubic(m, plane) for m in mems]
+    segres = segre_cubics(mems, plane)
     all_cubics = [c for s_sp in segres for c in s_sp.polys()]
     span_space = FormSpace.from_polys(all_cubics, degree=3)
     span = span_space.dim

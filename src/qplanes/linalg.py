@@ -5,9 +5,10 @@ matrices are object arrays of Fractions or Python ints.  Row reduction
 (behind rank, rref, right_kernel, inverse and solve) takes one of three
 paths:
 
-* the unblocked Gauss–Jordan loop over F_p, one vectorized rank-1 update
-  per pivot, for every prime-field matrix of at most PANEL columns and
-  for primes too large for the blocked path;
+* the unblocked Gauss–Jordan loop over F_p (_gauss_jordan), one
+  vectorized rank-1 update per pivot with delayed reduction (below), for
+  every prime-field matrix of at most PANEL columns and for primes too
+  large for the blocked path;
 * blocked Gauss–Jordan over column panels of PANEL columns (in the style
   of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008) for
   wider matrices over F_p with (p-1) + min(rows, cols) p (p-1) < 2^53.
@@ -38,14 +39,17 @@ search and row swap per matrix, that updates only the trailing block and
 returns the pivot products and that block.  det_stack is its square
 m = n case, and Matrix.det passes a stack of one; the pencil eliminates
 the columns of its jump matrices that do not move with t once and takes
-the dets of the small blocks left (loci._pencil_dets).  The reduction
-is delayed.  Entries start in [0, p) and each update subtracts
-a product of residues, at most (p-1)^2, so s updates stay within int64
-while s (p-1)^2 + p < 2^63.  The pivot column and row are reduced at
-every step, the trailing block only when one more update would break
-that bound: never within 84 steps at p = 32003 (s is about 9 * 10^9),
-every 2 steps at p = 2^31 - 1.  No determinant is taken over the
-rationals: Matrix.det refuses them.
+the dets of the small blocks left (loci._pencil_dets).  No determinant
+is taken over the rationals: Matrix.det refuses them.
+
+Delayed reduction, in both int64 eliminations (_gauss_jordan and
+eliminate_stack).  Entries start in [0, p) and each update subtracts a
+product of residues, at most (p-1)^2, so s updates stay within int64
+while s (p-1)^2 + p < 2^63 (_lazy_bound).  The pivot column and row are
+reduced at every step, the trailing block only when one more update
+would break that bound, and the result once at the end: never within
+84 steps at p = 32003 (s is about 9 * 10^9), every 8 steps at
+p = 1073741789 and every 2 steps at p = 2^31 - 1.
 
 Pfaffians come from pfaffian_stack, an elimination over a (B, n, n)
 stack of skew matrices that keeps the skew Schur complement of the
@@ -88,35 +92,80 @@ _PRIMES = (
 )
 
 
+def _lazy_bound(p: int) -> int:
+    """The largest s with s (p-1)^2 + p < 2^63: from entries in [0, p),
+    s updates by products of residues, each in [0, (p-1)^2], stay within
+    int64 (see the module docstring)."""
+    return (2 ** 63 - 1 - p) // (p - 1) ** 2
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverses over F_p of the residues x, with 0 for 0, by one
+    modular inversion (Montgomery's trick): with P_i the product of the
+    nonzero x_j for j <= i, x_i^-1 = P_i^-1 P_(i-1), and P_(i-1)^-1 =
+    P_i^-1 x_i, walking down from the one inverse of the full product."""
+    xs = x.tolist()
+    prefix = []  # the product of the nonzero x before each one
+    acc = 1
+    for v in xs:
+        prefix.append(acc)
+        if v:
+            acc = acc * v % p
+    inv = pow(acc, -1, p)  # of the product of the nonzero x up to i
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        if xs[i]:
+            out[i] = inv * prefix[i] % p
+            inv = inv * xs[i] % p
+    return np.array(out, dtype=np.int64)
+
+
 def _gauss_jordan(a: np.ndarray, p: int):
     """Unblocked Gauss–Jordan of a reduced int64 matrix over F_p, one
-    rank-1 update per pivot.
+    rank-1 update per pivot, with delayed reduction.
+
+    An update changes only the columns after the pivot: before them the
+    pivot row is zero mod p, and the pivot column is set to the unit
+    vector.  The loop works on the transpose, so that those columns are
+    one contiguous block.  Each step reduces the pivot column (to find
+    the pivot and as the multipliers) and the pivot row (before scaling
+    it); the trailing block is reduced only when one more update could
+    leave int64, and the whole matrix once at the end.
 
     Returns (rref, pivot_columns, pivot_rows), where pivot_rows[t] is the
     input row that became row t of the result."""
-    a = a.copy()
-    rows, cols = a.shape
+    t = np.array(a.T, dtype=np.int64, order="C")  # t[c] is column c of a
+    cols, rows = t.shape
     order = np.arange(rows)
+    lazy = _lazy_bound(p)
+    pending = 0  # updates since the trailing block was last reduced
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = t[c] % p
+        nz = col[r:].nonzero()[0]
         if len(nz) == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            t[:, [r, pr]] = t[:, [pr, r]]
             order[[r, pr]] = order[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
+            col[[r, pr]] = col[[pr, r]]
+        row = t[c + 1:, r] % p * pow(int(col[r]), -1, p) % p
+        t[c + 1:, r] = row
         col[r] = 0
-        a -= np.outer(col, a[r])
-        a %= p
+        if pending == lazy:
+            t[c + 1:] %= p
+            pending = 0
+        t[c + 1:] -= np.multiply.outer(row, col)
+        pending += 1
+        t[c] = 0
+        t[c, r] = 1
         pivots.append(c)
         r += 1
-    return a, pivots, order[:r]
+    return np.ascontiguousarray(t.T) % p, pivots, order[:r]
 
 
 def _echelon(a: np.ndarray, p: int, width: int):
@@ -199,9 +248,7 @@ def eliminate_stack(k: PrimeField, a, m: int):
         raise ValueError("eliminate_stack needs a stack of matrices with at "
                          "least m rows and columns")
     count, n = a.shape[:2]
-    # the largest s with s (p-1)^2 + p < 2^63: from entries in [0, p),
-    # s updates by products in [0, (p-1)^2] stay within int64
-    lazy = (2 ** 63 - 1 - p) // (p - 1) ** 2
+    lazy = _lazy_bound(p)
     pending = 0  # updates since the trailing block was last reduced
     at = np.arange(count)
     det = np.ones(count, dtype=np.int64)
@@ -216,8 +263,7 @@ def eliminate_stack(k: PrimeField, a, m: int):
         row = a[at, c + r, c + 1:] % p
         a[at, c + r, c + 1:] = a[:, c, c + 1:]
         col[at, r] = col[:, 0]
-        inv = np.array([pow(int(x), -1, p) if x else 0 for x in piv],
-                       dtype=np.int64)
+        inv = _inverses(piv, p)
         if pending == lazy:
             a[:, c + 1:, c + 1:] %= p
             pending = 0

@@ -310,7 +310,7 @@ def test_segre_cubic_span():
     dim, cubics = jump_dimension(res.plane)
     assert dim == 3
     kernel_space = FormSpace.from_polys(cubics, degree=3)
-    segres = [con.segre_cubic(m, res.plane) for m in res.members]
+    segres = con.segre_cubics(res.members, res.plane)
     union = FormSpace.from_polys(
         [c for s in segres for c in s.polys()], degree=3)
     assert union == kernel_space
@@ -331,7 +331,7 @@ def test_segre_cubic_rejects_foreign_plane():
         except ValueError:
             continue
     with pytest.raises(AssertionError, match="perpendicular space"):
-        con.segre_cubic(res.members[0], other)
+        con.segre_cubics(res.members, other)
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,113 @@ def test_blocked_path_choice():
         assert not _blocked_runs(Matrix(_field_for("above", n), ones))
 
 
+# -- the delayed-reduction loop against the loop that reduces every step ---
+
+
+def _eager_gauss_jordan(a, p):
+    """Gauss–Jordan over F_p that reduces the whole matrix after every
+    pivot, and returns what _gauss_jordan does: the oracle for its
+    delayed reduction."""
+    a = a.copy()
+    rows, cols = a.shape
+    order = np.arange(rows)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+            order[[r, pr]] = order[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a -= np.outer(col, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots, order[:r]
+
+
+def _extreme_matrix(p, rows, cols):
+    """[[I_k, -1], [-1, k + u v^T]] with k = min(rows, cols - 1) - 1 and
+    u, v = (1, 2, ...).  Each of the first k pivots is 1 and subtracts
+    (p-1)^2, the most an update can take, from every entry of the
+    trailing block, which ends as the rank-1 block u v^T.  So the pivots
+    are 0..k, and one update past the lazy bound leaves int64 and, at
+    p = 1073741789 and 2^31 - 1, makes the trailing block rank 2."""
+    k = max(min(rows, cols - 1) - 1, 0)
+    a = np.full((rows, cols), p - 1, dtype=np.int64)
+    a[:k, :k] = np.eye(k, dtype=np.int64)
+    a[k:, k:] = (k + np.outer(np.arange(1, rows - k + 1),
+                              np.arange(1, cols - k + 1))) % p
+    return a, k
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([11, 32003, 1073741789, 2147483647]),
+       st.sampled_from(["84x84", "84x35", "1xn", "nx1", "nxn"]),
+       st.integers(1, 128), st.floats(0, 1), st.integers(0, 4),
+       st.integers(0, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_gauss_jordan_matches_eager_loop(seed, p, shape, n, fill, zero_cols,
+                                         dup_cols, extreme):
+    """At p = 1073741789 the lazy bound is 8 and at 2^31 - 1 it is 2, so
+    the trailing block is reduced in mid-loop; at 11 and 32003 only the
+    result is reduced.  Extreme matrices take the largest updates."""
+    rows, cols = {"84x84": (84, 84), "84x35": (84, 35), "1xn": (1, n),
+                  "nx1": (n, 1), "nxn": (n, n)}[shape]
+    k = PrimeField(p)
+    rng = np.random.default_rng(seed)
+    if extreme:
+        a, _ = _extreme_matrix(p, rows, cols)
+    else:
+        rank = int(fill * min(rows, cols))
+        a = _test_matrix(k, rng, rows, cols, rank, min(zero_cols, cols),
+                         dup_cols if cols > 1 else 0).data
+    red, pivots, pivot_rows = linalg._gauss_jordan(a, p)
+    red0, pivots0, pivot_rows0 = _eager_gauss_jordan(a, p)
+    assert pivots == pivots0
+    assert np.array_equal(red, red0) and np.array_equal(pivot_rows,
+                                                        pivot_rows0)
+    loop, loop_pivots = _loop_rref(a, k)
+    assert pivots == loop_pivots and np.array_equal(red, loop)
+    assert red.dtype == np.int64 and red.flags.c_contiguous
+
+
+def test_gauss_jordan_at_the_lazy_bound():
+    for p in (11, 32003, 1073741789, 2147483647):
+        for rows, cols in ((84, 84), (84, 35), (3, 128), (128, 12), (1, 5),
+                           (5, 1)):
+            a, k = _extreme_matrix(p, rows, cols)
+            got = linalg._gauss_jordan(a, p)
+            want = _eager_gauss_jordan(a, p)
+            assert got[1] == want[1] == list(range(k + 1))
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[2], want[2])
+
+
+def test_lazy_bound():
+    assert [linalg._lazy_bound(p) for p in (1073741789, 2147483647)] == [8, 2]
+    for p in (11, 32003, 1073741789, 2147483647):
+        s = linalg._lazy_bound(p)
+        assert s * (p - 1) ** 2 + p < 2 ** 63 <= (s + 1) * (p - 1) ** 2 + p
+
+
+def test_inverses():
+    for p in (11, 32003, 2147483647):
+        x = np.array([0, 1, 2, p - 1, 0, 7, 3], dtype=np.int64)
+        assert linalg._inverses(x, p).tolist() == [
+            pow(int(v), -1, p) if v else 0 for v in x]
+    assert linalg._inverses(np.zeros(0, dtype=np.int64), 11).tolist() == []
+    assert linalg._inverses(np.zeros(3, dtype=np.int64), 11).tolist() == \
+        [0, 0, 0]
+
+
 # -- the multi-modular RREF over Q against the Fraction loop --------------
 
 Q = RationalField()
