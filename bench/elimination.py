@@ -1,40 +1,45 @@
-"""Time row reduction before and after blocked elimination.
+"""Time the row reductions of the slow Cremona pipeline.
 
-Captures the matrices the library row-reduces at two real shapes (the
-84x84 jump matrix and the 448x55 degree-9 minor ideal piece of a random
-plane, generators x lattice points, as the secant stage builds its pieces
-up to degree 7) and builds three more (the dense 332x175, 828x588 and 1710x1470
-proportionality systems of the slow Cremona pipeline, from the points it
-samples; the pipeline itself now solves them block by block), then times
-on each the unblocked Gauss-Jordan loop, the only path before blocked
-elimination, against ``linalg._rref`` as it now chooses its path.  The
-"before" column is that loop as it is now, with delayed reduction
-(bench/gauss_jordan.py times it against the loop that reduced after
-every pivot), so it is faster than the loop blocked elimination first
-replaced.  Writes BENCH_elimination.json at the repository root.
+Captures every matrix of more than 128 columns that
+``constructions.cremona_pipeline(slow=True)`` sends to ``linalg._rref``
+at each seed of ``--seeds`` (per seed: the 285x495 [M | I_S], the
+450x210 and 138x222 systems, and a few matrices of at most one row), then
+times ``linalg._rref`` on each, checks that its RREF and pivots equal
+those of ``_loop_rref``, the one-pivot-at-a-time oracle of
+tests/test_linalg.py, and records the rank and a sha256 digest of the
+RREF, so that two runs can be checked to agree.  The results go into
+BENCH_elimination.json at the repository root under ``--label``; other
+labels already in the file are kept, so running the script once against
+each of two source trees puts both side by side:
 
-    PYTHONPATH=src python3 bench/elimination.py [--seed 1] [--repeat 3]
+    PYTHONPATH=<other tree>/src python3 bench/elimination.py --label before
+    PYTHONPATH=src python3 bench/elimination.py --label after [--repeat 5]
+
+The other bench scripts import ``cpu_model`` and ``dense_inverse_system``
+from here.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
-import random
 import statistics
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from qplanes import constructions, linalg, loci
-from qplanes.apolarity import QuadricPlane
+from qplanes import constructions, linalg
 from qplanes.fields import DEFAULT_PRIME, PrimeField
-from qplanes.poly import Poly, monomial_basis
 
-SHAPES = [(84, 84), (448, 55), (332, 175), (828, 588), (1710, 1470)]
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+WIDE = 128  # capture the matrices of more columns than this
 
 
 def dense_inverse_system(k: PrimeField, xs, m) -> np.ndarray:
@@ -49,41 +54,19 @@ def dense_inverse_system(k: PrimeField, xs, m) -> np.ndarray:
     return rows.reshape(-1, nv * size)
 
 
-def capture(k: PrimeField, seed: int) -> dict:
-    """The first matrix of each shape in SHAPES that reaches _rref, or
-    that is the dense form of a proportionality system the pipeline
-    solves."""
-    found = {}
+def capture(k: PrimeField, seed: int) -> list[np.ndarray]:
+    """The matrices of more than WIDE columns that reach _rref in one
+    slow Cremona pipeline, in the order they reach it."""
+    found = []
     rref = linalg._rref
-    solve = constructions._proportionality_kernel
-
-    def keep(a):
-        if a.shape in SHAPES and a.shape not in found:
-            found[a.shape] = a.copy()
 
     def spy(a, field):
-        keep(a)
+        if a.shape[1] > WIDE:
+            found.append(a.copy())
         return rref(a, field)
 
-    def spy_system(field, xs, m):
-        keep(dense_inverse_system(field, xs, m))
-        return solve(field, xs, m)
-
-    rng = random.Random(seed)
-    plane = QuadricPlane.from_polys(
-        [Poly(k, 4, {e: k.random_element(rng) for e in monomial_basis(4, 2)})
-         for _ in range(3)])
-    linalg._rref = spy
-    constructions._proportionality_kernel = spy_system
-    try:
-        loci.jump_matrix(plane).rank()
-        hessians = loci._hessians(k, plane.space.basis.data)
-        linalg.Matrix(k, loci.ideal_piece_values(
-            k, 3, 3, 9, loci._minor_values(k, hessians, 9))).rank()
+    with mock.patch.object(linalg, "_rref", spy):
         constructions.cremona_pipeline(k, seed, slow=True)
-    finally:
-        linalg._rref = rref
-        constructions._proportionality_kernel = solve
     return found
 
 
@@ -97,38 +80,59 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
+def _digest(red: np.ndarray, pivots) -> str:
+    data = np.ascontiguousarray(red, dtype=np.int64).tobytes()
+    return hashlib.sha256(data + repr(list(pivots)).encode()).hexdigest()[:16]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the output, e.g. before/after")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
+    ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
+    # imported here, so that the scripts that import cpu_model do not
+    # load the tests
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_linalg import _loop_rref
+
     k = PrimeField(DEFAULT_PRIME)
-    mats = capture(k, args.seed)
     rows = []
-    for shape in SHAPES:
-        a = mats[shape]
-        times = {"before": [], "after": []}
-        for _ in range(args.repeat):
-            for name, fn in (("before",
-                              lambda: linalg._gauss_jordan(a, k.p)),
-                             ("after", lambda: linalg._rref(a, k))):
+    for seed in args.seeds:
+        for a in capture(k, seed):
+            red, pivots = linalg._rref(a, k)
+            red0, pivots0 = _loop_rref(a, k)
+            shape = f"{a.shape[0]}x{a.shape[1]}"
+            assert pivots == pivots0 and np.array_equal(red, red0), shape
+            times = []
+            for _ in range(args.repeat):
                 t = time.perf_counter()
-                fn()
-                times[name].append(time.perf_counter() - t)
-        rows.append({"shape": f"{shape[0]}x{shape[1]}",
-                     "rank": len(linalg._rref(a, k)[1]),
-                     **{f"{name}_median_s": round(statistics.median(ts), 4)
-                        for name, ts in times.items()},
-                     **{f"{name}_min_s": round(min(ts), 4)
-                        for name, ts in times.items()}})
-        print(json.dumps(rows[-1]), flush=True)
-    out = {"what": "row reduction: unblocked loop (before) vs _rref (after)",
-           "machine": {"cpu": cpu_model(),
-                       "cores": len(os.sched_getaffinity(0)),
-                       "python": platform.python_version()},
-           "numpy": np.__version__, "prime": k.p, "seed": args.seed,
-           "repeat": args.repeat, "panel": linalg.PANEL, "results": rows}
-    path = Path(__file__).resolve().parent.parent / "BENCH_elimination.json"
+                linalg._rref(a, k)
+                times.append(time.perf_counter() - t)
+            rows.append({"seed": seed, "shape": shape, "rank": len(pivots),
+                         "median_ms": round(1e3 * statistics.median(times),
+                                            3),
+                         "min_ms": round(1e3 * min(times), 3),
+                         "digest": _digest(red, pivots)})
+            print(json.dumps(rows[-1]), flush=True)
+    path = ROOT / "BENCH_elimination.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out.update({
+        "what": "milliseconds per linalg._rref on the matrices of more "
+                f"than {WIDE} columns that cremona_pipeline(slow=True) "
+                "row-reduces, one entry per source tree; every RREF "
+                "equals _loop_rref's, and equal digests mean equal RREFs "
+                "and pivots",
+        "machine": {"cpu": cpu_model(),
+                    "cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version()},
+        "numpy": np.__version__,
+        "prime": k.p,
+        "seeds": args.seeds,
+        "repeat": args.repeat,
+    })
+    out.setdefault("runs", {})[args.label] = rows
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

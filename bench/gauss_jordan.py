@@ -6,8 +6,8 @@ every pivot; that loop is the oracle ``_eager_gauss_jordan`` of
 tests/test_linalg.py.  After, it reduces only the pivot column and row
 at each step, the trailing block when one more update could leave
 int64, and the result once at the end.  Both are timed, interleaved, on
-the matrices the program sends to the loop at its unblocked shapes,
-captured as they reach it:
+the matrices of at most 128 columns that the program sends to the loop
+(bench/elimination.py times the wider ones), captured as they reach it:
 
 * the 84x84 jump matrices of a random, a secant and a smoothable plane
   (``loci.classify``), and the 7x10 RREF behind ``lperp`` of the random

@@ -2,22 +2,12 @@
 
 Prime-field matrices are numpy int64 arrays reduced mod p; rational
 matrices are object arrays of Fractions or Python ints.  Row reduction
-(behind rank, rref, right_kernel, inverse and solve) takes one of three
+(behind rank, rref, right_kernel, inverse and solve) takes one of two
 paths:
 
-* the unblocked Gauss–Jordan loop over F_p (_gauss_jordan), one
-  vectorized rank-1 update per pivot with delayed reduction (below), for
-  every prime-field matrix of at most PANEL columns and for primes too
-  large for the blocked path;
-* blocked Gauss–Jordan over column panels of PANEL columns (in the style
-  of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008) for
-  wider matrices over F_p with (p-1) + min(rows, cols) p (p-1) < 2^53.
-  Its float64 GEMMs multiply and add non-negative integers below 2^53,
-  so every result is exact.  At p = 32003 the bound holds up to ~8.8M
-  rows or columns; at p = 2^31 - 1 it fails for every non-empty matrix,
-  so large primes stay on the int64 loop.  poly.dot, the product of
-  field matrices used here and by the callers of Matrix, makes the same
-  argument for one float64 GEMM under inner (p-1)^2 < 2^53 (poly.EXACT);
+* over F_p, the Gauss–Jordan loop (_gauss_jordan), one vectorized
+  rank-1 update per pivot with delayed reduction (below), for every
+  matrix and every prime below 2^31;
 * over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
   Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
   keeps the RREF; a row of ints (the jump matrix and the secant pieces
@@ -43,7 +33,8 @@ the dets of the small blocks left (loci._pencil_dets).  No determinant
 is taken over the rationals: Matrix.det refuses them.
 
 Delayed reduction, in both int64 eliminations (_gauss_jordan and
-eliminate_stack).  Entries start in [0, p) and each update subtracts a
+eliminate_stack), as in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  Entries start in [0, p) and each update subtracts a
 product of residues, at most (p-1)^2, so s updates stay within int64
 while s (p-1)^2 + p < 2^63 (_lazy_bound).  The pivot column and row are
 reduced at every step, the trailing block only when one more update
@@ -72,12 +63,8 @@ from math import isqrt, lcm
 import numpy as np
 
 from .fields import Field, PrimeField, is_prime
-from .poly import EXACT, Poly, dot, monomial_basis
+from .poly import Poly, dot, monomial_basis
 
-
-PANEL = 128  # column panel width of the blocked elimination
-_LEAF = 32  # narrowest panel width; such panels are factored by the loop
-_CHUNK = 256  # rows per GEMM in the blocked trailing update
 
 # The largest primes below fields.PRIME_BOUND, descending: the moduli of
 # the images of rational matrices, listed so that no image needs a
@@ -121,8 +108,8 @@ def _inverses(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _gauss_jordan(a: np.ndarray, p: int):
-    """Unblocked Gauss–Jordan of a reduced int64 matrix over F_p, one
-    rank-1 update per pivot, with delayed reduction.
+    """Gauss–Jordan of a reduced int64 matrix over F_p, one rank-1
+    update per pivot, with delayed reduction.
 
     An update changes only the columns after the pivot: before them the
     pivot row is zero mod p, and the pivot column is set to the unit
@@ -166,62 +153,6 @@ def _gauss_jordan(a: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return np.ascontiguousarray(t.T) % p, pivots, order[:r]
-
-
-def _echelon(a: np.ndarray, p: int, width: int):
-    """Gauss–Jordan of a reduced int64 matrix over F_p in column panels of
-    the given width, on a float64 copy; returns what _gauss_jordan does.
-
-    Rows 0..r-1 of the copy are the pivot rows found so far, in order.
-    For each panel: reduce its columns mod p, factor rows r.. (new pivot
-    rows S at columns J) with panels a quarter as wide, move S to rows
-    r..r+k-1, row-reduce them to N = B^-1 A[S, c0:] with B = A[S, J], and
-    update every row with one GEMM, A[:, c0:] += A[:, J] (p - N).  All
-    terms are non-negative integers, so every partial sum is exact while
-    it stays below 2^53; trailing columns are reduced only when their
-    panel comes up.  The caller checks (p-1) + min(rows, cols) p (p-1)
-    < 2^53, which bounds the accumulated entries; submatrices keep the
-    bound.  The result is written over the float64 copy, so it is the
-    only full-size array allocated."""
-    rows, cols = a.shape
-    if cols <= width or width < _LEAF:
-        return _gauss_jordan(a, p)
-    f = a.astype(np.float64)
-    order = np.arange(rows)  # input row now at each row of f
-    pivots = []
-    r = 0
-    for c0 in range(0, cols, width):
-        if r >= rows:
-            break
-        c1 = min(c0 + width, cols)
-        f[:, c0:c1] = f[:, c0:c1].astype(np.int64) % p
-        js, ss = _echelon(f[r:, c0:c1].astype(np.int64), p, width // 4)[1:]
-        if not js:
-            continue
-        k = len(js)
-        # move S to rows r..r+k-1; the rows there that are not in S take
-        # the places S leaves
-        top = np.arange(k)
-        frm = r + np.concatenate([ss, np.setdiff1d(top, ss)])
-        to = r + np.concatenate([top, np.setdiff1d(ss, top)])
-        f[to], order[to] = f[frm], order[frm]
-        # S spans the panel's free rows, so its pivots are J and its RREF
-        # is B^-1 A[S, c0:]
-        new = _echelon(f[r:r + k, c0:].astype(np.int64) % p, p,
-                       width // 4)[0]
-        neg = p - new.astype(np.float64)
-        jc = c0 + np.array(js)
-        for i in range(0, rows, _CHUNK):
-            f[i:i + _CHUNK, c0:] += f[i:i + _CHUNK, jc] @ neg
-        f[r:r + k, c0:] = new
-        pivots.extend(int(j) for j in jc)
-        r += k
-    out = f.view(np.int64)
-    for i in range(0, r, _CHUNK):
-        j = min(i + _CHUNK, r)
-        out[i:j] = f[i:j].astype(np.int64) % p
-    out[r:] = 0
-    return out, pivots, order[:r]
 
 
 def eliminate_stack(k: PrimeField, a, m: int):
@@ -396,17 +327,11 @@ def _rref_rationals(a: np.ndarray):
 def _rref(a: np.ndarray, field: Field):
     """Reduced row echelon form; returns (rref, pivot_columns).
 
-    Rational matrices take the multi-modular path; prime-field matrices
-    wider than PANEL whose entries stay exact in float64 the blocked
-    path; everything else the unblocked loop."""
+    Rational matrices take the multi-modular path, prime-field matrices
+    the Gauss–Jordan loop."""
     if field.kind == "rationals":
         return _rref_rationals(a)
-    rows, cols = a.shape
-    p = field.p
-    if cols > PANEL and (p - 1) + min(rows, cols) * p * (p - 1) < EXACT:
-        r, pivots, _ = _echelon(a, p, PANEL)
-    else:
-        r, pivots, _ = _gauss_jordan(a, p)
+    r, pivots, _ = _gauss_jordan(a, field.p)
     return r, pivots
 
 

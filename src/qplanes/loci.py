@@ -181,14 +181,11 @@ def jump_matrix(plane: QuadricPlane) -> Matrix:
 
 def jump_dimension(plane: QuadricPlane):
     """Dimension of the space of cubics through the projected image,
-    together with a kernel basis expressed in the 7 target coordinates
-    y0..y6 (dual basis to the canonical basis of the perpendicular
-    space)."""
+    together with the RREF kernel Matrix whose rows are a basis of those
+    cubics in the 7 target coordinates y0..y6 (dual basis to the
+    canonical basis of the perpendicular space)."""
     ker = jump_matrix(plane).right_kernel()
-    k = plane.field
-    cubics = [Poly.from_coeff_vector(k, 7, 3, ker.data[i])
-              for i in range(ker.rows)]
-    return ker.rows, cubics
+    return ker.rows, ker
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +236,8 @@ def secant_intersects(plane: QuadricPlane):
     The minors are taken at lattice points (_minor_values), over Q from
     integral_rows, so no Fraction is multiplied.  Those independent at
     the ten points of degree 3 span I_3 and generate the ideal; each
-    piece is built from them alone, generators x points, so that its rank
-    stays on the unblocked elimination (36 columns at d = 7).
+    piece is built from them alone, generators x points: at most 36
+    columns at d = 7.
 
     Returns (hit, certificate) where the certificate records the piece
     dimensions of the degrees checked and, on a hit, an explicit rank
@@ -501,7 +498,7 @@ def classify(plane: QuadricPlane) -> Classification:
     pf = smoothable_pfaffian(plane)
     k = plane.field
     hit, secant_cert = secant_intersects(plane)
-    dim, cubics = jump_dimension(plane)
+    dim, kernel = jump_dimension(plane)
     on_divisor = pf == k.zero
     if on_divisor and hit:
         verdict = "both"
@@ -511,6 +508,7 @@ def classify(plane: QuadricPlane) -> Classification:
         verdict = "secant"
     else:
         verdict = "general"
+    cubics = [Poly.from_coeff_vector(k, 7, 3, row) for row in kernel.data]
     certs = {"cubics": cubics, "secant": secant_cert, "witness_sextics": None}
     elem = secant_cert.get("element")
     if hit and elem is not None:

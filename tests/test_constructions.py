@@ -307,9 +307,9 @@ def test_segre_cubic_span():
     assert res.chain_dims == (3, 5, 7)
     assert res.segre_span_dim == 3
     # the span equals the full cubic kernel of the limit plane
-    dim, cubics = jump_dimension(res.plane)
+    dim, kernel = jump_dimension(res.plane)
     assert dim == 3
-    kernel_space = FormSpace.from_polys(cubics, degree=3)
+    kernel_space = FormSpace.from_matrix(K, 7, 3, kernel)
     segres = con.segre_cubics(res.members, res.plane)
     union = FormSpace.from_polys(
         [c for s in segres for c in s.polys()], degree=3)

@@ -151,13 +151,14 @@ def test_jump_dimension_generic_and_divisor():
     f = _random_form(K, rng, 4, 3)
     ds = [_random_form(K, rng, 4, 1) for _ in range(3)]
     special = plane_from_cubic(f, *ds)
-    dim, cubics = loci.jump_dimension(special)
+    dim, kernel = loci.jump_dimension(special)
     assert dim == 3
-    assert len(cubics) == 3
+    assert kernel.rows == 3 and kernel.rref()[0] == kernel
     # kernel cubics are genuine relations among the perpendicular quadrics
     perp = loci.lperp(special).polys()
-    for c in cubics:
-        assert c.substitute_polys(perp).is_zero()
+    for row in kernel.data:
+        assert Poly.from_coeff_vector(K, 7, 3, row).substitute_polys(
+            perp).is_zero()
 
 
 def test_secant_generic_false():
