@@ -17,8 +17,8 @@ the matrices of at most 128 columns that the program sends to the loop
 * the 40x41 interpolation system of the pencil's determinant
   (``loci.pencil_experiment``).
 
-at p = 32003 and p = 2^31 - 1, and every pair of outputs (the RREF, the
-pivot columns and the pivot rows) is checked equal.  Writes
+at p = 32003 and p = 2^31 - 1, and every pair of outputs (the RREF and
+the pivot columns) is checked equal.  Writes
 BENCH_gauss_jordan.json at the repository root.
 
     PYTHONPATH=src python3 bench/gauss_jordan.py [--seed 1] [--repeat 20]
@@ -97,7 +97,6 @@ def main():
             before = _eager_gauss_jordan(a, p)
             assert after[1] == before[1], label
             assert np.array_equal(after[0], before[0]), label
-            assert np.array_equal(after[2], before[2]), label
             times = {"before": [], "after": []}
             for _ in range(args.repeat):
                 for name, fn in (("before", _eager_gauss_jordan),

@@ -1,8 +1,8 @@
 """Time the ninth base point, the pencil members and the Gale and Cremona
 pipelines.
 
-Times ``ninth_base_point(c1, c2, known)`` on the cubic pencils through 8
-random plane points, ``elliptic_member`` at seeded parameters of those
+Times ``ninth_base_point(k, cubics, known)`` on the cubic pencils (their
+coefficient rows) through 8 random plane points, ``elliptic_member`` at seeded parameters of those
 pencils, ``segre_cubic`` on the members of the Gale runs,
 ``gale_pipeline(k, seed)`` and the fast ``cremona_pipeline(k, seed)`` at
 p = 31, 32003 and 1000003, and records a sha256 digest of each result
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import os
 import platform
@@ -42,8 +41,6 @@ from elimination import cpu_model
 ROOT = Path(__file__).resolve().parent.parent
 PRIMES = (31, 32003, 1000003)
 MEMBERS_PER_PENCIL = 4
-# older trees' elliptic_member also takes the 8 points of the pencil
-TAKES_KNOWN = "known" in inspect.signature(cons.elliptic_member).parameters
 PENCIL_SEEDS = range(20)
 PIPELINE_SEEDS = (0, 1, 2)
 
@@ -58,38 +55,38 @@ def _pencils(k, seeds):
         pts = cons.random_projective_points(k, 2, 8, random.Random(seed))
         pencil = cons.forms_through(pts, 3)
         if pencil.dim == 2:
-            out.append((pts, *pencil.polys()))
+            out.append((pts, pencil.basis.data))
     return out
 
 
 def _ninth(pencil):
-    pts, c1, c2 = pencil
+    pts, cubics = pencil
     try:
-        return cons.ninth_base_point(c1, c2, pts)
+        return cons.ninth_base_point(pts.field, cubics, pts)
     except (cons.NonGenericConfiguration, GenericityError) as exc:
         return type(exc).__name__
 
 
 def _members(k, pencils):
-    """(c1, c2, ninth, s, projection) for MEMBERS_PER_PENCIL seeded
+    """(cubics, ninth, s, projection) for MEMBERS_PER_PENCIL seeded
     parameters of each pencil with a ninth base point."""
     out = []
-    for i, (pts, c1, c2) in enumerate(pencils):
-        ninth = _ninth((pts, c1, c2))
+    for i, pencil in enumerate(pencils):
+        ninth = _ninth(pencil)
         if isinstance(ninth, str):
             continue
         rng = random.Random(i)
         proj = cons.projection_from_point(ninth, k, rng)
-        out.extend((pts, c1, c2, ninth, k.random_element(rng), proj)
+        out.extend((pencil[1], ninth, k.random_element(rng), proj)
                    for _ in range(MEMBERS_PER_PENCIL))
     return out
 
 
 def _member(item):
-    pts, c1, c2, ninth, s, proj = item
-    args = (c1, c2, pts, ninth) if TAKES_KNOWN else (c1, c2, ninth)
+    cubics, ninth, s, proj = item
     try:
-        return cons.elliptic_member(*args, s, proj).quadrics.basis.data.tolist()
+        return cons.elliptic_member(proj.field, cubics, ninth, s,
+                                    proj).quadrics.basis.data.tolist()
     except cons.NonGenericConfiguration as exc:
         return str(exc)
 

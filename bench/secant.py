@@ -49,7 +49,8 @@ SEEDS = range(10)
 
 
 def _form(k, d, rng):
-    """poly.random_form in four variables, which older trees lack."""
+    """The draws of poly.random_form in four variables, as a Poly: older
+    trees lack random_form, and every tree takes Polys in from_polys."""
     return Poly(k, 4, {e: k.random_element(rng)
                        for e in monomial_basis(4, d)})
 

@@ -97,6 +97,10 @@ class QuadricPlane:
     def from_polys(cls, quadrics: list[Poly]) -> "QuadricPlane":
         return cls(FormSpace.from_polys(quadrics, degree=2))
 
+    @classmethod
+    def from_rows(cls, k: Field, rows) -> "QuadricPlane":
+        return cls(FormSpace.from_matrix(k, 4, 2, Matrix(k, rows)))
+
 
 def _contraction_constraint_matrix(space: FormSpace, d: int) -> Matrix:
     """Rows = linear constraints on a degree-d dual operator D from
@@ -150,14 +154,23 @@ def apolar_hilbert_function(plane: QuadricPlane) -> ApolarHF:
     return ApolarHF(HilbertFunction(with_linear), HilbertFunction(plain))
 
 
+def plane_of_contractions(k: Field, f, ds) -> QuadricPlane:
+    """The plane spanned by the contractions d_i(F) of the cubic row f by
+    the rows ds of three linear dual operators."""
+    try:
+        return QuadricPlane.from_rows(
+            k, dot(k, ds, contraction_rows(k, f, 4, 1, 2)))
+    except ValueError:
+        raise DependentContractions(
+            "contractions are dependent; resample the operators or the cubic"
+        ) from None
+
+
 def plane_from_cubic(f: Poly, d1: Poly, d2: Poly, d3: Poly) -> QuadricPlane:
     """The plane spanned by the three contractions d_i(F)."""
-    qs = [contract(d, f) for d in (d1, d2, d3)]
-    space = FormSpace.from_polys(qs, degree=2)
-    if space.dim != 3:
-        raise DependentContractions(
-            "contractions are dependent; resample the operators or the cubic")
-    return QuadricPlane(space)
+    return plane_of_contractions(
+        f.field, f.coeff_vector(3),
+        np.stack([d.coeff_vector(1) for d in (d1, d2, d3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +197,12 @@ def _attempt_certificate(plane: QuadricPlane, w) -> tuple | None:
     if Matrix(k, ds).rank() < 3:
         return None
     a = _contraction_system(ds, k)
-    b = np.concatenate([q.coeff_vector(2) for q in plane.basis_polys()])
+    b = plane.space.basis.data.reshape(-1)
     sol = Matrix(k, a).solve(b)
     if sol is None:
         return None
     f = Poly.from_coeff_vector(k, 4, 3, sol)
-    dpolys = [Poly(k, 4, {tuple(1 if j == i else 0 for j in range(4)): d[i]
-                          for i in range(4)}) for d in ds]
-    for dp, q in zip(dpolys, plane.basis_polys()):
-        if contract(dp, f) != q:
-            return None
-    return (f, *dpolys)
+    return (f, *(Poly.from_coeff_vector(k, 4, 1, d) for d in ds))
 
 
 def recover_cubic(plane: QuadricPlane, seed: int = 0, budget: int = 200):

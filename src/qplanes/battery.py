@@ -13,20 +13,20 @@ import numpy as np
 
 from . import constructions as cons
 from . import loci
-from .apolarity import (QuadricPlane, annihilator_piece,
-                        apolar_hilbert_function, DependentContractions,
-                        plane_from_cubic)
+from .apolarity import (DependentContractions, QuadricPlane,
+                        annihilator_piece, apolar_hilbert_function,
+                        plane_of_contractions)
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field
 from .linalg import FormSpace, Matrix, pfaffian, pfaffian_stack
-from .poly import parse_poly, random_form
+from .poly import dense_mul, dot, parse_poly, power_products, random_form
 
 
 def _random_plane(k: Field, rng) -> QuadricPlane:
     while True:
         try:
-            return QuadricPlane.from_polys(
-                [random_form(k, 4, 2, rng) for _ in range(3)])
+            return QuadricPlane.from_rows(
+                k, [random_form(k, 4, 2, rng) for _ in range(3)])
         except ValueError:
             continue
 
@@ -37,7 +37,9 @@ def criterion_1(k: Field, seed: int = 0) -> dict:
     plane = QuadricPlane.from_polys([
         parse_poly("x0^2", names, k),
         parse_poly("x1^2", names, k),
-        parse_poly("x2^2 - x3^2", names, k)])
+        # z^2 - t^2 entered as (z - t)(z + t): the one dict product on a
+        # command's path, so a traced verify-sweep reaches the poly layer
+        parse_poly("x2 - x3", names, k) * parse_poly("x2 + x3", names, k)])
     listed = FormSpace.from_polys([
         parse_poly(s, names, k) for s in (
             "x0*x1", "x0*x2", "x0*x3", "x1*x2", "x1*x3", "x2*x3",
@@ -58,9 +60,9 @@ def criterion_2(k: Field, trials: int = 200, seed: int = 0) -> dict:
     for _ in range(trials):
         while True:
             f = random_form(k, 4, 3, rng)
-            ds = [random_form(k, 4, 1, rng) for _ in range(3)]
+            ds = np.stack([random_form(k, 4, 1, rng) for _ in range(3)])
             try:
-                plane = plane_from_cubic(f, *ds)
+                plane = plane_of_contractions(k, f, ds)
                 break
             except DependentContractions:
                 resamples += 1
@@ -101,17 +103,17 @@ def criterion_4(k: Field, trials: int = 50, seed: int = 0) -> dict:
     for _ in range(trials):
         while True:
             l1, l2 = (random_form(k, 4, 1, rng) for _ in range(2))
-            q = l1 * l2
-            if q.is_zero() or loci.symmetric_rank(q) != 2:
+            q = dense_mul(k, l1, l2, 4, 1, 1)
+            if Matrix(k, loci.quadric_matrices(k, q)).rank() != 2:
                 continue
             try:
-                plane = QuadricPlane.from_polys(
-                    [q, random_form(k, 4, 2, rng), random_form(k, 4, 2, rng)])
+                plane = QuadricPlane.from_rows(
+                    k, [q, random_form(k, 4, 2, rng), random_form(k, 4, 2, rng)])
                 break
             except ValueError:
                 continue
         jd = loci.jump_dimension(plane)[0]
-        adapted = loci.rank_le2_adapted_change(q)
+        adapted = loci.rank_le2_adapted_change(k, q)
         if adapted is None:
             continue
         witnesses = loci.rank2_sextic_witness(plane, q, adapted[0])
@@ -235,7 +237,7 @@ def criterion_9(k: Field, trials: int = 100, seed: int = 0) -> dict:
     # followed by its copies with slot 0, 1 and 2 scaled by lam
     triples, lams = [], []
     for _ in range(10):
-        qs = [random_form(k, 4, 2, rng).coeff_vector(2) for _ in range(3)]
+        qs = [random_form(k, 4, 2, rng) for _ in range(3)]
         lams.append(k.random_element(rng))
         triples += [qs] + [[k.reduce(lams[-1] * q) if i == slot else q
                             for i, q in enumerate(qs)] for slot in range(3)]
@@ -250,8 +252,8 @@ def criterion_9(k: Field, trials: int = 100, seed: int = 0) -> dict:
     for _ in range(gl_trials):
         plane = _random_plane(k, rng)
         g = cons._random_gl(k, 4, rng)
-        moved = QuadricPlane.from_polys(
-            [q.substitute_linear(g) for q in plane.basis_polys()])
+        moved = QuadricPlane.from_rows(k, dot(
+            k, plane.space.basis.data, power_products(k, g, 4, 1, 2)))
         c1, c2 = loci.classify(plane), loci.classify(moved)
         if (c1.verdict == c2.verdict and c1.jump_dim == c2.jump_dim
                 and (c1.pfaffian_value == k.zero)

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
-                        annihilator_piece, contract)
+                        annihilator_piece)
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, null_basis
 from .loci import (GenericityError, ideal_piece_values, integral_rows,
                    jump_matrix_from_quadrics, lattice_points, lperp)
-from .poly import (Poly, dot, monomial_basis, monomial_values, mult_table,
-                   power_products, var_shift)
+from .poly import (Poly, contraction_rows, dot, monomial_basis,
+                   monomial_values, mult_table, power_products, var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
@@ -136,45 +137,36 @@ def dehomogenize(points: PointSet) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class RationalMap:
-    """A rational map between projective spaces, as a list of forms of
-    one common degree (the fixed lift at the cone level)."""
+    """A rational map between projective spaces: the coefficient rows
+    (one per target coordinate) of forms of one common degree in
+    source_vars variables (the fixed lift at the cone level)."""
 
-    forms: list[Poly]
-
-    def __post_init__(self):
-        if not self.forms:
-            raise ValueError("need at least one form")
-        degs = {f.degree() for f in self.forms if not f.is_zero()}
-        if not degs:
-            raise ValueError("all forms are zero")
-        if len(degs) != 1:
-            raise ValueError("forms must share one degree")
-        for f in self.forms:
-            if not f.is_homogeneous():
-                raise ValueError("forms must be homogeneous")
-
-    @property
-    def source_vars(self) -> int:
-        return self.forms[0].nvars
+    field: Field
+    source_vars: int
+    degree: int
+    rows: np.ndarray
 
     @property
     def target_vars(self) -> int:
-        return len(self.forms)
+        return len(self.rows)
 
-    @property
-    def degree(self) -> int:
-        return max(f.degree() for f in self.forms)
+    @cached_property
+    def forms(self) -> list[Poly]:
+        """The forms as Polys, built on the first read."""
+        return [Poly.from_coeff_vector(self.field, self.source_vars,
+                                       self.degree, row) for row in self.rows]
 
 
 def apply_map(f: RationalMap, p) -> tuple | None:
     """Image of a projective point; None when p is in the base locus."""
-    k = f.forms[0].field
+    k = f.field
     p = tuple(k.of(c) for c in p)
     if len(p) != f.source_vars:
         raise ValueError("point dimension mismatch")
-    vals = tuple(form.evaluate(p) for form in f.forms)
+    vals = tuple(map(k.of, dot(k, f.rows, monomial_values(
+        k, f.source_vars, f.degree, p)[0])))
     if all(v == k.zero for v in vals):
         return None
     return _normalize_projective(k, vals)
@@ -262,9 +254,9 @@ def _plane_piece(k: Field, rows, e: int, d: int) -> np.ndarray:
     return ideal_piece_values(k, 3, e, d, _plane_values(k, rows, e, d))
 
 
-def ninth_base_point(c1: Poly, c2: Poly, known: PointSet):
-    """The residual ninth common zero of two plane cubics through 8
-    known points.
+def ninth_base_point(k: Field, cubics, known: PointSet):
+    """The residual ninth common zero of two plane cubics c1, c2 (the
+    coefficient rows ``cubics``) through 8 known points.
 
     (c1, c2) is the saturated ideal of the nine base points, so a quartic
     f through the 8 known points outside (c1, c2) misses the ninth, and
@@ -276,8 +268,6 @@ def ninth_base_point(c1: Poly, c2: Poly, known: PointSet):
     """
     if len(known) != 8:
         raise ValueError("need exactly 8 known points")
-    k = c1.field
-    cubics = np.stack([c1.coeff_vector(3), c2.coeff_vector(3)])
     ideal4 = _plane_piece(k, cubics, 3, 4)
     rank4 = Matrix(k, ideal4).rank()
     # the quartics through the known points have dimension at least 7,
@@ -318,11 +308,10 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
     conics = forms_through(pts, 2)
     if conics.dim != 5:
         raise NonGenericConfiguration("conics through the point are degenerate")
-    basis = conics.polys()
-    if rng is None:
-        return RationalMap(basis)
-    mixed = dot(k, _random_gl(k, 5, rng), conics.basis.data)
-    return RationalMap([Poly.from_coeff_vector(k, 3, 2, row) for row in mixed])
+    rows = conics.basis.data
+    if rng is not None:
+        rows = dot(k, _random_gl(k, 5, rng), rows)
+    return RationalMap(k, 3, 2, rows)
 
 
 def gale_dual(gamma2: PointSet, q,
@@ -354,10 +343,11 @@ class EllipticMember:
     quadrics: FormSpace
 
 
-def elliptic_member(c1: Poly, c2: Poly, q, s,
+def elliptic_member(k: Field, cubics, q, s,
                     projection: RationalMap | None = None) -> EllipticMember:
     """The 5 quadrics through the image of a smooth member c = c1 + s*c2
-    of the pencil under the projection from q, a base point of the pencil.
+    of the pencil of plane cubics with coefficient rows ``cubics`` =
+    (c1, c2), under the projection from q, a base point of the pencil.
 
     A smooth plane cubic is irreducible, so its ideal is (c), and a
     quadric Q contains the image curve exactly when Q(proj) = l*c for a
@@ -369,18 +359,15 @@ def elliptic_member(c1: Poly, c2: Poly, q, s,
 
     One pipeline run must use one projection throughout; pass the same
     map that produced the point configuration."""
-    k = c1.field
-    cs = c1 + c2.scale(s)
-    grad = [contract(Poly.variable(k, 3, i), cs) for i in range(3)]
+    cs = k.reduce(cubics[0] + k.of(s) * cubics[1])
     # the partials have no common zero iff they fill degree 4 (15
     # monomials), the Macaulay bound
-    conics = np.stack([g.coeff_vector(2) for g in grad])
-    if Matrix(k, _plane_piece(k, conics, 2, 4)).rank() != 15:
+    partials = contraction_rows(k, cs, 3, 1, 2)
+    if Matrix(k, _plane_piece(k, partials, 2, 4)).rank() != 15:
         raise NonGenericConfiguration(f"member at s={s} is singular")
     proj = projection_from_point(q, k) if projection is None else projection
-    rows = np.stack([f.coeff_vector(2) for f in proj.forms])
-    pulled = monomial_values(k, 5, 2, _plane_values(k, rows, 2, 4))
-    times_c = _plane_piece(k, cs.coeff_vector(3)[None], 3, 4).T
+    pulled = monomial_values(k, 5, 2, _plane_values(k, proj.rows, 2, 4))
+    times_c = _plane_piece(k, cs[None], 3, 4).T
     ker = Matrix(k, np.concatenate([pulled, times_c], axis=1)).right_kernel()
     quadrics = FormSpace.from_matrix(k, 5, 2, Matrix(k, ker.data[:, :15]))
     if quadrics.dim != 5:
@@ -426,8 +413,7 @@ def segre_cubics(members: list[EllipticMember],
         if ker.rows < 1:
             raise NonGenericConfiguration("no cubic relation for this member")
         # substitute the coordinates z_i = incl[i] . y into each relation
-        lifts = dot(k, ker.data, power_products(
-            [Poly.from_coeff_vector(k, 7, 1, row) for row in incl], 3))
+        lifts = dot(k, ker.data, power_products(k, incl, 7, 1, 3))
         if np.any(dot(k, lifts, jump.T) != k.zero):
             raise AssertionError("Segre cubic not in the jump kernel")
         out.append(FormSpace.from_matrix(k, 7, 3, Matrix(k, lifts)))
@@ -449,7 +435,7 @@ def octic_surface(z: PointSet):
     if quartics.dim != 7:
         raise NonGenericConfiguration(
             f"quartics through the points have dimension {quartics.dim}, not 7")
-    embed = RationalMap(quartics.polys())
+    embed = RationalMap(k, 3, 4, quartics.basis.data)
     # quadrics through the image: kernel of Sym^2 of the quartic space
     # into degree-8 plane forms, evaluated at the 45 lattice points of
     # degree 8, which multiplies it by an invertible matrix
@@ -459,7 +445,7 @@ def octic_surface(z: PointSet):
     if quadrics.dim != 7:
         raise NonGenericConfiguration(
             f"quadrics through the octic surface: dim {quadrics.dim}, not 7")
-    cremona = RationalMap(quadrics.polys())
+    cremona = RationalMap(k, 7, 2, quadrics.basis.data)
     return embed, quadrics, cremona
 
 
@@ -504,7 +490,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     samples were unlucky, and the pipelines resample when they need an
     inverse.
     """
-    k = f.forms[0].field
+    k = f.field
     if not isinstance(k, PrimeField):
         raise ValueError("inverse search implemented for prime fields")
     nv = f.source_vars
@@ -514,7 +500,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     ker = _proportionality_kernel(k, *_inverse_samples(f, d2, seed))
     if ker.rows == 0:
         return None
-    prods = power_products(f.forms, d2)  # N x dim Sym^{d1 d2}
+    prods = power_products(k, f.rows, nv, d1, d2)  # N x dim Sym^{d1 d2}
     for coeffs in ker.data:
         comp = dot(k, coeffs.reshape(nv, -1), prods)  # g_i(f(x)) in row i
         lam = _exact_var_quotient(k, comp[0], nv, d1 * d2, 0)
@@ -522,8 +508,7 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
             continue
         if all(np.all(k.reduce(var_shift(k, lam, nv, d1 * d2 - 1, i)
                               - comp[i]) == k.zero) for i in range(1, nv)):
-            g = RationalMap([Poly.from_coeff_vector(k, nv, d2, gi)
-                             for gi in coeffs.reshape(nv, -1)])
+            g = RationalMap(k, nv, d2, coeffs.reshape(nv, -1))
             return g, Poly.from_coeff_vector(k, nv, d1 * d2 - 1, lam)
     return None
 
@@ -537,11 +522,10 @@ def _inverse_samples(f: RationalMap, d2: int, seed: int):
     are made per sample.  Tries are evaluated in batches no larger than
     the samples still missing, so the points are those a one-at-a-time
     loop accepts."""
-    k = f.forms[0].field
+    k = f.field
     nv = f.source_vars
     rng = random.Random(seed)
     samples = nv * len(monomial_basis(nv, d2)) // max(nv - 1, 1) + 40
-    coeffs = k.array([g.coeff_vector(f.degree) for g in f.forms])
     xs, ys = [], []
     have = tries = 0
     while have < samples and tries < 50 * samples:
@@ -551,7 +535,7 @@ def _inverse_samples(f: RationalMap, d2: int, seed: int):
         x[:, 1:] = np.reshape([k.random_element(rng)
                                for _ in range(batch * (nv - 1))],
                               (batch, nv - 1))
-        y = dot(k, monomial_values(k, nv, f.degree, x), coeffs.T)
+        y = dot(k, monomial_values(k, nv, f.degree, x), f.rows.T)
         keep = np.any(y != k.zero, axis=1)
         xs.append(x[keep])
         ys.append(y[keep])
@@ -629,23 +613,23 @@ def _retry(name: str, once, k: Field, seed: int, *args):
 
 
 def _cubic_pencil(k: Field, rng):
-    """8 random plane points, the pencil of cubics through them and its
-    ninth base point: (gamma2, c1, c2, ninth)."""
+    """8 random plane points, the coefficient rows of the pencil of cubics
+    through them and its ninth base point: (gamma2, cubics, ninth)."""
     gamma2 = random_projective_points(k, 2, 8, rng)
     pencil = forms_through(gamma2, 3)
     if pencil.dim != 2:
         raise NonGenericConfiguration("cubics through the 8 points: dim != 2")
-    c1, c2 = pencil.polys()
+    cubics = pencil.basis.data
     # this draw feeds nothing; it keeps every later draw, and so every
     # result pinned to a seed, where it was
     rng.randrange(1 << 30)
-    return gamma2, c1, c2, ninth_base_point(c1, c2, gamma2)
+    return gamma2, cubics, ninth_base_point(k, cubics, gamma2)
 
 
 def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
     """``wanted`` smooth members of the pencil at distinct random
     parameters, from at most 30 draws; a repeated draw is skipped."""
-    _, c1, c2, ninth = pencil
+    _, cubics, ninth = pencil
     members = []
     drawn = set()
     for _ in range(30):
@@ -654,7 +638,7 @@ def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
             continue
         drawn.add(s)
         try:
-            members.append(elliptic_member(c1, c2, ninth, s, projection))
+            members.append(elliptic_member(k, cubics, ninth, s, projection))
         except NonGenericConfiguration:
             continue
         if len(members) == wanted:
@@ -683,7 +667,7 @@ def gale_pipeline(k: Field, seed: int) -> GalePipelineResult:
 
 def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     pencil = _cubic_pencil(k, rng)
-    gamma2, _, _, ninth = pencil
+    gamma2, _, ninth = pencil
     proj = projection_from_point(ninth, k, rng)
     gamma4, proj = gale_dual(gamma2, ninth, projection=proj)
     quads = forms_through(gamma4, 2)
@@ -700,10 +684,8 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     for sp in spaces:
         if not quads.contains_space(sp):
             raise NonGenericConfiguration("member quadrics not inside the 7")
-    segres = segre_cubics(mems, plane)
-    all_cubics = [c for s_sp in segres for c in s_sp.polys()]
-    span_space = FormSpace.from_polys(all_cubics, degree=3)
-    span = span_space.dim
+    span = Matrix(k, np.concatenate(
+        [sp.basis.data for sp in segre_cubics(mems, plane)])).rank()
     return GalePipelineResult(gamma2, ninth, gamma4, proj, hf, plane, mems,
                               chain, span, attempt)
 
@@ -730,7 +712,7 @@ def cremona_pipeline(k: Field, seed: int, slow: bool = False) -> CremonaResult:
 
 def _cremona_once(k: Field, rng, attempt: int, slow: bool) -> CremonaResult:
     member, = _smooth_members(k, rng, _cubic_pencil(k, rng), 1)
-    ce = RationalMap(member.quadrics.polys())
+    ce = RationalMap(k, 5, 2, member.quadrics.basis.data)
     inv = find_inverse(ce, 3, seed=rng.randrange(1 << 30))
     if inv is None:
         raise NonGenericConfiguration("c_E inverse not found at degree 3")

@@ -119,11 +119,9 @@ def _gauss_jordan(a: np.ndarray, p: int):
     it); the trailing block is reduced only when one more update could
     leave int64, and the whole matrix once at the end.
 
-    Returns (rref, pivot_columns, pivot_rows), where pivot_rows[t] is the
-    input row that became row t of the result."""
+    Returns (rref, pivot_columns)."""
     t = np.array(a.T, dtype=np.int64, order="C")  # t[c] is column c of a
     cols, rows = t.shape
-    order = np.arange(rows)
     lazy = _lazy_bound(p)
     pending = 0  # updates since the trailing block was last reduced
     pivots = []
@@ -138,7 +136,6 @@ def _gauss_jordan(a: np.ndarray, p: int):
         pr = r + int(nz[0])
         if pr != r:
             t[:, [r, pr]] = t[:, [pr, r]]
-            order[[r, pr]] = order[[pr, r]]
             col[[r, pr]] = col[[pr, r]]
         row = t[c + 1:, r] % p * pow(int(col[r]), -1, p) % p
         t[c + 1:, r] = row
@@ -152,7 +149,7 @@ def _gauss_jordan(a: np.ndarray, p: int):
         t[c, r] = 1
         pivots.append(c)
         r += 1
-    return np.ascontiguousarray(t.T) % p, pivots, order[:r]
+    return np.ascontiguousarray(t.T) % p, pivots
 
 
 def eliminate_stack(k: PrimeField, a, m: int):
@@ -293,7 +290,7 @@ def _rref_rationals(a: np.ndarray):
     src = ints.astype(np.int64) if fits else ints
     best = None  # (-rank, pivots) of the kept images
     for p in _image_primes():
-        img, pivots, _ = _gauss_jordan((src % p).astype(np.int64), p)
+        img, pivots = _gauss_jordan((src % p).astype(np.int64), p)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue  # an unlucky prime: lower rank or later pivots
@@ -331,8 +328,7 @@ def _rref(a: np.ndarray, field: Field):
     the Gauss–Jordan loop."""
     if field.kind == "rationals":
         return _rref_rationals(a)
-    r, pivots, _ = _gauss_jordan(a, field.p)
-    return r, pivots
+    return _gauss_jordan(a, field.p)
 
 
 def null_basis(field: Field, r: np.ndarray, pivots: list[int]) -> np.ndarray:
@@ -473,8 +469,6 @@ def pfaffian(m: Matrix):
     n = m.rows
     if n != m.cols or n % 2 != 0:
         raise ValueError("pfaffian needs an even-size square matrix")
-    if n > 16:
-        raise ValueError("pfaffian limited to size <= 16")
     if not m.is_skew():
         raise ValueError("matrix is not skew-symmetric")
     return m.field.of(pfaffian_stack(m.field, m.data[None])[0])

@@ -51,12 +51,17 @@ class GenericityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def quadric_matrices(k: Field, rows) -> np.ndarray:
+    """The symmetric matrices A (..., 4, 4) with q(x) = x^T A x of the
+    quadrics with the given coefficient rows: half their Hessians."""
+    return k.reduce(_hessians(k, rows) * k.inv(k.of(2)))
+
+
 def quadric_to_matrix(q: Poly) -> np.ndarray:
     """Symmetric 4x4 matrix A with q(x) = x^T A x (off-diagonals halved)."""
-    k = q.field
     if q.nvars != 4 or (not q.is_zero() and (not q.is_homogeneous() or q.degree() != 2)):
         raise ValueError("need a homogeneous quadric in 4 variables")
-    return k.reduce(_hessians(k, q.coeff_vector(2)) * k.inv(k.of(2)))
+    return quadric_matrices(q.field, q.coeff_vector(2))
 
 
 def symmetric_rank(q: Poly) -> int:
@@ -67,7 +72,7 @@ def smoothable_block_matrix(k: Field, rows) -> np.ndarray:
     """The 12x12 skew matrices [[0, A1, -A2], [-A1, 0, A3], [A2, -A3, 0]]
     (..., 12, 12) of the quadrics with coefficient rows (..., 3, 10),
     A_i the quadric_to_matrix of the i-th: half its Hessian."""
-    a = k.reduce(_hessians(k, rows) * k.inv(k.of(2)))
+    a = quadric_matrices(k, rows)
     a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
     z = k.zeros(a1.shape)
     return np.block([[z, a1, k.reduce(-a2)],
@@ -240,8 +245,10 @@ def secant_intersects(plane: QuadricPlane):
     columns at d = 7.
 
     Returns (hit, certificate) where the certificate records the piece
-    dimensions of the degrees checked and, on a hit, an explicit rank
-    <= 2 element of the plane when _find_rank_le2 finds one.
+    dimensions of the degrees checked ("piece_dims") and, on a hit, the
+    coefficient row of an explicit rank <= 2 element of the plane when
+    _find_rank_le2 finds one ("element_row", otherwise None).  classify
+    turns that row into the Poly of its certificate's "element".
     """
     k = plane.field
     hessians = _hessians(k, integral_rows(k, plane.space.basis.data))
@@ -254,9 +261,9 @@ def secant_intersects(plane: QuadricPlane):
             k, 3, 3, d, _minor_values(k, hessians, d)[:, keep])
         dims[d] = (Matrix(k, pieces[d]).rank(), pieces[d].shape[1])
     hit = dims[d][0] < dims[d][1]
-    cert = {"piece_dims": dims, "element": None}
+    cert = {"piece_dims": dims, "element_row": None}
     if hit:
-        cert["element"] = _find_rank_le2(plane, pieces, dims)
+        cert["element_row"] = _find_rank_le2(plane, pieces, dims)
     return hit, cert
 
 
@@ -267,7 +274,8 @@ SECANT_DEGREE = 10
 
 
 def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
-    """Explicit rank <= 2 element of the plane, or None.
+    """The coefficient row of an explicit rank <= 2 element of the plane,
+    or None.
 
     Basis vectors and small combinations are probed first.  Then the
     zero scheme Z of the minors is read off by linear algebra, without
@@ -290,7 +298,7 @@ def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
                                for j in range(i + 1, 3)]
     for q in candidates:
         if Matrix(k, _hessians(k, q)).rank() <= 2:
-            return Poly.from_coeff_vector(k, 4, 2, q)
+            return q
     codim = {d: full - got for d, (got, full) in dims.items()}
     d = next((d for d in range(4, MACAULAY_BOUND + 1)
               if codim[d - 1] == codim[d] <= SECANT_DEGREE), None)
@@ -310,9 +318,7 @@ def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
     lam = k.array([k.div(k.of(sum(np.diagonal(dot(k, b[:, cols], inv)))),
                          k.of(r)) for b in blocks])
     q = dot(k, lam, rows)
-    if Matrix(k, _hessians(k, q)).rank() <= 2:
-        return Poly.from_coeff_vector(k, 4, 2, q)
-    return None
+    return q if Matrix(k, _hessians(k, q)).rank() <= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +326,13 @@ def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
 # ---------------------------------------------------------------------------
 
 
-def rank_le2_adapted_change(q: Poly):
-    """A coordinate substitution sending q to x0*x1 (rank 2) or x0^2
-    (rank 1), up to scalar; None when q splits only over an extension.
+def rank_le2_adapted_change(k: Field, q):
+    """A coordinate substitution sending the quadric with coefficient row
+    q to x0*x1 (rank 2) or x0^2 (rank 1), up to scalar; None when q
+    splits only over an extension.
 
-    Returns (change matrix M with q.substitute_linear(M) = c * normal
-    form, rank, c)."""
-    k = q.field
-    a = quadric_to_matrix(q)
+    Returns (change matrix M with q(Mx) = c * normal form, rank, c)."""
+    a = quadric_matrices(k, q)
     am = Matrix(k, a)
     r = am.rank()
     if r > 2:
@@ -337,7 +342,7 @@ def rank_le2_adapted_change(q: Poly):
         # q = c * l^2 with l spanning the row space
         row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
         minv = Matrix(k, _complete_basis(k, [row])).inverse().data
-        return minv, 1, q.substitute_linear(minv).coefficient((2, 0, 0, 0))
+        return minv, 1, _normal_coefficient(k, a, minv, 1)
     # rank 2: find two independent isotropic vectors in a complement of rad
     c1, c2 = pair = np.stack(_complete_basis(k, list(rad.data))[rad.rows:])
     gram = dot(k, dot(k, pair, a), pair.T)
@@ -350,12 +355,21 @@ def rank_le2_adapted_change(q: Poly):
     # linear forms vanishing on <e2, rad> and <e1, rad> respectively
     u, v = (Matrix(k, np.vstack([e, rad.data])).right_kernel().data[0]
             for e in (e2, e1))
-    minv = Matrix(k, _complete_basis(k, [u, v])).inverse()
-    qn = q.substitute_linear(minv.data)
-    c = qn.coefficient((1, 1, 0, 0))
-    if c == k.zero or qn != Poly(k, 4, {(1, 1, 0, 0): c}):
-        return None
-    return minv.data, 2, c
+    minv = Matrix(k, _complete_basis(k, [u, v])).inverse().data
+    c = _normal_coefficient(k, a, minv, 2)
+    return None if c is None else (minv, 2, c)
+
+
+def _normal_coefficient(k: Field, a, change, rank: int):
+    """The c with q(change x) = c x0*x1 (rank 2) or c x0^2 (otherwise),
+    for q(x) = x^T a x; None when q(change x) is no such nonzero
+    multiple.  The matrix of q(change x) is change^T a change: c is its
+    entry (0, 0), or twice its entry (0, 1)."""
+    b = dot(k, dot(k, change.T, a), change)
+    j = int(rank == 2)
+    c = k.of(b[0, j] * (1 + j))
+    b[0, j] = b[j, 0] = k.zero
+    return None if c == k.zero or np.any(b != k.zero) else c
 
 
 def _complete_basis(k, rows):
@@ -430,29 +444,28 @@ def _isotropic_pair(k, q11, q12, q22):
     return ((s1, k.one), (s2, k.one))
 
 
-def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
+def rank2_sextic_witness(plane: QuadricPlane, element, change):
     """Witness sextics annihilated by all cubic products of the
     perpendicular space, in coordinates adapted to the supplied
-    rank <= 2 element.
+    rank <= 2 element, a coefficient row.
 
     ``change`` must send the element to x0*x1 (rank 2) or x0^2 (rank 1)
-    up to scalar.  Returns the witnesses; raises if the element has
-    rank > 2 or the adapted-coordinate check fails."""
+    up to scalar.  Returns the exponents beta of the witnesses x^beta;
+    raises if the element has rank > 2 or the adapted-coordinate check
+    fails."""
     k = plane.field
-    rank = symmetric_rank(element)
+    a = quadric_matrices(k, element)
+    rank = Matrix(k, a).rank()
     if rank > 2:
         raise ValueError("supplied element has rank > 2")
-    if not plane.space.contains(element):
+    if Matrix(k, np.vstack([plane.space.basis.data, element])
+              ).rank() != plane.space.dim:
         raise ValueError("element does not lie in the plane")
-    moved = element.substitute_linear(change)
     if rank == 2:
-        expect = (1, 1, 0, 0)
         betas = [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     else:
-        expect = (2, 0, 0, 0)
         betas = [(6, 0, 0, 0), (5, 1, 0, 0), (5, 0, 1, 0)]
-    c = moved.coefficient(expect)
-    if c == k.zero or moved != Poly(k, 4, {expect: c}):
+    if _normal_coefficient(k, a, change, rank) is None:
         raise ValueError("change does not normalize the element")
     # a cubic product of the perpendicular quadrics sends x^beta to
     # beta! times its x^beta coefficient, and beta! is a unit (p > 6):
@@ -467,16 +480,14 @@ def rank2_sextic_witness(plane: QuadricPlane, element: Poly, change):
     # nonzero constant, so that the products multiply no Fraction
     nv = 2 if rank == 2 else 3
     inverse = Matrix(k, change).inverse().data
-    coordinate_forms = [Poly.from_coeff_vector(k, nv, 1, inverse[:nv, i])
-                        for i in range(4)]
-    duals = dot(k, integral_rows(k, lperp(plane).basis.data),
-                integral_rows(k, power_products(coordinate_forms, 2)))
+    duals = dot(k, integral_rows(k, lperp(plane).basis.data), integral_rows(
+        k, power_products(k, inverse[:nv].T, nv, 1, 2)))
     quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
     sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
     idx = monomial_index(nv, 6)
     if any(np.any(sextics[..., idx[b[:nv]]] != k.zero) for b in betas):
         raise AssertionError("witness sextic not annihilated")
-    return [Poly.monomial(k, b) for b in betas]
+    return betas
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +520,15 @@ def classify(plane: QuadricPlane) -> Classification:
     else:
         verdict = "general"
     cubics = [Poly.from_coeff_vector(k, 7, 3, row) for row in kernel.data]
-    certs = {"cubics": cubics, "secant": secant_cert, "witness_sextics": None}
-    elem = secant_cert.get("element")
-    if hit and elem is not None:
-        adapted = rank_le2_adapted_change(elem)
+    secant = {"piece_dims": secant_cert["piece_dims"], "element": None}
+    certs = {"cubics": cubics, "secant": secant, "witness_sextics": None}
+    elem = secant_cert["element_row"]
+    if elem is not None:
+        secant["element"] = Poly.from_coeff_vector(k, 4, 2, elem)
+        adapted = rank_le2_adapted_change(k, elem)
         if adapted is not None:
-            certs["witness_sextics"] = rank2_sextic_witness(
-                plane, elem, adapted[0])
+            betas = rank2_sextic_witness(plane, elem, adapted[0])
+            certs["witness_sextics"] = [Poly.monomial(k, b) for b in betas]
     return Classification(pf, hit, dim, verdict, certs)
 
 
@@ -581,16 +594,13 @@ def _pencil_frame(k: PrimeField, rng):
     (quads, base, dirv) with the (4, 10) coefficient rows quads of q1,
     q2, u and w and (7, 10) arrays base and dirv; None for a degenerate
     draw."""
-    basis10 = monomial_basis(4, 2)
-    q1, q2, u = (random_form(k, 4, 2, rng) for _ in range(3))
+    quads = k.zeros((4, 10))
+    quads[:3] = [random_form(k, 4, 2, rng) for _ in range(3)]
     j_cols = sorted(rng.sample(range(10), 3))
-    w_terms = {e: k.random_element(rng) for i, e in enumerate(basis10)
-               if i not in j_cols}
-    w = Poly(k, 4, w_terms)
-    span = FormSpace.from_polys([q1, q2, u, w], degree=2)
-    if span.dim != 4:
+    free_cols = [c for c in range(10) if c not in j_cols]
+    quads[3, free_cols] = [k.random_element(rng) for _ in free_cols]
+    if Matrix(k, quads).rank() != 4:
         return None
-    quads = np.stack([q.coeff_vector(2) for q in (q1, q2, u, w)])
     # contraction pairing against the dual quadric monomials: m! * coeff
     pairing = contraction_rows(k, quads, 4, 2, 0)
     rows0, row_w = pairing[:3, :, 0], pairing[3, :, 0]
@@ -599,7 +609,6 @@ def _pencil_frame(k: PrimeField, rng):
         return None
     mj_inv_t = mj.inverse().data.T
     detj = mj.det()
-    free_cols = [c for c in range(10) if c not in j_cols]
     # frame vectors: v_c(t) = base_c + t * dir_c, with v_c[c] = det(M_J)
     base, dirv = k.zeros((7, 10)), k.zeros((7, 10))
     base[np.arange(7), free_cols] = detj

@@ -1,11 +1,16 @@
-"""Dense-ish multivariate polynomials over a configured exact field.
+"""Forms over a configured exact field: coefficient rows on index tables,
+and the Poly type at the boundary.
 
-Terms are stored as a dict from exponent tuple to nonzero coefficient.
-All degrees in this project are <= 8 in <= 7 variables, so there is no
-need for anything cleverer.  The monomial order used everywhere is
-graded lexicographic: degrees ascending blockwise, and inside one degree
-block exponent tuples in lexicographically *descending* order (so x0^d
-comes first).
+Inside the program a form of degree d is its coefficient row over
+monomial_basis(nvars, d), and forms multiply, evaluate, substitute and
+contract as rows (dense_mul, monomial_values, power_products,
+contraction_rows, dot).  ``Poly``, a dict from exponent tuple to nonzero
+coefficient, is the type that parse_poly returns, that format prints and
+that the certificates hold.  All degrees in this project are <= 8 in
+<= 7 variables.  The monomial order used everywhere is graded
+lexicographic: degrees ascending blockwise, and inside one degree block
+exponent tuples in lexicographically *descending* order (so x0^d comes
+first).
 """
 
 from __future__ import annotations
@@ -147,14 +152,11 @@ def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
     return vals
 
 
-def power_products(forms: list["Poly"], d2: int) -> np.ndarray:
-    """Dense coefficient vectors of all degree-d2 monomials in the given
-    forms of one degree, as rows indexed by monomial_basis(len(forms), d2)."""
-    k = forms[0].field
-    n = len(forms)
-    nvars = forms[0].nvars
-    d = max(max(f.degree() for f in forms), 0)
-    rows = [f.coeff_vector(d) for f in forms]
+def power_products(k: Field, rows, nvars: int, d: int, d2: int) -> np.ndarray:
+    """Dense coefficient vectors of all degree-d2 monomials in the forms
+    of degree d with the given coefficient rows, as rows indexed by
+    monomial_basis(len(rows), d2)."""
+    n = len(rows)
     if d2 == 0:
         return k.array([[k.one]])
     prev = dict(zip(monomial_basis(n, 1), rows))  # x_i -> row i
@@ -334,12 +336,13 @@ class Poly:
     def substitute_polys(self, polys: list["Poly"]) -> "Poly":
         """Substitute x_i -> polys[i], forms of one degree in one target
         ring: each homogeneous part of degree d maps through the dense
-        degree-d products of the images."""
+        degree-d products of the rows of the images."""
         f, nv = polys[0].field, polys[0].nvars
-        e = max(max(p.degree() for p in polys), 0)  # as power_products
+        e = max(max(p.degree() for p in polys), 0)
+        rows = np.stack([p.coeff_vector(e) for p in polys])
         out = Poly.zero(f, nv)
         for d, vec in self.homogeneous_vectors().items():
-            image = dot(f, vec, power_products(polys, d))
+            image = dot(f, vec, power_products(f, rows, nv, e, d))
             out = out + Poly.from_coeff_vector(f, nv, d * e, image)
         return out
 
@@ -399,11 +402,10 @@ class Poly:
         return f"Poly({self.format()})"
 
 
-def random_form(k: Field, nvars: int, d: int, rng) -> Poly:
-    """A form of degree d with one random coefficient per monomial,
-    drawn in the order of monomial_basis(nvars, d)."""
-    return Poly(k, nvars, {e: k.random_element(rng)
-                           for e in monomial_basis(nvars, d)})
+def random_form(k: Field, nvars: int, d: int, rng) -> np.ndarray:
+    """The coefficient row of a form of degree d, one random coefficient
+    per monomial, drawn in the order of monomial_basis(nvars, d)."""
+    return k.array([k.random_element(rng) for _ in monomial_basis(nvars, d)])
 
 
 _FACTOR_RE = re.compile(r"([a-z]+\d*)(?:\^(\d+))?")

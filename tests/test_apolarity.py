@@ -133,6 +133,32 @@ def test_plane_from_cubic_and_recovery():
             assert contract(op, f2) == q
 
 
+ORACLE_FIELDS = [PrimeField(11), K, PrimeField(2147483647), RationalField()]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(ORACLE_FIELDS))
+@settings(max_examples=30, deadline=None)
+def test_plane_from_cubic_matches_contract(seed, k):
+    """The plane of the three contractions, one product of rows, against
+    the span of contract(d_i, F); dependent contractions raise."""
+    rng = random.Random(seed)
+    f = _random_form(k, rng, 4, 3)
+    ds = [_random_form(k, rng, 4, 1) for _ in range(3)]
+    want = FormSpace.from_polys([contract(d, f) for d in ds], degree=2)
+    if want.dim < 3:
+        with pytest.raises(DependentContractions):
+            plane_from_cubic(f, *ds)
+    else:
+        assert plane_from_cubic(f, *ds).space == want
+
+
+def test_plane_from_cubic_refuses_a_form_of_another_degree():
+    with pytest.raises(ValueError):
+        plane_from_cubic(_p("x0^2"), _p("x1"), _p("x2"), _p("x3"))
+    with pytest.raises(ValueError):
+        plane_from_cubic(_p("x0^3"), _p("x1^2"), _p("x2"), _p("x3"))
+
+
 def test_plane_from_cubic_dependent():
     f = _p("x0^3")
     with pytest.raises(DependentContractions):

@@ -24,6 +24,28 @@ def _p3(s):
     return parse_poly(s, V3, K)
 
 
+def _rows(forms, d):
+    """The coefficient rows of forms of degree d (or zero)."""
+    return np.stack([f.coeff_vector(d) for f in forms])
+
+
+def _map(forms):
+    """The RationalMap of forms of one degree (some may be zero), from
+    their rows."""
+    d = max(f.degree() for f in forms)
+    return con.RationalMap(forms[0].field, forms[0].nvars, d, _rows(forms, d))
+
+
+def _pencil(c1, c2):
+    """The field and the coefficient rows of two plane cubics."""
+    return c1.field, _rows([c1, c2], 3)
+
+
+def _form(k, nvars, d, rng):
+    """random_form as a Poly, for the dict oracles."""
+    return Poly.from_coeff_vector(k, nvars, d, random_form(k, nvars, d, rng))
+
+
 # ---------------------------------------------------------------------------
 # Point sets and rational maps
 # ---------------------------------------------------------------------------
@@ -55,24 +77,59 @@ def test_dehomogenize():
         con.dehomogenize(inf)
 
 
-def test_rational_map_invariants():
-    with pytest.raises(ValueError):
-        con.RationalMap([_p3("x"), _p3("x*y")])  # mixed degrees
-    with pytest.raises(ValueError):
-        con.RationalMap([_p3("x + x*y")])  # inhomogeneous
-    with pytest.raises(ValueError):
-        con.RationalMap([])
+def test_rational_map_forms_are_its_rows():
+    f = _map([_p3("y*z"), _p3("x*z"), _p3("x*y + 2*z^2")])
+    assert (f.source_vars, f.target_vars, f.degree) == (3, 3, 2)
+    assert f.forms == [_p3("y*z"), _p3("x*z"), _p3("x*y + 2*z^2")]
 
 
 def test_apply_map():
     # quadratic Veronese of the plane
-    v2 = con.RationalMap([_p3(s) for s in
-                          ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2")])
+    v2 = _map([_p3(s) for s in ("x^2", "x*y", "x*z", "y^2", "y*z", "z^2")])
     assert con.apply_map(v2, (1, 0, 0)) == (1, 0, 0, 0, 0, 0)
-    invol = con.RationalMap([_p3("y*z"), _p3("x*z"), _p3("x*y")])
+    invol = _map([_p3("y*z"), _p3("x*z"), _p3("x*y")])
     assert con.apply_map(invol, (1, 0, 0)) is None  # base locus
     with pytest.raises(ValueError):
         con.apply_map(invol, (1, 0))
+
+
+ORACLE_FIELDS = [PrimeField(11), K, PrimeField(2147483647), RationalField()]
+
+
+@given(st.integers(0, 10**6), st.sampled_from(ORACLE_FIELDS),
+       st.sampled_from(["quadrics", "involution", "common line"]))
+@settings(max_examples=40, deadline=None)
+def test_apply_map_matches_poly_evaluate(seed, k, kind):
+    """apply_map, one product of monomial values and rows, against
+    Poly.evaluate of each form: at random points, at the coordinate
+    points (the base locus of the involution) and at a point of the line
+    that divides every form (the base locus of "common line")."""
+    rng = random.Random(seed)
+    if kind == "quadrics":  # P^2 -> P^3
+        forms = [_form(k, 3, 2, rng) for _ in range(4)]
+    elif kind == "involution":
+        forms = [parse_poly(s, V3, k) for s in ("y*z", "x*z", "x*y")]
+    else:
+        line = _form(k, 3, 1, rng)
+        forms = [line * _form(k, 3, 1, rng) for _ in range(3)]
+    assume(all(not f.is_zero() for f in forms))
+    points = [tuple(k.random_element(rng) for _ in range(3))
+              for _ in range(4)] + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    if kind == "common line":
+        points.append(tuple(Matrix(k, [line.coeff_vector(1)])
+                            .right_kernel().data[0]))
+    got = []
+    for p in points:
+        p = tuple(k.of(c) for c in p)
+        if not any(p):
+            continue
+        vals = tuple(f.evaluate(p) for f in forms)
+        want = (None if all(v == k.zero for v in vals)
+                else con._normalize_projective(k, vals))
+        got.append(con.apply_map(_map(forms), p))
+        assert got[-1] == want
+    if kind != "quadrics":
+        assert None in got
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +199,7 @@ def test_ninth_base_point_grid():
         for missing in [(0, 0, 1), (2, 2, 1), (1, 2, 1)]:
             known = con.PointSet(k, "projective", 2,
                                  [p for p in GRID if p != missing])
-            got = con.ninth_base_point(c1, c2, known)
+            got = con.ninth_base_point(*_pencil(c1, c2), known)
             assert got == con._normalize_projective(
                 k, tuple(k.of(c) for c in missing))
 
@@ -151,7 +208,7 @@ def test_ninth_base_point_random_pencil():
     rng = random.Random(4)
     pts = con.random_projective_points(K, 2, 8, rng)
     c1, c2 = con.forms_through(pts, 3).polys()
-    q = con.ninth_base_point(c1, c2, pts)
+    q = con.ninth_base_point(*_pencil(c1, c2), pts)
     assert c1.evaluate(q) == K.zero and c2.evaluate(q) == K.zero
     assert q not in pts.points
 
@@ -174,7 +231,7 @@ def test_ninth_base_point_is_a_common_zero_off_the_known_points(p):
             continue
         pts, c1, c2 = setup
         try:
-            q = con.ninth_base_point(c1, c2, pts)
+            q = con.ninth_base_point(*_pencil(c1, c2), pts)
         except con.NonGenericConfiguration:
             continue  # small fields: collinear points, common components
         assert c1.evaluate(q) == k.zero and c2.evaluate(q) == k.zero
@@ -188,14 +245,14 @@ def test_ninth_base_point_needs_no_coordinate_change():
     nine points, and a search through them gave up on this pencil."""
     k = PrimeField(13)
     pts, c1, c2 = _random_pencil(k, 3)
-    assert con.ninth_base_point(c1, c2, pts) == (1, 7, 7)
+    assert con.ninth_base_point(*_pencil(c1, c2), pts) == (1, 7, 7)
 
 
 def test_ninth_base_point_needs_eight():
     c1 = _p3("x^3")
     with pytest.raises(ValueError):
-        con.ninth_base_point(c1, c1, con.PointSet(K, "projective", 2,
-                                                  GRID[:5]))
+        con.ninth_base_point(*_pencil(c1, c1),
+                             con.PointSet(K, "projective", 2, GRID[:5]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +264,7 @@ def _pencil_setup(seed):
     rng = random.Random(seed)
     gamma2 = con.random_projective_points(K, 2, 8, rng)
     c1, c2 = con.forms_through(gamma2, 3).polys()
-    ninth = con.ninth_base_point(c1, c2, gamma2)
+    ninth = con.ninth_base_point(*_pencil(c1, c2), gamma2)
     return rng, gamma2, c1, c2, ninth
 
 
@@ -228,7 +285,7 @@ def test_elliptic_member_quadrics():
     members = []
     while len(members) < 3:
         try:
-            members.append(con.elliptic_member(c1, c2, ninth,
+            members.append(con.elliptic_member(*_pencil(c1, c2), ninth,
                                                K.random_element(rng),
                                                projection=proj))
         except con.NonGenericConfiguration:
@@ -279,10 +336,10 @@ def test_member_quadrics_match_the_field_scan(p):
             continue
         gamma2, c1, c2 = setup
         try:
-            ninth = con.ninth_base_point(c1, c2, gamma2)
+            ninth = con.ninth_base_point(*_pencil(c1, c2), gamma2)
             proj = con.projection_from_point(ninth, k, rng)
             s = k.random_element(rng)
-            member = con.elliptic_member(c1, c2, ninth, s, proj)
+            member = con.elliptic_member(*_pencil(c1, c2), ninth, s, proj)
         except con.NonGenericConfiguration:
             continue
         scanned = _scanned_images(c1 + c2.scale(s), proj, k)
@@ -296,8 +353,8 @@ def test_member_quadrics_match_the_field_scan(p):
 def test_elliptic_member_determinism():
     rng, gamma2, c1, c2, ninth = _pencil_setup(7)
     s = K.of(11)
-    a = con.elliptic_member(c1, c2, ninth, s)
-    b = con.elliptic_member(c1, c2, ninth, s)
+    a = con.elliptic_member(*_pencil(c1, c2), ninth, s)
+    b = con.elliptic_member(*_pencil(c1, c2), ninth, s)
     assert a.quadrics == b.quadrics
 
 
@@ -375,7 +432,7 @@ def test_ninth_base_point_matches_the_coefficient_build(p):
         pts, c1, c2 = setup
         want = _ninth_base_point_oracle(c1, c2, pts)
         try:
-            got = con.ninth_base_point(c1, c2, pts)
+            got = con.ninth_base_point(*_pencil(c1, c2), pts)
         except con.NonGenericConfiguration:
             got = None
         assert got == want
@@ -417,7 +474,7 @@ def test_member_smoothness_check_matches_the_coefficient_build(p):
     for _ in range(3):
         known, c1, c2 = _line_conic_pencil(k, rng)
         try:
-            q = con.ninth_base_point(c1, c2, known)
+            q = con.ninth_base_point(*_pencil(c1, c2), known)
         except con.NonGenericConfiguration:
             continue
         for s in range(p) if p < 100 else [0, 1, 2, 3]:
@@ -425,7 +482,7 @@ def test_member_smoothness_check_matches_the_coefficient_build(p):
             grad = [contract(Poly.variable(k, 3, i), cs) for i in range(3)]
             smooth = Matrix(k, _dict_rows(grad, 4)).rank() == 15
             try:
-                con.elliptic_member(c1, c2, q, s)
+                con.elliptic_member(*_pencil(c1, c2), q, s)
                 refused = False
             except con.NonGenericConfiguration as exc:
                 refused = "singular" in str(exc)
@@ -491,7 +548,7 @@ def test_octic_surface_collinear_points():
 
 
 def test_find_inverse_involution():
-    f = con.RationalMap([_p3("y*z"), _p3("x*z"), _p3("x*y")])
+    f = _map([_p3("y*z"), _p3("x*z"), _p3("x*y")])
     got = con.find_inverse(f, 2)
     assert got is not None
     g, lam = got
@@ -509,7 +566,7 @@ def test_find_inverse_on_a_kernel_of_several_rows(d2):
     """Above degree 2 the kernel of the involution's system is
     {h (yz, xz, xy) : deg h = d2 - 2}, of 3 and 6 rows: the inverse found
     is one of its vectors, and g(f(x)) = lambda x."""
-    f = con.RationalMap([_p3("y*z"), _p3("x*z"), _p3("x*y")])
+    f = _map([_p3("y*z"), _p3("x*z"), _p3("x*y")])
     ker = con._proportionality_kernel(K, *con._inverse_samples(f, d2, 0))
     assert ker.rows == math.comb(d2, 2)
     g, lam = con.find_inverse(f, d2)
@@ -522,7 +579,7 @@ def test_find_inverse_on_a_kernel_of_several_rows(d2):
 
 
 def test_find_inverse_round_trips():
-    f = con.RationalMap([_p3("y*z"), _p3("x*z"), _p3("x*y")])
+    f = _map([_p3("y*z"), _p3("x*z"), _p3("x*y")])
     g, _ = con.find_inverse(f, 2)
     rng = random.Random(9)
     checked = 0
@@ -546,8 +603,8 @@ def test_find_inverse_at_the_largest_prime():
         g1, g2 = con._random_gl(k, 3, rng), con._random_gl(k, 3, rng)
         sigma = [parse_poly(s, V3, k).substitute_linear(g1)
                  for s in ("y*z", "x*z", "x*y")]
-        f = con.RationalMap([sum((sigma[j].scale(g2[i][j]) for j in range(3)),
-                                 Poly.zero(k, 3)) for i in range(3)])
+        f = _map([sum((sigma[j].scale(g2[i][j]) for j in range(3)),
+                      Poly.zero(k, 3)) for i in range(3)])
         g, lam = con.find_inverse(f, 2)
         assert g.degree == 2 and lam.degree() == 3
 
@@ -592,8 +649,8 @@ def _moved(k, rng, forms):
     g1, g2 = (con._random_gl(k, len(forms), rng) for _ in range(2))
     moved = [f.substitute_linear(g1) for f in forms]
     nv = len(forms)
-    return con.RationalMap([sum((moved[j].scale(g2[i][j]) for j in range(nv)),
-                                Poly.zero(k, nv)) for i in range(nv)])
+    return _map([sum((moved[j].scale(g2[i][j]) for j in range(nv)),
+                     Poly.zero(k, nv)) for i in range(nv)])
 
 
 def _test_map(k, rng, nv, kind):
@@ -606,19 +663,18 @@ def _test_map(k, rng, nv, kind):
     if kind == "linear":
         return _moved(k, rng, [Poly.variable(k, nv, i) for i in range(nv)])
     if kind == "quadrics":
-        return con.RationalMap([random_form(k, nv, 2, rng) for _ in range(nv)])
+        return _map([_form(k, nv, 2, rng) for _ in range(nv)])
     if kind == "involution":
         return _moved(k, rng, [
             Poly(k, nv, {tuple(int(j != i) for j in range(nv)): 1})
             for i in range(nv)])
     if kind == "on a quadric":
-        u, v = (random_form(k, nv, 1, rng) for _ in range(2))
-        rest = [random_form(k, nv, 2, rng) for _ in range(nv - 3)]
+        u, v = (_form(k, nv, 1, rng) for _ in range(2))
+        rest = [_form(k, nv, 2, rng) for _ in range(nv - 3)]
         return _moved(k, rng, [u * u, u * v, v * v] + rest)
     assert kind == "common factor"
-    line = random_form(k, nv, 1, rng)
-    return con.RationalMap([line * random_form(k, nv, 1, rng)
-                            for _ in range(nv)])
+    line = _form(k, nv, 1, rng)
+    return _map([line * _form(k, nv, 1, rng) for _ in range(nv)])
 
 
 KINDS = ["linear", "quadrics", "involution", "on a quadric", "common factor"]

@@ -332,6 +332,22 @@ def test_pfaffian_against_matching_expansion():
             assert K.mul(pfaffian(m), pfaffian(m)) == m.det()
 
 
+@pytest.mark.parametrize("n", [18, 20])
+def test_pfaffian_squared_is_det_above_sixteen(n):
+    """pfaffian takes every even size: Pf^2 = det for random skew
+    matrices past the 16 that the matchings expansion was limited to."""
+    rng = random.Random(n)
+    for _ in range(3):
+        a = K.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = K.random_element(rng)
+                a[j][i] = K.neg(a[i][j])
+        m = Matrix(K, a)
+        pf = pfaffian(m)
+        assert pf != K.zero and K.mul(pf, pf) == m.det()
+
+
 def test_pfaffian_rejects_bad_input():
     with pytest.raises(ValueError):
         pfaffian(Matrix(K, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
@@ -539,7 +555,6 @@ def _eager_gauss_jordan(a, p):
     delayed reduction."""
     a = a.copy()
     rows, cols = a.shape
-    order = np.arange(rows)
     pivots = []
     r = 0
     for c in range(cols):
@@ -551,7 +566,6 @@ def _eager_gauss_jordan(a, p):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-            order[[r, pr]] = order[[pr, r]]
         a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
@@ -559,7 +573,7 @@ def _eager_gauss_jordan(a, p):
         a %= p
         pivots.append(c)
         r += 1
-    return a, pivots, order[:r]
+    return a, pivots
 
 
 def _extreme_matrix(p, rows, cols):
@@ -598,11 +612,9 @@ def test_gauss_jordan_matches_eager_loop(seed, p, shape, n, fill, zero_cols,
         rank = int(fill * min(rows, cols))
         a = _test_matrix(k, rng, rows, cols, rank, min(zero_cols, cols),
                          dup_cols if cols > 1 else 0).data
-    red, pivots, pivot_rows = linalg._gauss_jordan(a, p)
-    red0, pivots0, pivot_rows0 = _eager_gauss_jordan(a, p)
-    assert pivots == pivots0
-    assert np.array_equal(red, red0) and np.array_equal(pivot_rows,
-                                                        pivot_rows0)
+    red, pivots = linalg._gauss_jordan(a, p)
+    red0, pivots0 = _eager_gauss_jordan(a, p)
+    assert pivots == pivots0 and np.array_equal(red, red0)
     loop, loop_pivots = _loop_rref(a, k)
     assert pivots == loop_pivots and np.array_equal(red, loop)
     assert red.dtype == np.int64 and red.flags.c_contiguous
@@ -617,7 +629,6 @@ def test_gauss_jordan_at_the_lazy_bound():
             want = _eager_gauss_jordan(a, p)
             assert got[1] == want[1] == list(range(k + 1))
             assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[2], want[2])
 
 
 def test_lazy_bound():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qplanes import loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
-from qplanes.linalg import Matrix, pfaffian
+from qplanes.linalg import FormSpace, Matrix, pfaffian
 from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
                           mult_table, parse_poly, power_products)
 from qplanes.unipoly import interpolate
@@ -305,8 +305,8 @@ def test_secant_detects_rank2():
             [q, _random_form(K, rng, 4, 2), _random_form(K, rng, 4, 2)])
         hit, cert = loci.secant_intersects(plane)
         assert hit
-        elem = cert["element"]
-        assert elem is not None
+        assert cert["element_row"] is not None
+        elem = Poly.from_coeff_vector(K, 4, 2, cert["element_row"])
         assert plane.space.contains(elem)
         assert loci.symmetric_rank(elem) <= 2
 
@@ -324,17 +324,66 @@ def test_rank_le2_adapted_change():
     rng = random.Random(10)
     l1, l2 = (_random_form(K, rng, 4, 1) for _ in range(2))
     q = l1 * l2
-    got = loci.rank_le2_adapted_change(q)
+    got = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
     assert got is not None
     change, rank, c = got
     assert rank == 2
     moved = q.substitute_linear(change)
     assert moved == Poly(K, 4, {(1, 1, 0, 0): c})
     # rank one
-    got1 = loci.rank_le2_adapted_change(l1 * l1)
+    got1 = loci.rank_le2_adapted_change(K, (l1 * l1).coeff_vector(2))
     change1, rank1, c1 = got1
     assert rank1 == 1
     assert (l1 * l1).substitute_linear(change1) == Poly(K, 4, {(2, 0, 0, 0): c1})
+
+
+def _random_change(k, rng):
+    while True:
+        m = k.array([[k.random_element(rng) for _ in range(4)]
+                     for _ in range(4)])
+        if Matrix(k, m).rank() == 4:
+            return m
+
+
+@given(st.integers(0, 10**6), st.sampled_from(FIELDS),
+       st.sampled_from(["rank1", "rank2", "moved"]))
+@settings(max_examples=40, deadline=None)
+def test_normal_form_by_congruence_matches_substitute_linear(seed, k, kind):
+    """The coefficient of the normal form of q(Mx), read off M^T A M,
+    against q.substitute_linear(M): c for the adapted change of a rank-1
+    or rank-2 element, None for a random change that does not normalize;
+    and rank2_sextic_witness accepts exactly the changes that do."""
+    rng = random.Random(seed)
+    l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
+    q = l1 * l1 if kind == "rank1" else l1 * l2
+    rank = loci.symmetric_rank(q)
+    assume(rank == (1 if kind == "rank1" else 2))
+    row = q.coeff_vector(2)
+    if kind == "moved":
+        change = _random_change(k, rng)
+    else:
+        change, got_rank, c = loci.rank_le2_adapted_change(k, row)
+        assert got_rank == rank
+    moved = q.substitute_linear(change)
+    normal = (1, 1, 0, 0) if rank == 2 else (2, 0, 0, 0)
+    want = moved.coefficient(normal)
+    if want == k.zero or moved != Poly(k, 4, {normal: want}):
+        want = None
+    got = loci._normal_coefficient(k, loci.quadric_matrices(k, row), change,
+                                   rank)
+    assert got == want
+    if kind != "moved":
+        assert got is not None and got == c
+    try:
+        plane = QuadricPlane.from_polys(
+            [q, _random_form(k, rng, 4, 2), _random_form(k, rng, 4, 2)])
+    except ValueError:  # dependent quadrics, at p = 11
+        return
+    if want is None:
+        with pytest.raises(ValueError, match="does not normalize"):
+            loci.rank2_sextic_witness(plane, row, change)
+    else:
+        assert len(loci.rank2_sextic_witness(plane, row, change)) == 3
 
 
 def test_witness_sextics():
@@ -343,10 +392,9 @@ def test_witness_sextics():
     q = l1 * l2
     plane = QuadricPlane.from_polys(
         [q, _random_form(K, rng, 4, 2), _random_form(K, rng, 4, 2)])
-    change, _, _ = loci.rank_le2_adapted_change(q)
-    witnesses = loci.rank2_sextic_witness(plane, q, change)
-    assert [w.terms for w in witnesses] == [
-        {(5, 1, 0, 0): 1}, {(3, 3, 0, 0): 1}, {(1, 5, 0, 0): 1}]
+    change, _, _ = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
+    witnesses = loci.rank2_sextic_witness(plane, q.coeff_vector(2), change)
+    assert witnesses == [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     assert loci.jump_dimension(plane)[0] >= 3
 
 
@@ -355,7 +403,7 @@ def test_witness_sextics_rejects_high_rank():
     plane = _random_plane(rng)
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     with pytest.raises(ValueError):
-        loci.rank2_sextic_witness(plane, plane.basis_polys()[0], ident)
+        loci.rank2_sextic_witness(plane, plane.space.basis.data[0], ident)
 
 
 def test_classify_verdicts():
@@ -551,7 +599,7 @@ def test_evaluation_jump_matrix_is_v_times_the_coefficient_build(seed, kind,
     except ValueError:  # dependent forms, at p = 11
         assume(False)
     perp = loci.lperp(plane)
-    coeff = power_products(perp.polys(), 3).T
+    coeff = power_products(k, perp.basis.data, 4, 2, 3).T
     v = _sextic_values(k)
     if k.kind == "rationals":
         c = lcm(*(x.denominator for x in perp.basis.data.flat))
@@ -616,6 +664,36 @@ def test_pencil_determinism():
     a = loci.pencil_experiment(K, seed=5)
     b = loci.pencil_experiment(K, seed=5)
     assert a.det_poly == b.det_poly and a.pf_poly == b.pf_poly
+
+
+def _poly_pencil_draws(k, rng):
+    """The draws of _pencil_frame as it made them with dict Polys: q1, q2
+    and u by a Poly per form, the pivot columns, w over the other
+    columns; the four forms, or None where they span less than 4."""
+    basis10 = monomial_basis(4, 2)
+    q1, q2, u = (_random_form(k, rng, 4, 2) for _ in range(3))
+    j_cols = sorted(rng.sample(range(10), 3))
+    w = Poly(k, 4, {e: k.random_element(rng) for i, e in enumerate(basis10)
+                    if i not in j_cols})
+    forms = [q1, q2, u, w]
+    return forms if FormSpace.from_polys(forms).dim == 4 else None
+
+
+@given(st.integers(0, 10**6), st.sampled_from([11, 32003, 2147483647]))
+@settings(max_examples=40, deadline=None)
+def test_pencil_frame_draws_match_the_poly_draws(seed, p):
+    """_pencil_frame draws its four rows as the Poly build did, from the
+    same rng in the same order: same rows, same refusals, and the same
+    draws consumed."""
+    k = PrimeField(p)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    drawn = loci._pencil_frame(k, rng)
+    forms = _poly_pencil_draws(k, oracle_rng)
+    if forms is None:
+        assert drawn is None
+    elif drawn is not None:
+        assert np.array_equal(drawn[0], [f.coeff_vector(2) for f in forms])
+    assert rng.random() == oracle_rng.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -697,8 +775,7 @@ def test_pencil_dets_are_det_v_times_the_coefficient_dets(seed):
     det_v = Matrix(K, _sextic_values(K)).det()
     assert det_v != 0
     oracle = [Matrix(K, power_products(
-        [Poly.from_coeff_vector(K, 4, 2, K.reduce(b + t * d))
-         for b, d in zip(base, dirv)], 3).T).det()
+        K, K.reduce(base + t * dirv), 4, 2, 3).T).det()
         for t in range(loci.DET_SAMPLES)]
     assert loci._pencil_dets(K, base, dirv) == \
         [det_v * x % K.p for x in oracle]
@@ -774,7 +851,7 @@ def test_classify_witnesses_on_secant_and_rank1_planes():
         assert c.secant_hit
         elem = c.certificates["secant"]["element"]
         assert elem is not None
-        adapted = loci.rank_le2_adapted_change(elem)
+        adapted = loci.rank_le2_adapted_change(K, elem.coeff_vector(2))
         if adapted is not None:
             adapted_seen += 1
             assert c.certificates["witness_sextics"] is not None
@@ -816,12 +893,13 @@ def test_rank_le2_element_is_a_zero_of_the_minors(seed, kind, p):
     plane = PLANES[kind](random.Random(seed), k)
     hit, cert = loci.secant_intersects(plane)
     assert hit
-    elem, zeros = cert["element"], _minor_zeros(plane)
+    elem, zeros = cert["element_row"], _minor_zeros(plane)
     got, full = cert["piece_dims"][loci.MACAULAY_BOUND]
     if full - got == {"secant": 1, "rank1": 3}[kind]:
         assert elem is not None and len(zeros) == 1
     if elem is None:
         return
+    elem = Poly.from_coeff_vector(k, 4, 2, elem)
     assert loci.symmetric_rank(elem) <= 2
     basis = plane.space.basis.data
     pivots = [int(np.flatnonzero(row)[0]) for row in basis]
@@ -861,7 +939,7 @@ def test_rank2_element_irrational_over_q_gets_no_witness():
     assert c.secant_hit
     found = c.certificates["secant"]["element"]
     assert found is not None and loci.symmetric_rank(found) == 2
-    assert loci.rank_le2_adapted_change(found) is None
+    assert loci.rank_le2_adapted_change(q, found.coeff_vector(2)) is None
     assert c.certificates["witness_sextics"] is None
 
 

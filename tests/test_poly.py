@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qplanes.fields import PrimeField, RationalField
 from qplanes.poly import (Poly, dense_mul, dot, monomial_basis, monomial_index,
                           monomial_values, parse_poly, power_products,
-                          var_shift)
+                          random_form, var_shift)
 
 K = PrimeField()
 V3 = ["x0", "x1", "x2"]
@@ -141,14 +141,32 @@ def test_dense_mul_matches_poly_mul(seed, k, nvars, d1, d2):
             == f * Poly.variable(k, nvars, var))
 
 
-@given(st.integers(0, 10**6), FIELDS, st.integers(1, 4), st.integers(1, 2),
-       st.integers(1, 4), st.integers(0, 3))
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("k", [PrimeField(11), K, PrimeField(2147483647),
+                               RationalField()], ids=repr)
+def test_random_form_draws_the_coefficients_of_the_poly_build(k):
+    """random_form's row holds the draws that a Poly with one draw per
+    monomial of monomial_basis held, in that order."""
+    for nvars, d in ((4, 1), (4, 2), (4, 3), (3, 3)):
+        row = random_form(k, nvars, d, random.Random(d))
+        rng = random.Random(d)
+        want = Poly(k, nvars, {e: k.random_element(rng)
+                               for e in monomial_basis(nvars, d)})
+        assert np.array_equal(row, want.coeff_vector(d))
+
+
+ORACLE_FIELDS = st.sampled_from([PrimeField(11), K, PrimeField(2147483647),
+                                 RationalField()])
+
+
+@given(st.integers(0, 10**6), ORACLE_FIELDS, st.integers(1, 4),
+       st.integers(1, 2), st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
 def test_power_products_match_poly_mul(seed, k, nvars, d, n, d2):
+    """The row products against dict Poly products; a form may be 0."""
     rng = random.Random(seed)
     forms = [_random_form(k, rng, nvars, d) for _ in range(n)]
-    forms[0] = forms[0] + Poly.variable(k, nvars, 0, d)  # fixes the degree
-    rows = power_products(forms, d2)
+    rows = power_products(k, np.stack([f.coeff_vector(d) for f in forms]),
+                          nvars, d, d2)
     basis = monomial_basis(n, d2)
     assert rows.shape == (len(basis), len(monomial_basis(nvars, d * d2)))
     for row, e in zip(rows, basis):
