@@ -1,5 +1,6 @@
 """Time the 84x84 jump build: form products (before) against evaluation
-at the sextic lattice points (after).
+at the sextic lattice points (after); and the jump kernel over Q from the
+matrix in Python ints (before) against prime images (after).
 
 Before, the jump matrix J was built from the coefficient rows of the
 perpendicular quadrics with ``poly.dense_mul``, cubic by cubic (the
@@ -13,12 +14,17 @@ V J, V the invertible matrix of sextic monomial values there.  Timed:
 * a pencil's 40 builds at p = 32003, in stacks of 8 as
   ``loci._pencil_dets`` took them before it shared one elimination
   (``bench/pencil.py``);
-* the 84x84 ``right_kernel`` over Q of either matrix: V c^3 J has larger
-  entries than c^3 J.
+* the jump kernel over Q of a random, a secant, a smoothable and an l^2
+  plane (``rationals.planes``): ``Matrix(Q, c^3 V J).right_kernel()``
+  of the matrix in Python ints (before) against ``loci.jump_dimension``,
+  which reduces images of c^3 V J built over F_p from the integer rows
+  reduced mod p, and builds c^3 V J only to check a rank-deficient image
+  (after).
 
 Every result is checked: the evaluation build equals V times the product
 build, the pencil's dets are det V times the product build's, and the
-two kernels are equal.  Writes BENCH_jump.json at the repository root.
+two kernels of each plane are equal.  Writes BENCH_jump.json at the
+repository root.
 
     PYTHONPATH=src python3 bench/jump.py [--seed 1] [--repeat 20]
 """
@@ -31,12 +37,11 @@ import os
 import platform
 import statistics
 import time
-from math import lcm
 from pathlib import Path
 
 import numpy as np
 
-from qplanes import loci
+from qplanes import linalg, loci
 from qplanes.fields import DEFAULT_PRIME, PrimeField, RationalField
 from qplanes.linalg import Matrix, det_stack
 from qplanes.poly import dense_mul, dot, monomial_basis, monomial_values
@@ -85,24 +90,14 @@ def _sextic_values(k):
     return np.frompyfunc(int, 1, 1)(v) if k.kind == "rationals" else v
 
 
-def _perp_rows(plane):
-    """The perpendicular basis rows as the library builds from them: over
-    Q scaled by the lcm of their denominators to Python ints."""
-    rows = loci.lperp(plane).basis.data
-    if plane.field.kind == "rationals":
-        c = lcm(*(x.denominator for x in rows.flat))
-        rows = np.frompyfunc(lambda x: x.numerator * (c // x.denominator),
-                             1, 1)(rows)
-    return rows
-
-
 def plane_rows(seed: int, repeat: int) -> list[dict]:
     """The build for one random plane over each field."""
     out = []
     for k in (PrimeField(DEFAULT_PRIME), PrimeField(2147483647),
               RationalField()):
         plane = planes(k, seed)["general"]
-        rows = _perp_rows(plane)
+        # over Q scaled by the lcm of their denominators to Python ints
+        rows = loci.integral_rows(k, loci.lperp(plane).basis.data)
         before, after = (lambda: _product_build(k, rows),
                          lambda: loci.jump_matrix_from_quadrics(k, rows))
         v = _sextic_values(k)
@@ -149,22 +144,28 @@ def pencil_row(seed: int, repeat: int) -> dict:
     return row
 
 
-def kernel_row(seed: int, repeat: int) -> dict:
-    """right_kernel over Q of c^3 J (before) and of V c^3 J (after)."""
+def kernel_rows(seed: int, repeat: int) -> list[dict]:
+    """The jump kernel over Q of each plane of rationals.planes: the
+    right_kernel of c^3 V J built in Python ints (before) against
+    loci.jump_dimension, which reduces images of c^3 V J built over F_p
+    from the integer rows reduced mod p (after).  Both include lperp."""
     k = RationalField()
-    plane = planes(k, seed)["general"]
-    before = Matrix(k, _product_build(k, _perp_rows(plane)))
-    after = loci.jump_matrix(plane)
-    if before.right_kernel() != after.right_kernel():
-        raise SystemExit("Q: the kernels differ")
-    row = {"what": "right_kernel 84x84", "field": "Q",
-           **{f"{name}_max_bits":
-              max(abs(x) for x in m.data.flat).bit_length()
-              for name, m in (("before", before), ("after", after))},
-           **timed({"before": before.right_kernel,
-                    "after": after.right_kernel}, repeat)}
-    print(json.dumps(row), flush=True)
-    return row
+    out = []
+    for kind, plane in planes(k, seed).items():
+        def before(plane=plane):
+            return Matrix(k, loci.jump_matrix(plane).data).right_kernel()
+
+        def after(plane=plane):
+            return loci.jump_dimension(plane)[1]
+
+        ker = before()
+        if after() != ker:
+            raise SystemExit(f"Q {kind}: the kernels differ")
+        out.append({"what": f"Q jump kernel 84x84, {kind} plane",
+                    "field": "Q", "nullity": ker.rows,
+                    **timed({"before": before, "after": after}, repeat)})
+        print(json.dumps(out[-1]), flush=True)
+    return out
 
 
 def main():
@@ -174,15 +175,18 @@ def main():
     args = ap.parse_args()
     rows = plane_rows(args.seed, args.repeat)
     rows.append(pencil_row(args.seed, args.repeat))
-    rows.append(kernel_row(args.seed, args.repeat))
+    rows += kernel_rows(args.seed, args.repeat)
     out = {"what": "milliseconds for the jump build from form products "
                    "(before) against evaluation at the 84 sextic lattice "
-                   "points (after), and for the Q kernel of either "
-                   "matrix; results are checked equal up to V",
+                   "points (after), results checked equal up to V; and for "
+                   "the Q jump kernel from c^3 V J in Python ints (before) "
+                   "against prime images built from the reduced rows "
+                   "(after), kernels checked equal",
            "machine": {"cpu": cpu_model(),
                        "cores": len(os.sched_getaffinity(0)),
                        "python": platform.python_version()},
            "numpy": np.__version__, "primes": [DEFAULT_PRIME, 2147483647],
+           "image_primes": list(linalg._PRIMES),
            "seed": args.seed, "repeat": args.repeat, "results": rows}
     (ROOT / "BENCH_jump.json").write_text(json.dumps(out, indent=2) + "\n")
 

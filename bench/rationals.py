@@ -1,18 +1,20 @@
 """Time the rational path of classify: row reduction and the jump build.
 
 Captures the rational matrices the library row-reduces while classifying
-three planes over Q: every shape that comes up for a random plane (the
-FormSpace and ideal-piece matrices and the 84x84 jump matrix), and the
-84x84 jump matrices of a secant plane (through l1*l2) and of a smoothable
-plane (the partials of a cubic), whose kernels have dimension 3.  Times on
+a random plane over Q: every shape that comes up (the FormSpace and
+ideal-piece matrices), and the 84x84 jump matrices c^3 V J of that plane,
+of a secant plane (through l1*l2) and of a smoothable plane (the
+partials of a cubic), whose kernels have dimension 0, 3 and 3.  Times on
 each the Fraction Gauss-Jordan loop, the only path over Q before, against
 ``linalg._rref``, and counts the images modulo word-size primes the
-modular path takes.  Then, for each of the three planes, times the 84x84
-jump build from Fraction products (before) against ``loci.jump_matrix``,
-which builds V c^3 J in Python ints (after, V the invertible matrix of
-sextic monomial values at the points of ``loci.sextic_points``), checking
-the two equal up to V c^3, and one whole ``loci.classify`` with either
-build.  Writes BENCH_rationals.json at the repository root.
+modular path takes.  Then, for each of those planes and one through l^2,
+times the 84x84 jump build from Fraction products (before) against
+``loci.jump_matrix``, which builds V c^3 J in Python ints (after, V the
+invertible matrix of sextic monomial values at the points of
+``loci.sextic_points``), checking the two equal up to V c^3, and one
+whole ``loci.classify`` with the kernel of the Fraction build (before)
+and as the library takes it (after).  Writes BENCH_rationals.json at the
+repository root.
 
     PYTHONPATH=src python3 bench/rationals.py [--seed 3] [--repeat 3]
 """
@@ -51,9 +53,16 @@ def _form(k, rng, d):
     return Poly(k, 4, {e: k.random_element(rng) for e in monomial_basis(4, d)})
 
 
+def _through_square(k, rng) -> QuadricPlane:
+    lin = _form(k, rng, 1)
+    return QuadricPlane.from_polys([lin * lin, _form(k, rng, 2),
+                                    _form(k, rng, 2)])
+
+
 def planes(k: RationalField, seed: int) -> dict:
-    """A random, a secant and a smoothable plane with coefficients in
-    [-50, 50], resampled until the forms are independent."""
+    """A random plane, a secant one (through l1*l2), a smoothable one and
+    one through l^2, with coefficients in [-50, 50], resampled until the
+    forms are independent."""
     rng = random.Random(seed)
     makers = {
         "general": lambda: QuadricPlane.from_polys(
@@ -63,6 +72,7 @@ def planes(k: RationalField, seed: int) -> dict:
              _form(k, rng, 2)]),
         "smoothable": lambda: plane_from_cubic(
             _form(k, rng, 3), *[_form(k, rng, 1) for _ in range(3)]),
+        "square": lambda: _through_square(k, rng),
     }
     out = {}
     for kind, make in makers.items():
@@ -77,7 +87,7 @@ def planes(k: RationalField, seed: int) -> dict:
 def capture(k: RationalField, seed: int) -> list[tuple[str, np.ndarray]]:
     """(label, matrix): the first matrix of each non-empty shape reduced
     while classifying the random plane, then the jump matrices of the
-    secant and smoothable planes."""
+    random, secant and smoothable planes."""
     found = {}
     rref = linalg._rref
 
@@ -90,7 +100,7 @@ def capture(k: RationalField, seed: int) -> list[tuple[str, np.ndarray]]:
     with mock.patch.object(linalg, "_rref", spy):
         loci.classify(ps["general"])
     out = [(f"general {r}x{c}", a) for (r, c), a in sorted(found.items())]
-    for kind in ("secant", "smoothable"):
+    for kind in ("general", "secant", "smoothable"):
         out.append((f"{kind} jump 84x84", loci.jump_matrix(ps[kind]).data))
     return out
 
@@ -109,7 +119,13 @@ def fraction_jump(plane) -> Matrix:
 
 
 def classify_with(jump_matrix, plane):
-    with mock.patch.object(loci, "jump_matrix", jump_matrix):
+    """classify, with the jump kernel the right_kernel of the given
+    build."""
+    def jump_dimension(plane):
+        ker = jump_matrix(plane).right_kernel()
+        return ker.rows, ker
+
+    with mock.patch.object(loci, "jump_dimension", jump_dimension):
         return loci.classify(plane)
 
 

@@ -12,6 +12,7 @@ matrix); every operation of ``RationalField`` accepts either.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import index
 
 import numpy as np
@@ -21,16 +22,36 @@ DEFAULT_PRIME = 32003
 PRIME_BOUND = 2 ** 31
 
 
+# Miller-Rabin with these bases is exact below _MR_BOUND: 3215031751 =
+# 151 * 751 * 28351 is the least strong pseudoprime to all four
+# (Jaeschke, Math. Comp. 61, 1993), and PRIME_BOUND lies below it
+_MR_BASES = (2, 3, 5, 7)
+_MR_BOUND = 3215031751
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: deterministic Miller-Rabin below _MR_BOUND,
+    trial division from there on."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:  # trial division, O(sqrt n)
+        return all(n % d for d in range(11, isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -45,7 +66,7 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p >= PRIME_BOUND:  # before the trial division, which is O(sqrt p)
+        if p >= PRIME_BOUND:  # refused for its size before the primality test
             raise ValueError(f"prime field needs p < 2^31, got {p}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")

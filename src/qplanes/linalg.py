@@ -9,19 +9,23 @@ paths:
   rank-1 update per pivot with delayed reduction (below), for every
   matrix and every prime below 2^31;
 * over the rationals, a multi-modular RREF (von zur Gathen and Gerhard,
-  Modern Computer Algebra, ch. 5).  Each row is scaled to integers, which
-  keeps the RREF; a row of ints (the jump matrix and the secant pieces
-  are built in Python ints) has denominator 1 and stays as it is.  The
-  integer matrix A is row-reduced by the int64 loop modulo primes below
-  2^31, largest first.  Only the images of the highest rank and, among
-  those, the earliest pivot columns are kept: the rank of A modulo p
-  never exceeds its rank over Q.  The free-column entries of the kept
-  images are combined by CRT and rebuilt by rational reconstruction with
-  a common denominator D, and the candidate R is accepted only if
-  D A[:, free] == A[:, pivots] (D R)[:, free] holds in Python integers.
-  That puts every row of A in the row space of R, whose dimension is at
-  most the rank of A, so R is the RREF of A.  An image of full column
-  rank proves the RREF is the identity at once.
+  Modern Computer Algebra, ch. 5) of an integer matrix A, whose images
+  A mod p come from a callback (_rref_rationals).  A Matrix scales each
+  row to integers, which keeps the RREF (a row of ints, as in the secant
+  pieces, has denominator 1 and stays as it is), and reduces those rows
+  mod p; loci.jump_dimension builds each image of its jump matrix over
+  F_p from rows reduced mod p (kernel_from_images).  Each image is
+  row-reduced by the int64 loop, modulo primes below 2^31, largest
+  first.  Only the images of the highest rank and, among those, the
+  earliest pivot columns are kept: the rank of A modulo p never exceeds
+  its rank over Q.  An image of full column rank therefore proves the
+  RREF is the identity at once, without A itself.  Otherwise the
+  free-column entries of the kept images are combined by CRT and rebuilt
+  by rational reconstruction with a common denominator D, and the
+  candidate R is accepted only if D A[:, free] == A[:, pivots]
+  (D R)[:, free] holds in Python integers, A being taken from a second
+  callback once.  That puts every row of A in the row space of R, whose
+  dimension is at most the rank of A, so R is the RREF of A.
 
 Determinants over F_p come from eliminate_stack: one Gaussian
 elimination over the first m columns of a (B, n, w) stack, with a pivot
@@ -62,7 +66,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .fields import Field, PrimeField, is_prime
+from .fields import Field, PrimeField, RationalField, is_prime
 from .poly import Poly, dot, monomial_basis
 
 
@@ -277,20 +281,21 @@ def _reconstruct(res: np.ndarray, m: int):
     return den, num
 
 
-def _rref_rationals(a: np.ndarray):
-    """Multi-modular RREF of a Fraction matrix (see the module docstring);
-    returns (rref, pivot_columns)."""
-    rows, cols = a.shape
-    out = np.full((rows, cols), Fraction(0), dtype=object)
+def _rref_rationals(shape, image, integers):
+    """Multi-modular RREF of an integer matrix A of the given shape (see
+    the module docstring); returns (rref, pivot_columns).
+
+    image(p) gives A modulo p as int64 residues, and integers() gives A
+    in Python ints.  That is taken only for the check of an image of rank
+    below the column count, and only once."""
+    rows, cols = shape
+    out = np.full(shape, Fraction(0), dtype=object)
     if rows == 0 or cols == 0:
         return out, []
-    ints = _integer_rows(a)
-    # int64 when every entry fits, so that each image is one vectorized %
-    fits = max(abs(x) for x in ints.flat).bit_length() < 63
-    src = ints.astype(np.int64) if fits else ints
+    ints = None
     best = None  # (-rank, pivots) of the kept images
     for p in _image_primes():
-        img, pivots = _gauss_jordan((src % p).astype(np.int64), p)
+        img, pivots = _gauss_jordan(image(p), p)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue  # an unlucky prime: lower rank or later pivots
@@ -314,6 +319,8 @@ def _rref_rationals(a: np.ndarray):
         if cand is None:
             continue
         den, num = cand
+        if ints is None:
+            ints = integers()
         if np.array_equal(den * ints[:, free], ints[:, pivots].dot(num)):
             out[np.arange(r), pivots] = Fraction(1)
             out[:r, free] = np.frompyfunc(lambda n: Fraction(n, den),
@@ -324,10 +331,16 @@ def _rref_rationals(a: np.ndarray):
 def _rref(a: np.ndarray, field: Field):
     """Reduced row echelon form; returns (rref, pivot_columns).
 
-    Rational matrices take the multi-modular path, prime-field matrices
-    the Gauss–Jordan loop."""
+    Rational matrices take the multi-modular path on their rows scaled
+    to integers, prime-field matrices the Gauss–Jordan loop."""
     if field.kind == "rationals":
-        return _rref_rationals(a)
+        ints = _integer_rows(a)
+        # int64 when every entry fits, so that each image is one vectorized %
+        fits = max((abs(x) for x in ints.flat), default=0).bit_length() < 63
+        src = ints.astype(np.int64) if fits else ints
+        return _rref_rationals(a.shape,
+                               lambda p: (src % p).astype(np.int64),
+                               lambda: ints)
     return _gauss_jordan(a, field.p)
 
 
@@ -341,6 +354,23 @@ def null_basis(field: Field, r: np.ndarray, pivots: list[int]) -> np.ndarray:
     basis[np.arange(len(free)), free] = field.one
     basis[:, pivots] = field.reduce(-r[:len(pivots)][:, free].T)
     return basis
+
+
+def _kernel(field: Field, r: np.ndarray, pivots: list[int]) -> Matrix:
+    """The row-reduced basis Matrix of the kernel of a matrix, from its
+    RREF r and pivot columns: null_basis, canonicalized, so that kernel
+    bases compare by equality."""
+    red, _ = _rref(null_basis(field, r, pivots), field)
+    return Matrix(field, red)
+
+
+def kernel_from_images(shape, image, integers) -> Matrix:
+    """Row-reduced basis over Q of {v : A v = 0}, for the integer matrix
+    A of the given shape with images image(p) = A mod p and, for the
+    check of a rank-deficient image only, integers() = A in Python ints
+    (see _rref_rationals).  An image of full column rank proves the
+    kernel is 0 without A."""
+    return _kernel(RationalField(), *_rref_rationals(shape, image, integers))
 
 
 class Matrix:
@@ -385,11 +415,7 @@ class Matrix:
 
     def right_kernel(self) -> "Matrix":
         """Row-reduced basis of {v : Mv = 0}, one basis vector per row."""
-        field = self.field
-        r, pivots = _rref(self.data, field)
-        # canonicalize, so that kernel bases compare by equality
-        red, _ = _rref(null_basis(field, r, pivots), field)
-        return Matrix(field, red)
+        return _kernel(self.field, *_rref(self.data, self.field))
 
     def det(self):
         if self.rows != self.cols:

@@ -35,7 +35,7 @@ from .apolarity import QuadricPlane, annihilator_piece
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field, PrimeField
 from .linalg import (FormSpace, Matrix, det_stack, eliminate_stack,
-                     pfaffian, pfaffian_stack)
+                     kernel_from_images, pfaffian, pfaffian_stack)
 from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
                    monomial_index, monomial_values, mult_table, power_products,
                    random_form)
@@ -178,7 +178,9 @@ def jump_matrix(plane: QuadricPlane) -> Matrix:
 
     Over Q it is c^3 V J in Python ints, with c the lcm of the
     denominators of the perpendicular basis (integral_rows): J has the
-    same kernel, and no Fraction is multiplied on the way."""
+    same kernel, and no Fraction is multiplied on the way.  Over Q
+    jump_dimension builds its images mod p instead, and this matrix only
+    to check a rank-deficient image."""
     k = plane.field
     rows = integral_rows(k, lperp(plane).basis.data)
     return jump_matrix_from_quadrics(k, rows)
@@ -188,8 +190,23 @@ def jump_dimension(plane: QuadricPlane):
     """Dimension of the space of cubics through the projected image,
     together with the RREF kernel Matrix whose rows are a basis of those
     cubics in the 7 target coordinates y0..y6 (dual basis to the
-    canonical basis of the perpendicular space)."""
-    ker = jump_matrix(plane).right_kernel()
+    canonical basis of the perpendicular space).
+
+    Over Q the kernel of c^3 V J (jump_matrix) comes from its images
+    modulo primes p, each built over F_p from the integer rows reduced
+    mod p (kernel_from_images).  The rank mod p never exceeds the rank
+    over Q, so an image of rank 84 proves the kernel is 0, and c^3 V J
+    is built in Python ints only to check a rank-deficient image."""
+    k = plane.field
+    if k.kind != "rationals":
+        ker = jump_matrix(plane).right_kernel()
+        return ker.rows, ker
+    rows = integral_rows(k, lperp(plane).basis.data)
+    ker = kernel_from_images(
+        (len(sextic_points(k)), len(monomial_basis(len(rows), 3))),
+        lambda p: jump_matrix_from_quadrics(
+            PrimeField(p), (rows % p).astype(np.int64)).data,
+        lambda: jump_matrix_from_quadrics(k, rows).data)
     return ker.rows, ker
 
 

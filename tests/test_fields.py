@@ -1,8 +1,11 @@
 import time
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 
+from qplanes import fields, linalg
 from qplanes.fields import (DEFAULT_PRIME, PRIME_BOUND, PrimeField,
                             RationalField, is_prime)
 
@@ -16,6 +19,43 @@ def test_default_prime_is_prime():
     (32001, False), (1, False), (0, False),
 ])
 def test_is_prime(n, expect):
+    assert is_prime(n) is expect
+
+
+def _trial_division_sieve(limit):
+    """Primality of every n < limit by trial division, one divisor at a
+    time over the whole range: the oracle."""
+    ns = np.arange(limit)
+    prime = ns >= 2
+    for d in range(2, isqrt(limit - 1) + 1):
+        prime &= (ns % d != 0) | (ns == d)
+    return prime
+
+
+def test_is_prime_agrees_with_trial_division_below_2e5():
+    want = _trial_division_sieve(2 * 10 ** 5)
+    assert [is_prime(n) for n in range(len(want))] == want.tolist()
+
+
+def test_is_prime_on_the_image_primes():
+    assert len(linalg._PRIMES) == 32
+    assert all(is_prime(p) for p in linalg._PRIMES)
+
+
+@pytest.mark.parametrize("n", [
+    561, 41041, 825265,  # Carmichael numbers
+    2047, 1373653, 25326001,  # strong pseudoprimes to 2, to 2 and 3, to 2, 3 and 5
+    3215031751,  # to 2, 3, 5 and 7: decided by the exact route
+])
+def test_is_prime_refuses_pseudoprimes(n):
+    assert is_prime(n) is False
+
+
+@pytest.mark.parametrize("n,expect", [
+    (4294967311, True), (3215031751 + 2, False), (2 ** 32 + 1, False),
+])
+def test_is_prime_past_the_miller_rabin_bound(n, expect):
+    assert fields._MR_BOUND <= n
     assert is_prime(n) is expect
 
 

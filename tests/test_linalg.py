@@ -717,14 +717,25 @@ def test_image_primes_are_the_largest_below_the_bound():
     assert linalg._PRIMES == tuple(want)
 
 
-def _images_mod(m: Matrix, primes):
-    """rref of m with the images taken modulo the given primes first;
-    returns the result and the primes of the images taken."""
+def _images_mod(run, primes):
+    """run() with the images taken modulo the given primes first;
+    returns its result and the primes of the images taken."""
     with mock.patch.object(linalg, "_PRIMES", tuple(primes)), \
             mock.patch.object(linalg, "_gauss_jordan",
                               wraps=linalg._gauss_jordan) as spy:
-        got = m.rref()
+        got = run()
     return got, [call.args[1] for call in spy.call_args_list]
+
+
+def _unlucky_rows(fault, q):
+    """[[1, 0, x, y], row0 + q (0, 1, c, d)] or row0 + (0, q, c, d), with
+    x, y of 61 bits and c, d of 41."""
+    rng = random.Random(7)
+    x, y = (rng.randrange(2 ** 60, 2 ** 61) for _ in range(2))
+    c, d = (rng.randrange(2 ** 40, 2 ** 41) for _ in range(2))
+    step = [0, q, q * c, q * d] if fault == "drops the rank" else [0, q, c, d]
+    row0 = [1, 0, x, y]
+    return [row0, [u + v for u, v in zip(row0, step)]]
 
 
 @pytest.mark.parametrize("where", ["first", "later"])
@@ -735,19 +746,63 @@ def test_unlucky_prime_is_outvoted(where, fault):
     entries x, y need several primes, so the image modulo q is taken
     among the lucky ones."""
     q = 1000003
-    rng = random.Random(7)
-    x, y = (rng.randrange(2 ** 60, 2 ** 61) for _ in range(2))
-    c, d = (rng.randrange(2 ** 40, 2 ** 41) for _ in range(2))
-    step = [0, q, q * c, q * d] if fault == "drops the rank" else [0, q, c, d]
-    row0 = [1, 0, x, y]
-    m = Matrix(Q, [row0, [u + v for u, v in zip(row0, step)]])
+    m = Matrix(Q, _unlucky_rows(fault, q))
     at = 0 if where == "first" else 1
     primes = linalg._PRIMES[:at] + (q,) + linalg._PRIMES[at:]
-    (red, piv), used = _images_mod(m, primes)
+    (red, piv), used = _images_mod(m.rref, primes)
     # the image modulo q is taken and ignored: one image more than without q
     assert q in used and len(used) > 3
-    assert len(used) == len(_images_mod(m, linalg._PRIMES)[1]) + 1
+    assert len(used) == len(_images_mod(m.rref, linalg._PRIMES)[1]) + 1
     assert (red, piv) == (Matrix(Q, _loop_rref(m.data, Q)[0]), [0, 1])
+
+
+def _image_source(a):
+    """The callbacks of _rref_rationals for the integer matrix a: its
+    images modulo p, and a in Python ints, with a record of each time
+    that is taken."""
+    ints = np.array(a, dtype=object)
+    taken = []
+
+    def integers():
+        taken.append(1)
+        return ints
+
+    return (lambda p: (ints % p).astype(np.int64)), integers, taken
+
+
+@pytest.mark.parametrize("fault", ["drops the rank", "moves a pivot"])
+def test_image_source_outvotes_a_rank_deficient_first_image(fault):
+    """Images from a callback, the first modulo q, where the rank of the
+    unlucky rows drops or their second pivot moves: the RREF is still the
+    Fraction loop's, and the integer matrix is taken once, for the check
+    of the images of rank 2 < 4."""
+    q = 1000003
+    a = _unlucky_rows(fault, q)
+    image, integers, taken = _image_source(a)
+    assert Matrix(PrimeField(q), image(q)).rank() == (
+        1 if fault == "drops the rank" else 2)
+    (red, piv), used = _images_mod(
+        lambda: linalg._rref_rationals((2, 4), image, integers),
+        (q,) + linalg._PRIMES)
+    assert used[0] == q and len(used) > 2
+    red0, piv0 = _loop_rref(Q.array(a), Q)
+    assert piv == piv0 == [0, 1] and np.array_equal(red, red0)
+    assert len(taken) == 1
+
+
+def test_image_of_full_column_rank_needs_no_integer_matrix():
+    """A first image of rank equal to the column count proves the RREF
+    is the identity: one image, and the integer matrix is never taken."""
+    a = [[1, 2, 3], [4, 5, 6], [7, 8, 10 + PRIME_BOUND]]
+    image, integers, taken = _image_source(a)
+    (red, piv), used = _images_mod(
+        lambda: linalg._rref_rationals((3, 3), image, integers),
+        linalg._PRIMES)
+    assert used == [linalg._PRIMES[0]]
+    assert piv == [0, 1, 2] and Matrix(Q, red) == Matrix.identity(Q, 3)
+    ker = linalg.kernel_from_images((3, 3), image, integers)
+    assert ker.rows == 0 and ker.cols == 3
+    assert taken == []
 
 
 def test_rationals_past_the_literal_primes():
@@ -756,7 +811,7 @@ def test_rationals_past_the_literal_primes():
     bits = 31 * (len(linalg._PRIMES) + 4) // 2
     a, b = 2 ** bits - 1, 2 ** bits + 1
     m = Matrix(Q, [[a, b]])
-    (red, piv), used = _images_mod(m, linalg._PRIMES)
+    (red, piv), used = _images_mod(m.rref, linalg._PRIMES)
     assert len(used) > len(linalg._PRIMES) + 4
     assert all(is_prime(p) and p < PRIME_BOUND for p in used)
     assert len(set(used)) == len(used)
@@ -768,7 +823,7 @@ def test_certificate_rejects_a_candidate_right_only_mod_the_first_prime():
     reconstruction of its residue; only the integer check tells it from
     the true entry 1 + p, which more primes then reconstruct."""
     p = linalg._PRIMES[0]
-    (red, piv), used = _images_mod(Matrix(Q, [[1, 1 + p]]),
+    (red, piv), used = _images_mod(Matrix(Q, [[1, 1 + p]]).rref,
                                    linalg._PRIMES)
     assert piv == [0] and list(red.data[0]) == [1, 1 + p]
     assert len(used) > 1

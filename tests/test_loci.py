@@ -11,13 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplanes import loci
+from qplanes import linalg, loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix, pfaffian
 from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
                           mult_table, parse_poly, power_products)
 from qplanes.unipoly import interpolate
+
+from test_linalg import _images_mod
 
 K = PrimeField()
 V4 = ["x0", "x1", "x2", "x3"]
@@ -643,6 +645,73 @@ def test_integer_jump_matrix_matches_fraction_oracle(seed, kind):
     want = _as_ints(_sextic_values(q)).dot(_as_ints(c ** 3 * oracle))
     assert np.array_equal(jump.data, want)
     assert jump.right_kernel() == Matrix(RationalField(), oracle).right_kernel()
+
+
+# the nullity of the jump matrix over Q of each kind of plane
+JUMP_NULLITY = {"general": 0, "smoothable": 3, "secant": 3, "rank1": 10}
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(JUMP_NULLITY)))
+@settings(max_examples=12, deadline=None)
+def test_rational_jump_kernel_from_images_matches_the_integer_kernel(seed,
+                                                                     kind):
+    """Over Q jump_dimension reduces images of c^3 V J built over F_p from
+    the integer perpendicular rows reduced mod p: each image is c^3 V J
+    mod p, and the kernel is that of c^3 V J in Python ints (the
+    oracle, the path before the images)."""
+    q = RationalField()
+    rng = random.Random(seed)
+    plane = {**PLANES, "smoothable": _smoothable_plane}[kind](rng, q)
+    jump = loci.jump_matrix(plane).data
+    with mock.patch.object(linalg, "_gauss_jordan",
+                           wraps=linalg._gauss_jordan) as spy:
+        dim, ker = loci.jump_dimension(plane)
+    images = [c.args for c in spy.call_args_list
+              if c.args[0].shape == jump.shape]
+    assert images
+    for image, p in images:
+        assert np.array_equal(image, (jump % p).astype(np.int64))
+    assert dim == JUMP_NULLITY[kind]
+    assert ker == Matrix(q, jump).right_kernel()
+
+
+@pytest.mark.parametrize("kind,built", [("general", 0), ("secant", 1),
+                                        ("smoothable", 1)])
+def test_rational_jump_matrix_is_built_only_to_check(kind, built):
+    """A general plane over Q is proved jump 0 by its first image, of rank
+    84: c^3 V J is built once, over F_p, and never in Python ints.  A
+    plane of nullity 3 builds it in Python ints once, for the check."""
+    q = RationalField()
+    plane = _rational_plane(kind, random.Random(0))
+    with mock.patch.object(loci, "jump_matrix_from_quadrics",
+                           wraps=loci.jump_matrix_from_quadrics) as spy:
+        dim = loci.jump_dimension(plane)[0]
+    fields = [c.args[0] for c in spy.call_args_list]
+    assert dim == JUMP_NULLITY[kind]
+    assert fields.count(q) == built
+    if kind == "general":
+        assert fields == [PrimeField(linalg._PRIMES[0])]
+
+
+def test_rational_jump_kernel_outvotes_a_rank_deficient_first_image():
+    """The plane of the partials of an integer cubic plus p times three
+    integer quadrics is general over Q but smoothable mod p, so the first
+    image, mod p, has rank below 84; the kernel is still the oracle's,
+    0."""
+    q, p = RationalField(), 1000003
+    rng = random.Random(3)
+    forms = [_integer_form(rng, d) for d in (3, 1, 1, 1)]
+    partials = loci.integral_rows(
+        q, _special_plane("smoothable", q, forms).space.basis.data)
+    noise = np.array([[p * c for c in _integer_form(rng, 2).values()]
+                      for _ in range(3)], dtype=object)
+    plane = QuadricPlane.from_rows(q, partials + noise)
+    jump = loci.jump_matrix(plane).data
+    assert Matrix(PrimeField(p), (jump % p).astype(np.int64)).rank() < 84
+    (dim, ker), used = _images_mod(lambda: loci.jump_dimension(plane),
+                                   (p,) + linalg._PRIMES)
+    assert p in used
+    assert (dim, ker) == (0, Matrix(q, jump).right_kernel())
 
 
 def test_pencil_experiment_degrees():
