@@ -19,7 +19,7 @@ from .apolarity import (DependentContractions, QuadricPlane,
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field
 from .linalg import FormSpace, Matrix, pfaffian, pfaffian_stack
-from .poly import dense_mul, dot, parse_poly, power_products, random_form
+from .poly import compose, dense_mul, parse_poly, random_form
 
 
 def _random_plane(k: Field, rng) -> QuadricPlane:
@@ -252,8 +252,8 @@ def criterion_9(k: Field, trials: int = 100, seed: int = 0) -> dict:
     for _ in range(gl_trials):
         plane = _random_plane(k, rng)
         g = cons._random_gl(k, 4, rng)
-        moved = QuadricPlane.from_rows(k, dot(
-            k, plane.space.basis.data, power_products(k, g, 4, 1, 2)))
+        moved = QuadricPlane.from_rows(k, compose(
+            k, plane.space.basis.data, g, 4, 1, 2))
         c1, c2 = loci.classify(plane), loci.classify(moved)
         if (c1.verdict == c2.verdict and c1.jump_dim == c2.jump_dim
                 and (c1.pfaffian_value == k.zero)

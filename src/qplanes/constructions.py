@@ -27,8 +27,8 @@ from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, null_basis
 from .loci import (GenericityError, ideal_piece_values, integral_rows,
                    jump_matrix_from_quadrics, lattice_points, lperp)
-from .poly import (Poly, contraction_rows, dot, monomial_basis,
-                   monomial_values, mult_table, power_products, var_shift)
+from .poly import (Poly, compose, contraction_rows, dot, monomial_basis,
+                   monomial_values, mult_table, var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
 
 
@@ -413,7 +413,7 @@ def segre_cubics(members: list[EllipticMember],
         if ker.rows < 1:
             raise NonGenericConfiguration("no cubic relation for this member")
         # substitute the coordinates z_i = incl[i] . y into each relation
-        lifts = dot(k, ker.data, power_products(k, incl, 7, 1, 3))
+        lifts = compose(k, ker.data, incl, 7, 1, 3)
         if np.any(dot(k, lifts, jump.T) != k.zero):
             raise AssertionError("Segre cubic not in the jump kernel")
         out.append(FormSpace.from_matrix(k, 7, 3, Matrix(k, lifts)))
@@ -482,10 +482,13 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
 
     Each kernel row is then certified symbolically: g(f(x)) = lambda(x)*x
     as an exact polynomial identity, with lambda of degree
-    deg(f)*d2 - 1 extracted by exact division.  Returns (g, lambda) for
-    the first row that certifies, else None.  If f is dominant and g is
-    an inverse of least degree e <= d2, the exact kernel is {h g : deg h
-    = d2 - e}, and every nonzero vector of it certifies.  So a row that
+    deg(f)*d2 - 1 extracted by exact division.  g(f) comes from compose,
+    which builds the power products of f only to degree d2 - 1 (84
+    sextics, not 210 octics, for the octic Cremona at d2 = 4).  Returns
+    (g, lambda) for the first row that certifies, else None.  If f is
+    dominant and g is an inverse of least degree e <= d2, the exact
+    kernel is {h g : deg h = d2 - e}, and every nonzero vector of it
+    certifies.  So a row that
     fails means the sampled kernel is larger than the exact one: the
     samples were unlucky, and the pipelines resample when they need an
     inverse.
@@ -500,9 +503,8 @@ def find_inverse(f: RationalMap, d2: int, seed: int = 0):
     ker = _proportionality_kernel(k, *_inverse_samples(f, d2, seed))
     if ker.rows == 0:
         return None
-    prods = power_products(k, f.rows, nv, d1, d2)  # N x dim Sym^{d1 d2}
     for coeffs in ker.data:
-        comp = dot(k, coeffs.reshape(nv, -1), prods)  # g_i(f(x)) in row i
+        comp = compose(k, coeffs.reshape(nv, -1), f.rows, nv, d1, d2)
         lam = _exact_var_quotient(k, comp[0], nv, d1 * d2, 0)
         if lam is None or not np.any(lam != k.zero):
             continue

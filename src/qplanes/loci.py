@@ -36,8 +36,8 @@ from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by 
 from .fields import Field, PrimeField
 from .linalg import (FormSpace, Matrix, det_stack, eliminate_stack,
                      kernel_from_images, pfaffian, pfaffian_stack)
-from .poly import (Poly, contraction_rows, dense_mul, dot, monomial_basis,
-                   monomial_index, monomial_values, mult_table, power_products,
+from .poly import (Poly, compose, contraction_rows, dense_mul, dot,
+                   monomial_basis, monomial_index, monomial_values, mult_table,
                    random_form)
 from .unipoly import UniPoly, interpolate, squarefree_and_power
 
@@ -101,27 +101,32 @@ def lperp(plane: QuadricPlane) -> FormSpace:
     return annihilator_piece(plane.space, 2)
 
 
-@lru_cache(maxsize=None)
+# the largest e for which lattice_points takes the lattice of size e
+LATTICE_DEGREE_BOUND = 10
+
+
 def lattice_points(k: Field, nvars: int, e: int) -> np.ndarray:
     """The exponents of monomial_basis(nvars, e) as points: the lattice
     points of the simplex of size e, unisolvent for forms of degree e
     (Chung and Yao, SIAM J. Numer. Anal. 14, 1977); det V_6 = 2^294 3^189
     5^12 for the degree-e monomial values V_e in 4 variables.  V_e is block
-    triangular over supports, with equal diagonal blocks for supports of
-    one size; a singular block of {0}, {0, 1}, ... raises ArithmeticError.
-    Over Q the points are Python ints, and full rank mod one prime proves
-    it over Q."""
-    if k.kind == "rationals":
-        pts = lattice_points(PrimeField(), nvars, e).astype(object)
-    else:
-        pts = np.array(monomial_basis(nvars, e))
-        v = monomial_values(k, nvars, e, pts)
-        for s in range(1, min(nvars, e) + 1):
-            on = np.all((pts > 0) == (np.arange(nvars) < s), axis=1)
-            if Matrix(k, v[np.ix_(on, on)]).rank() != np.count_nonzero(on):
-                raise ArithmeticError(
-                    f"the lattice points of size {e} in {nvars} variables "
-                    f"are not unisolvent over {k!r}")
+    triangular over supports, and the diagonal block of the support
+    {0, ..., s-1} has an integer determinant whose prime factors are at
+    most e at every (nvars, e) the package reaches (the tests compute
+    them), so it is a unit over Q and modulo every prime p >= 11 that
+    PrimeField takes.  Past e = 10 the block of {0}, e^e, would vanish
+    modulo a prime that PrimeField takes (11^11 at e = 11), so a larger e
+    raises ValueError.  Over Q the points are Python ints."""
+    return _lattice_points(nvars, e, k.kind == "rationals")
+
+
+@lru_cache(maxsize=None)
+def _lattice_points(nvars: int, e: int, python_ints: bool) -> np.ndarray:
+    if e > LATTICE_DEGREE_BOUND:
+        raise ValueError(f"lattice points of size {e} > "
+                         f"{LATTICE_DEGREE_BOUND} are not proved unisolvent")
+    pts = np.array(monomial_basis(nvars, e),
+                   dtype=object if python_ints else np.int64)
     pts.flags.writeable = False  # one cached array is shared by all callers
     return pts
 
@@ -497,8 +502,8 @@ def rank2_sextic_witness(plane: QuadricPlane, element, change):
     # nonzero constant, so that the products multiply no Fraction
     nv = 2 if rank == 2 else 3
     inverse = Matrix(k, change).inverse().data
-    duals = dot(k, integral_rows(k, lperp(plane).basis.data), integral_rows(
-        k, power_products(k, inverse[:nv].T, nv, 1, 2)))
+    duals = compose(k, integral_rows(k, lperp(plane).basis.data),
+                    integral_rows(k, inverse[:nv].T), nv, 1, 2)
     quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
     sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
     idx = monomial_index(nv, 6)

@@ -3,8 +3,10 @@ and the Poly type at the boundary.
 
 Inside the program a form of degree d is its coefficient row over
 monomial_basis(nvars, d), and forms multiply, evaluate, substitute and
-contract as rows (dense_mul, monomial_values, power_products,
-contraction_rows, dot).  ``Poly``, a dict from exponent tuple to nonzero
+contract as rows (dense_mul, monomial_values, compose, contraction_rows,
+dot).  compose is the one substitution of forms into a form, and
+dense_mul sums the products that share a target with one sorted
+np.add.reduceat.  ``Poly``, a dict from exponent tuple to nonzero
 coefficient, is the type that parse_poly returns, that format prints and
 that the certificates hold.  All degrees in this project are <= 8 in
 <= 7 variables.  The monomial order used everywhere is graded
@@ -16,6 +18,7 @@ first).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import perm, prod
 
@@ -62,17 +65,37 @@ def mult_table(nvars: int, d1: int, d2: int) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=None)
+def _product_segments(nvars: int, d1: int, d2: int):
+    """mult_table(nvars, d1, d2) sorted by target: the row and column
+    of each product in that order, the start of each target's run (every
+    target of the degree-(d1+d2) basis has one, in basis order), and the
+    longest run."""
+    table = mult_table(nvars, d1, d2)
+    order = np.argsort(table, axis=None, kind="stable")
+    starts = np.flatnonzero(np.diff(table.flat[order], prepend=-1))
+    rows, cols = np.divmod(order, table.shape[1])
+    for t in (rows, cols, starts):
+        t.flags.writeable = False
+    return rows, cols, starts, int(np.diff(starts, append=order.size).max())
+
+
 def dense_mul(k: Field, a, b, nvars: int, d1: int, d2: int):
     """Product of dense coefficient vectors of degrees d1 and d2; leading
-    axes of a and b broadcast, so stacks multiply in one call."""
-    table = mult_table(nvars, d1, d2)
-    # reduce each product first so the sums stay within int64
-    prods = k.reduce(a[..., :, None] * b[..., None, :])
-    # the dtype of the products, so that Python ints over Q stay ints
-    out = np.zeros(prods.shape[:-2] + (len(monomial_basis(nvars, d1 + d2)),),
-                   dtype=prods.dtype)
-    np.add.at(out, (..., table), prods)
-    return k.reduce(out)
+    axes of a and b broadcast, so stacks multiply in one call.
+
+    The products are formed in the order of _product_segments and each
+    target's run is summed by np.add.reduceat.  Over F_p the entries lie
+    in [0, p), so a product is below (p-1)^2 and a run of `longest`
+    products fits in int64 unless (p-1)^2 * longest >= 2^63 (never at
+    p = 32003; at p = 2^31 - 1 once a run is longer than two); the
+    products are then reduced before they are summed.  Over Q the object
+    arrays sum as they are."""
+    rows, cols, starts, longest = _product_segments(nvars, d1, d2)
+    prods = a[..., rows] * b[..., cols]
+    if k.kind == "prime" and (k.p - 1) ** 2 * longest >= 2 ** 63:
+        prods %= k.p
+    return k.reduce(np.add.reduceat(prods, starts, axis=-1))
 
 
 # float64 holds every integer below this exactly
@@ -155,19 +178,47 @@ def monomial_values(k: Field, nvars: int, d: int, points) -> np.ndarray:
 def power_products(k: Field, rows, nvars: int, d: int, d2: int) -> np.ndarray:
     """Dense coefficient vectors of all degree-d2 monomials in the forms
     of degree d with the given coefficient rows, as rows indexed by
-    monomial_basis(len(rows), d2)."""
-    n = len(rows)
+    monomial_basis(len(rows), d2); compose takes them to degree d2 - 1."""
     if d2 == 0:
         return k.array([[k.one]])
-    prev = dict(zip(monomial_basis(n, 1), rows))  # x_i -> row i
+    out = np.array(rows)
     for level in range(2, d2 + 1):
-        cur = {}
-        for e in monomial_basis(n, level):
-            i = next(t for t, ei in enumerate(e) if ei > 0)
-            rest = e[:i] + (e[i] - 1,) + e[i + 1:]
-            cur[e] = dense_mul(k, prev[rest], rows[i], nvars, d * (level - 1), d)
-        prev = cur
-    return np.stack([prev[e] for e in monomial_basis(n, d2)])
+        # the block of y_j: y_j times the last products of the level below
+        out = np.concatenate([
+            dense_mul(k, out[len(out) - (stop - start):], rows[j], nvars,
+                      d * (level - 1), d)
+            for j, (start, stop) in enumerate(
+                _first_variable_blocks(len(rows), level))])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _first_variable_blocks(n: int, d2: int) -> tuple[tuple[int, int], ...]:
+    """(start, stop) for each variable y_j: the monomials of
+    monomial_basis(n, d2) whose first variable is y_j, a contiguous block
+    since the order is lexicographically descending, are y_j times the
+    last stop - start monomials of monomial_basis(n, d2 - 1), in order."""
+    first = [next(i for i, ei in enumerate(e) if ei)
+             for e in monomial_basis(n, d2)]
+    return tuple((bisect_left(first, j), bisect_right(first, j))
+                 for j in range(n))
+
+
+def compose(k: Field, g, f, nvars: int, d: int, d2: int) -> np.ndarray:
+    """Coefficient rows of g(f): the forms of degree d2 in len(f)
+    variables with rows g (on the last axis; leading axes are kept), with
+    y_j replaced by the form of degree d in nvars variables with row
+    f[j].  One Horner step: g = sum_j y_j q_j(y), splitting each monomial
+    at its first variable as power_products does, so g(f) = sum_j f_j
+    q_j(f) takes the power products of f of degree d2 - 1 only."""
+    if d2 == 0:  # constants
+        return k.reduce(np.array(g))
+    lower = power_products(k, f, nvars, d, d2 - 1)
+    out = 0
+    for j, (start, stop) in enumerate(_first_variable_blocks(len(f), d2)):
+        q = dot(k, g[..., start:stop], lower[len(lower) - (stop - start):])
+        out = out + dense_mul(k, q, f[j], nvars, d * (d2 - 1), d)
+    return k.reduce(out)
 
 
 def var_shift(k: Field, vec, nvars: int, d: int, var: int):
@@ -342,7 +393,7 @@ class Poly:
         rows = np.stack([p.coeff_vector(e) for p in polys])
         out = Poly.zero(f, nv)
         for d, vec in self.homogeneous_vectors().items():
-            image = dot(f, vec, power_products(f, rows, nv, e, d))
+            image = compose(f, vec, rows, nv, e, d)
             out = out + Poly.from_coeff_vector(f, nv, d * e, image)
         return out
 

@@ -532,17 +532,12 @@ def _smoothable_plane(rng, k=K):
 
 @pytest.mark.parametrize("p", [11, 2147483647])
 def test_sextic_points_are_unisolvent(p):
-    """V has rank 84, and its block check passes; a singular V fails it."""
+    """V has rank 84, and the quadric values are those at the exponents
+    of the sextic monomials."""
     k = PrimeField(p)
     assert Matrix(k, _sextic_values(k)).rank() == 84
     quad = loci.sextic_points(k)
     assert np.array_equal(quad, monomial_values(k, 4, 2, monomial_basis(4, 6)))
-    singular = _sextic_values(k)
-    singular[:, 1] = 0
-    with mock.patch.object(loci, "monomial_values",
-                           lambda k, nvars, d, pts: singular):
-        with pytest.raises(ArithmeticError):
-            loci.lattice_points.__wrapped__(k, 4, 6)
 
 
 # every (nvars, e) of a lattice the package evaluates at: the minor
@@ -571,19 +566,62 @@ def test_lattice_points_over_rationals_are_python_ints(nvars, e):
     assert all(type(x) is int for x in values.flat)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3])
-def test_lattice_points_refuse_a_singular_block(size):
-    """A V_8 in 3 variables whose diagonal block of the support
-    {0, ..., size - 1} has a zero column is refused."""
-    k = PrimeField(31)
-    pts = np.array(monomial_basis(3, 8))
-    singular = monomial_values(k, 3, 8, pts)
-    on = np.all((pts > 0) == (np.arange(3) < size), axis=1)
-    singular[:, np.flatnonzero(on)[0]] = 0
-    with mock.patch.object(loci, "monomial_values",
-                           lambda k, nvars, d, pts: singular):
-        with pytest.raises(ArithmeticError):
-            loci.lattice_points.__wrapped__(k, 3, 8)
+def _integer_det(rows) -> int:
+    """The determinant of a square matrix of Python ints, by Bareiss's
+    fraction-free elimination."""
+    m = [[int(x) for x in row] for row in rows]
+    sign, prev = 1, 1
+    for i in range(len(m)):
+        swap = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if swap is None:
+            return 0
+        if swap != i:
+            m[i], m[swap], sign = m[swap], m[i], -sign
+        for r in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def test_integer_det_matches_a_known_value():
+    assert _integer_det([[2, 1], [1, 3]]) == 5
+    assert _integer_det([[0, 1, 0], [1, 0, 0], [0, 0, 7]]) == -7
+    assert _integer_det([[1, 2], [2, 4]]) == 0
+
+
+@pytest.mark.parametrize("nvars,e", LATTICES)
+def test_lattice_blocks_are_units_modulo_every_field_prime(nvars, e):
+    """Each diagonal support block of V_e (the points and the monomials
+    with support {0, ..., s-1}) has an integer determinant with no prime
+    factor >= 11, the least prime PrimeField takes: so V_e is invertible
+    over Q and modulo every prime the package uses, which lattice_points
+    relies on without a rank check."""
+    pts = np.array(monomial_basis(nvars, e), dtype=object)
+    v = monomial_values(RationalField(), nvars, e, pts)
+    for s in range(1, min(nvars, e) + 1):
+        on = np.all((pts > 0) == (np.arange(nvars) < s), axis=1)
+        det = abs(_integer_det(v[np.ix_(on, on)]))
+        assert det != 0
+        for q in (2, 3, 5, 7):
+            while det % q == 0:
+                det //= q
+        assert det == 1, (nvars, e, s, det)
+
+
+@pytest.mark.parametrize("k", [PrimeField(11), RationalField()], ids=repr)
+def test_lattice_points_refuse_a_size_above_the_bound(k):
+    """At e = 11 the block of {0} is 11^11, singular modulo 11."""
+    assert len(loci.lattice_points(k, 3, loci.LATTICE_DEGREE_BOUND)) == 66
+    with pytest.raises(ValueError):
+        loci.lattice_points(k, 3, loci.LATTICE_DEGREE_BOUND + 1)
+
+
+def test_lattice_points_are_cached_once_per_field_kind():
+    """Image primes share one array; Q has its own, of Python ints."""
+    a = loci.lattice_points(PrimeField(11), 4, 6)
+    assert loci.lattice_points(PrimeField(2147483647), 4, 6) is a
+    assert loci.lattice_points(RationalField(), 4, 6).dtype == object
 
 
 @given(st.integers(0, 10**6),

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qplanes.fields import PrimeField, RationalField
-from qplanes.poly import (Poly, dense_mul, dot, monomial_basis, monomial_index,
-                          monomial_values, parse_poly, power_products,
-                          random_form, var_shift)
+from qplanes.poly import (Poly, compose, dense_mul, dot, monomial_basis,
+                          monomial_index, monomial_values, mult_table,
+                          parse_poly, power_products, random_form, var_shift)
 
 K = PrimeField()
 V3 = ["x0", "x1", "x2"]
@@ -177,7 +177,94 @@ def test_power_products_match_poly_mul(seed, k, nvars, d, n, d2):
         assert Poly.from_coeff_vector(k, nvars, d * d2, row) == prod
 
 
-# -- substitution through power_products against term-by-term products --
+# -- the sorted reduceat product and compose against their oracles -------
+
+
+def _scatter_mul(k, a, b, nvars, d1, d2):
+    """dense_mul as it was: every product reduced, then scattered onto
+    its target by np.add.at."""
+    prods = k.reduce(a[..., :, None] * b[..., None, :])
+    out = np.zeros(prods.shape[:-2] + (len(monomial_basis(nvars, d1 + d2)),),
+                   dtype=prods.dtype)
+    np.add.at(out, (..., mult_table(nvars, d1, d2)), prods)
+    return k.reduce(out)
+
+
+SUBST_FIELDS = st.sampled_from([PrimeField(11), K, PrimeField(2147483647),
+                                RationalField()])
+
+
+@given(st.integers(0, 10**6), SUBST_FIELDS, st.integers(1, 7),
+       st.integers(0, 6), st.integers(0, 2), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_dense_mul_matches_the_scatter(seed, k, nvars, d1, d2, stack):
+    """Stacks of up to 3 (one over Q, where the products are Fractions)
+    times one form, at the degrees the program multiplies."""
+    if k.kind == "rationals":
+        stack = min(stack, 1)
+    rng = random.Random(seed)
+    a = k.zeros((stack, len(monomial_basis(nvars, d1))))
+    for i in range(stack):
+        a[i] = random_form(k, nvars, d1, rng)
+    b = random_form(k, nvars, d2, rng)
+    got = dense_mul(k, a, b, nvars, d1, d2)
+    assert got.shape == (stack, len(monomial_basis(nvars, d1 + d2)))
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, _scatter_mul(k, a, b, nvars, d1, d2))
+
+
+@given(st.integers(0, 10**6), SUBST_FIELDS, st.integers(1, 4),
+       st.integers(1, 7), st.integers(1, 2), st.integers(1, 4),
+       st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_the_power_products(seed, k, nvars, n, d, d2, rows):
+    """compose(g, f) is dot(g, power_products(f)) entry for entry, for a
+    single g and for stacks of rows, some of them zero (or none)."""
+    if k.kind == "rationals" and n * d * d2 > 12:
+        n = 12 // (d * d2)  # Fraction products of degree 8 are slow
+    rng = random.Random(seed)
+    f = np.stack([random_form(k, nvars, d, rng) for _ in range(n)])
+    if rng.random() < 0.3:
+        f[rng.randrange(n)] = 0  # a zero form among the images
+    width = len(monomial_basis(n, d2))
+    g = k.zeros((rows, width))
+    for i in range(rows):
+        if rng.random() < 0.7:
+            g[i] = [rng.choice([0, k.random_element(rng)])
+                    for _ in range(width)]
+    want = dot(k, g, power_products(k, f, nvars, d, d2))
+    got = compose(k, g, f, nvars, d, d2)
+    assert got.shape == (rows, len(monomial_basis(nvars, d * d2)))
+    assert np.array_equal(got, want)
+    if rows:
+        assert np.array_equal(compose(k, g[0], f, nvars, d, d2), want[0])
+
+
+def test_products_of_all_p_minus_one_at_the_largest_prime():
+    """Every entry p - 1 at p = 2^31 - 1, where a product is ~2^62 and
+    so has to be reduced before the sums: the largest product shape the
+    program reaches (the c_S8 certificate, sextic times quadric in 7
+    variables) and the degree-8 substitution of seven quadrics."""
+    k = PrimeField(2147483647)
+    top = k.p - 1
+    a = np.full((2, len(monomial_basis(7, 6))), top, dtype=np.int64)
+    b = np.full(len(monomial_basis(7, 2)), top, dtype=np.int64)
+    got = dense_mul(k, a, b, 7, 6, 2)
+    assert np.array_equal(got, _scatter_mul(k, a, b, 7, 6, 2))
+    # each target sums (-1)^2 once per split
+    splits = np.bincount(mult_table(7, 6, 2).ravel())
+    assert np.array_equal(got[0], splits % k.p)
+    # runs of at most two, 2 (p-1)^2 < 2^63, are summed unreduced
+    a = np.full(4, top, dtype=np.int64)
+    assert np.array_equal(dense_mul(k, a, a, 4, 1, 1),
+                          _scatter_mul(k, a, a, 4, 1, 1))
+    f = np.full((7, len(monomial_basis(7, 2))), top, dtype=np.int64)
+    g = np.full((7, len(monomial_basis(7, 4))), top, dtype=np.int64)
+    assert np.array_equal(compose(k, g, f, 7, 2, 4),
+                          dot(k, g, power_products(k, f, 7, 2, 4)))
+
+
+# -- substitution through compose against term-by-term products --------
 
 WIDE = st.sampled_from([K, PrimeField(2147483647), RationalField()])
 
