@@ -118,8 +118,8 @@ def annihilator_piece(space: FormSpace, d: int) -> FormSpace:
     k = space.field
     if d > space.degree:
         return FormSpace.full(k, space.nvars, d)
-    ker = _contraction_constraint_matrix(space, d).right_kernel()
-    return FormSpace.from_matrix(k, space.nvars, d, ker)
+    return FormSpace(k, space.nvars, d,
+                     _contraction_constraint_matrix(space, d).right_kernel())
 
 
 def annihilator(space: FormSpace, up_to: int) -> GradedIdeal:

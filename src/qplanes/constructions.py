@@ -183,8 +183,8 @@ def forms_through(points: PointSet, d: int) -> FormSpace:
         raise ValueError("forms_through expects projective points")
     k = points.field
     nvars = points.n + 1
-    ker = Matrix(k, monomial_values(k, nvars, d, points.points)).right_kernel()
-    return FormSpace.from_matrix(k, nvars, d, ker)
+    return FormSpace(k, nvars, d, Matrix(
+        k, monomial_values(k, nvars, d, points.points)).right_kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,11 @@ def initial_system(points: PointSet, require_143: bool = True):
     Scaling the points toward the origin turns every polynomial
     vanishing on them into its top-degree form, so the degree-d piece of
     the limit ideal is the image in Sym^d of the polynomials of degree
-    at most d vanishing on the points.
+    at most d vanishing on the points.  One RREF of the values
+    [V_0 | V_1 | V_2 | V_3] of the monomials of degrees 0..3 there gives
+    it all: the Hilbert function at d is the number of pivots in block d,
+    and the null_basis rows of the free columns in block d, which vanish
+    after their own column, cut to block d span the degree-d piece.
 
     Returns (ideal, hilbert_function, plane) where the plane is the
     contraction-perp of the degree-2 piece; with ``require_143`` a
@@ -209,19 +213,17 @@ def initial_system(points: PointSet, require_143: bool = True):
         raise ValueError("initial_system expects affine points")
     k = points.field
     nvars = points.n
-    pieces = {}
-    hf_vals = []
-    values = [monomial_values(k, nvars, e, points.points) for e in range(4)]
-    for d in range(4):
-        # evaluation on all monomials of degree <= d, then project to
-        # the top-degree block
-        ker = Matrix(k, np.concatenate(values[:d + 1], axis=1)).right_kernel()
-        top = len(monomial_basis(nvars, d))
-        pieces[d] = FormSpace.from_matrix(k, nvars, d,
-                                          Matrix(k, ker.data[:, -top:]))
-        hf_vals.append(top - pieces[d].dim)
+    red, pivots = Matrix(k, np.concatenate(
+        [monomial_values(k, nvars, d, points.points) for d in range(4)],
+        axis=1)).rref()
+    null = null_basis(k, red.data, pivots)
+    bounds = np.cumsum([0] + [len(monomial_basis(nvars, d)) for d in range(4)])
+    before = np.searchsorted(pivots, bounds)  # the pivots before each block
+    cut = bounds - before  # the free columns, so null_basis rows, before it
+    pieces = {d: FormSpace.from_matrix(k, nvars, d, Matrix(
+        k, null[cut[d]:cut[d + 1], bounds[d]:bounds[d + 1]])) for d in range(4)}
     ideal = GradedIdeal(pieces)
-    hf = HilbertFunction(hf_vals)
+    hf = HilbertFunction(np.diff(before).tolist())
     plane = None
     if hf == [1, 4, 3]:
         plane = QuadricPlane(annihilator_piece(pieces[2], 2))
@@ -315,21 +317,20 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
 
 
 def gale_dual(gamma2: PointSet, q,
-              projection: RationalMap | None = None) -> tuple[PointSet, RationalMap]:
+              projection: RationalMap) -> tuple[PointSet, RationalMap]:
     """8 points in P^4: images of the plane points under the Veronese
-    followed by projection from the image of q."""
+    followed by the projection from the image of q (projection_from_point)."""
     k = gamma2.field
     q = _normalize_projective(k, tuple(k.of(c) for c in q))
     if q in gamma2.points:
         raise ValueError("projection center among the points")
-    proj = projection_from_point(q, k) if projection is None else projection
     images = []
     for p in gamma2.points:
-        im = apply_map(proj, p)
+        im = apply_map(projection, p)
         if im is None:
             raise NonGenericConfiguration("point maps to the center")
         images.append(im)
-    return PointSet(k, "projective", 4, images), proj
+    return PointSet(k, "projective", 4, images), projection
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +440,9 @@ def octic_surface(z: PointSet):
     # quadrics through the image: kernel of Sym^2 of the quartic space
     # into degree-8 plane forms, evaluated at the 45 lattice points of
     # degree 8, which multiplies it by an invertible matrix
-    ker = Matrix(k, monomial_values(k, 7, 2, _plane_values(
-        k, quartics.basis.data, 4, 8))).right_kernel()
-    quadrics = FormSpace.from_matrix(k, 7, 2, ker)
+    values = monomial_values(k, 7, 2, _plane_values(
+        k, quartics.basis.data, 4, 8))
+    quadrics = FormSpace(k, 7, 2, Matrix(k, values).right_kernel())
     if quadrics.dim != 7:
         raise NonGenericConfiguration(
             f"quadrics through the octic surface: dim {quadrics.dim}, not 7")

@@ -35,7 +35,7 @@ from .apolarity import QuadricPlane, annihilator_piece
 from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by name)
 from .fields import Field, PrimeField
 from .linalg import (FormSpace, Matrix, det_stack, eliminate_stack,
-                     kernel_from_images, pfaffian, pfaffian_stack)
+                     kernel_from_images, null_basis, pfaffian, pfaffian_stack)
 from .poly import (Poly, compose, contraction_rows, dense_mul, dot,
                    monomial_basis, monomial_index, monomial_values, mult_table,
                    random_form)
@@ -229,10 +229,15 @@ def _hessians(k: Field, rows) -> np.ndarray:
 
 def _minor_values(k: Field, hessians, d: int) -> np.ndarray:
     """The sixteen 3x3 minors of a H1 + b H2 + c H3 at the points of
-    lattice_points(k, 3, d), points x minors: 8 times those of the
-    matrices, expanded along the first row with every product reduced,
-    so that over F_p no intermediate reaches 2^62."""
-    pts = lattice_points(k, 3, d)
+    lattice_points(k, 3, d), points x minors (_minors_at)."""
+    return _minors_at(k, hessians, lattice_points(k, 3, d))
+
+
+def _minors_at(k: Field, hessians, pts) -> np.ndarray:
+    """The sixteen 3x3 minors of a H1 + b H2 + c H3 at the points (a, b, c)
+    of pts, points x minors: 8 times those of the matrices, expanded along
+    the first row with every product reduced, so that over F_p no
+    intermediate reaches 2^62."""
     m = dot(k, pts, hessians.reshape(3, 16)).reshape(-1, 4, 4)
     t = np.array(list(combinations(range(4), 3)))  # rows, and columns
     sub = m[:, t[:, None, :, None], t[None, :, None, :]]
@@ -263,29 +268,31 @@ def secant_intersects(plane: QuadricPlane):
     The minors are taken at lattice points (_minor_values), over Q from
     integral_rows, so no Fraction is multiplied.  Those independent at
     the ten points of degree 3 span I_3 and generate the ideal; each
-    piece is built from them alone, generators x points: at most 36
-    columns at d = 7.
+    piece is built from them alone, generators x points (at most 36
+    columns at d = 7), and row-reduced once: its dimension is the pivot
+    count, and _find_rank_le2 reads its kernel off the same RREF.
 
     Returns (hit, certificate) where the certificate records the piece
     dimensions of the degrees checked ("piece_dims") and, on a hit, the
     coefficient row of an explicit rank <= 2 element of the plane when
-    _find_rank_le2 finds one ("element_row", otherwise None).  classify
-    turns that row into the Poly of its certificate's "element".
+    _find_rank_le2 finds one ("element_row", otherwise None), which
+    classify turns into the Poly of its certificate's "element".
     """
     k = plane.field
     hessians = _hessians(k, integral_rows(k, plane.space.basis.data))
     _, keep = Matrix(k, _minor_values(k, hessians, 3)).rref()
-    dims, pieces = {3: (len(keep), 10)}, {}
+    dims, reduced = {3: (len(keep), 10)}, {}
     d = 3
     while dims[d][0] < dims[d][1] and d < MACAULAY_BOUND:
         d += 1
-        pieces[d] = ideal_piece_values(
-            k, 3, 3, d, _minor_values(k, hessians, d)[:, keep])
-        dims[d] = (Matrix(k, pieces[d]).rank(), pieces[d].shape[1])
+        piece = ideal_piece_values(k, 3, 3, d,
+                                   _minor_values(k, hessians, d)[:, keep])
+        reduced[d] = Matrix(k, piece).rref()
+        dims[d] = (len(reduced[d][1]), piece.shape[1])
     hit = dims[d][0] < dims[d][1]
     cert = {"piece_dims": dims, "element_row": None}
     if hit:
-        cert["element_row"] = _find_rank_le2(plane, pieces, dims)
+        cert["element_row"] = _find_rank_le2(plane, hessians, reduced, dims)
     return hit, cert
 
 
@@ -295,38 +302,46 @@ def secant_intersects(plane: QuadricPlane):
 SECANT_DEGREE = 10
 
 
-def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
+# The basis coefficients probed first: e_i, then e_i + c e_j, i < j, c <= 3
+_PROBES = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]] + [
+    row for c in (1, 2, 3) for row in ([1, c, 0], [1, 0, c], [0, 1, c])])
+
+
+def _find_rank_le2(plane: QuadricPlane, hessians, reduced: dict, dims: dict):
     """The coefficient row of an explicit rank <= 2 element of the plane,
-    or None.
+    or None, from the Hessians of its basis (integral over Q) and the
+    RREFs (Matrix, pivots) of the minor ideal's pieces in point form that
+    secant_intersects took.
 
-    Basis vectors and small combinations are probed first.  Then the
-    zero scheme Z of the minors is read off by linear algebra, without
-    roots.  At the lowest d >= 4 where the piece codimension r is the
-    same at d - 1 and d, the kernel K of the degree-d piece is dual to
-    the coordinate ring of Z, and r is its length.  If Z is one point P,
-    B_j = K[:, x_j * S_{d-1}] has rank r exactly when P_c != 0, and
-    X_j B_c = B_j defines X_j with the one eigenvalue P_j / P_c, so
-    P_j / P_c = tr(X_j) / r.  c is the last coordinate with rank B_c =
-    r, so the last nonzero coordinate of P is 1.  Several points or a
-    curve give an element that fails the rank check, hence None.
+    A combination with coefficients lam has rank <= 2 exactly when the
+    sixteen minors vanish at lam: the _PROBES are checked first, by one
+    _minors_at.  Then the zero scheme Z of the minors is read off by
+    linear algebra, without roots.  At the lowest d >= 4 where the piece
+    codimension r is the same at d - 1 and d, the kernel K of the
+    degree-d piece is dual to the coordinate ring of Z, and r is its
+    length.  If Z is one point P, B_j = K[:, x_j * S_{d-1}] has rank r
+    exactly when P_c != 0, and X_j B_c = B_j defines X_j with the one
+    eigenvalue P_j / P_c, so P_j / P_c = tr(X_j) / r.  c is the last
+    coordinate with rank B_c = r, so the last nonzero coordinate of P is
+    1.  Several points or a curve give a lam at which some minor does
+    not vanish, hence None.
 
-    K = mu V_d, mu the right kernel of the piece in point form, spans the
+    K = mu V_d, mu the null_basis of the piece's RREF, spans the
     coefficient kernel; row operations on K keep the pivots of B_c and
     the traces, so K need not be reduced."""
     k = plane.field
     rows = plane.space.basis.data
-    candidates = list(rows) + [k.reduce(rows[i] + k.of(c1) * rows[j])
-                               for c1 in (1, 2, 3) for i in range(3)
-                               for j in range(i + 1, 3)]
-    for q in candidates:
-        if Matrix(k, _hessians(k, q)).rank() <= 2:
-            return q
+    probes = _PROBES.astype(object) if k.kind == "rationals" else _PROBES
+    rank_le2 = ~np.any(_minors_at(k, hessians, probes) != k.zero, axis=1)
+    if rank_le2.any():
+        return dot(k, probes[np.argmax(rank_le2)], rows)
     codim = {d: full - got for d, (got, full) in dims.items()}
     d = next((d for d in range(4, MACAULAY_BOUND + 1)
               if codim[d - 1] == codim[d] <= SECANT_DEGREE), None)
     if d is None:
         return None
-    mu = Matrix(k, pieces[d]).right_kernel().data
+    red, pivots = reduced[d]
+    mu = null_basis(k, red.data, pivots)
     ker = dot(k, mu, monomial_values(k, 3, d, lattice_points(k, 3, d)))
     r = ker.shape[0]
     blocks = [ker[:, col] for col in mult_table(3, d - 1, 1).T]
@@ -339,8 +354,8 @@ def _find_rank_le2(plane: QuadricPlane, pieces: dict, dims: dict):
     inv = Matrix(k, blocks[c][:, cols]).inverse().data
     lam = k.array([k.div(k.of(sum(np.diagonal(dot(k, b[:, cols], inv)))),
                          k.of(r)) for b in blocks])
-    q = dot(k, lam, rows)
-    return q if Matrix(k, _hessians(k, q)).rank() <= 2 else None
+    at_lam = _minors_at(k, hessians, integral_rows(k, lam[None]))
+    return None if np.any(at_lam != k.zero) else dot(k, lam, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,33 +368,29 @@ def rank_le2_adapted_change(k: Field, q):
     q to x0*x1 (rank 2) or x0^2 (rank 1), up to scalar; None when q
     splits only over an extension.
 
+    With B the r nonzero rows of the RREF of the matrix A of q and J its
+    pivots, A = A[:, J] B, so A = B^T G B with G = A[J, J]: q is G in
+    s = B_0 x and t = B_1 x, with factors l_i = t_i B_0 - s_i B_1 for the
+    isotropic (s_i, t_i) of G (at rank 1, q = G_00 s^2).  M is the
+    inverse of the rows l_1, l_2 (B_0) and the units at the free columns.
+
     Returns (change matrix M with q(Mx) = c * normal form, rank, c)."""
     a = quadric_matrices(k, q)
-    am = Matrix(k, a)
-    r = am.rank()
-    if r > 2:
-        raise ValueError("element has rank > 2")
-    rad = am.right_kernel()  # dim 4 - r
-    if r == 1:
-        # q = c * l^2 with l spanning the row space
-        row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
-        minv = Matrix(k, _complete_basis(k, [row])).inverse().data
-        return minv, 1, _normal_coefficient(k, a, minv, 1)
-    # rank 2: find two independent isotropic vectors in a complement of rad
-    c1, c2 = pair = np.stack(_complete_basis(k, list(rad.data))[rad.rows:])
-    gram = dot(k, dot(k, pair, a), pair.T)
-    iso = _isotropic_pair(k, gram[0, 0], gram[0, 1], gram[1, 1])
-    if iso is None:
-        return None
-    (s1, t1), (s2, t2) = iso
-    e1 = k.reduce(s1 * c1 + t1 * c2)
-    e2 = k.reduce(s2 * c1 + t2 * c2)
-    # linear forms vanishing on <e2, rad> and <e1, rad> respectively
-    u, v = (Matrix(k, np.vstack([e, rad.data])).right_kernel().data[0]
-            for e in (e2, e1))
-    minv = Matrix(k, _complete_basis(k, [u, v])).inverse().data
-    c = _normal_coefficient(k, a, minv, 2)
-    return None if c is None else (minv, 2, c)
+    red, pivots = Matrix(k, a).rref()
+    r = len(pivots)
+    if r not in (1, 2):
+        raise ValueError(f"element has rank {r}, not 1 or 2")
+    forms = red.data[:r]
+    if r == 2:
+        g = a[np.ix_(pivots, pivots)]
+        iso = _isotropic_pair(k, g[0, 0], g[0, 1], g[1, 1])
+        if iso is None:
+            return None
+        forms = np.stack([k.reduce(t * forms[0] - s * forms[1])
+                          for s, t in iso])
+    units = np.delete(Matrix.identity(k, 4).data, pivots, axis=0)
+    change = Matrix(k, np.vstack([forms, units])).inverse().data
+    return change, r, _normal_coefficient(k, a, change, r)
 
 
 def _normal_coefficient(k: Field, a, change, rank: int):
@@ -392,19 +403,6 @@ def _normal_coefficient(k: Field, a, change, rank: int):
     c = k.of(b[0, j] * (1 + j))
     b[0, j] = b[j, 0] = k.zero
     return None if c == k.zero or np.any(b != k.zero) else c
-
-
-def _complete_basis(k, rows):
-    """Extend the given independent row vectors to a basis of k^4."""
-    out = list(rows)
-    for i in range(4):
-        cand = k.zeros(4)
-        cand[i] = k.one
-        if Matrix(k, out + [cand]).rank() == len(out) + 1:
-            out.append(cand)
-        if len(out) == 4:
-            break
-    return out
 
 
 def _sqrt_mod(k: PrimeField, a):

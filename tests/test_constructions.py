@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qplanes import constructions as con
-from qplanes.apolarity import annihilator, contract
+from qplanes.apolarity import HilbertFunction, annihilator, contract
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix
 from qplanes.loci import (GenericityError, jump_dimension, secant_intersects,
                           smoothable_pfaffian)
-from qplanes.poly import Poly, monomial_basis, parse_poly, random_form
+from qplanes.poly import (Poly, monomial_basis, monomial_values, parse_poly,
+                          random_form)
 from qplanes.unipoly import UniPoly, roots_in_field
 
 K = PrimeField()
@@ -181,6 +182,57 @@ def test_initial_system_two_points():
         con.initial_system(pts)
 
 
+def _prefix_kernel_system(points):
+    """The pieces and Hilbert function of the scaled limit as four prefix
+    kernels give them: for each d, the kernel of the values [V_0 | ... |
+    V_d] of the monomials of degree at most d, cut to block d."""
+    k, nvars = points.field, points.n
+    values = [monomial_values(k, nvars, e, points.points) for e in range(4)]
+    pieces, hf = {}, []
+    for d in range(4):
+        ker = Matrix(k, np.concatenate(values[:d + 1], axis=1)).right_kernel()
+        top = len(monomial_basis(nvars, d))
+        pieces[d] = FormSpace.from_matrix(k, nvars, d,
+                                          Matrix(k, ker.data[:, -top:]))
+        hf.append(top - pieces[d].dim)
+    return pieces, HilbertFunction(hf)
+
+
+def _limit_tuple(k, kind, nvars, count, rng):
+    """Affine points: random ones, ones on a line, or ones with 0/1
+    coordinates (as many distinct as count allows)."""
+    if kind == "random":
+        return con.random_affine_points(k, nvars, count, rng)
+    if kind == "line":
+        a, b = ([rng.randrange(-3, 4) for _ in range(nvars)] for _ in "ab")
+        b[0] = 1  # the points a + t b are distinct
+        return con.PointSet(k, "affine", nvars,
+                            [[x + t * y for x, y in zip(a, b)]
+                             for t in range(count)])
+    pts = {tuple(rng.randrange(2) for _ in range(nvars)) for _ in range(count)}
+    return con.PointSet(k, "affine", nvars, sorted(pts))
+
+
+@given(st.integers(0, 10**6), st.sampled_from([PrimeField(11), K,
+                                               RationalField()]),
+       st.sampled_from(["random", "line", "cube"]), st.integers(2, 4),
+       st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_initial_system_matches_the_prefix_kernels(seed, k, kind, nvars,
+                                                   count):
+    """The pieces and Hilbert function read off one RREF equal those of
+    the four prefix kernels, on 8-point tuples and degenerate ones."""
+    rng = random.Random(seed)
+    if kind == "random" and nvars == 4:
+        count = 8
+    pts = _limit_tuple(k, kind, nvars, count, rng)
+    ideal, hf, plane = con.initial_system(pts, require_143=False)
+    pieces, want = _prefix_kernel_system(pts)
+    assert hf == want
+    assert all(ideal.piece(d) == pieces[d] for d in range(4))
+    assert (plane is None) == (hf != [1, 4, 3])
+
+
 # ---------------------------------------------------------------------------
 # Cubic pencils
 # ---------------------------------------------------------------------------
@@ -270,13 +322,15 @@ def _pencil_setup(seed):
 
 def test_gale_dual_basic():
     rng, gamma2, c1, c2, ninth = _pencil_setup(5)
-    gamma4, proj = con.gale_dual(gamma2, ninth)
+    proj = con.projection_from_point(ninth, K)
+    gamma4, got = con.gale_dual(gamma2, ninth, proj)
+    assert got is proj
     assert len(gamma4) == 8 and gamma4.n == 4
     assert con.forms_through(gamma4, 2).dim == 7
     # the center itself maps nowhere
     assert con.apply_map(proj, ninth) is None
     with pytest.raises(ValueError):
-        con.gale_dual(gamma2, gamma2.points[0])
+        con.gale_dual(gamma2, gamma2.points[0], proj)
 
 
 def test_elliptic_member_quadrics():

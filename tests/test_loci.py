@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplanes import linalg, loci
+from qplanes import constructions, linalg, loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix, pfaffian
@@ -347,6 +347,90 @@ def _random_change(k, rng):
             return m
 
 
+def _complete_basis(k, rows):
+    """Extend the given independent row vectors to a basis of k^4."""
+    out = list(rows)
+    for i in range(4):
+        cand = k.zeros(4)
+        cand[i] = k.one
+        if Matrix(k, out + [cand]).rank() == len(out) + 1:
+            out.append(cand)
+        if len(out) == 4:
+            break
+    return out
+
+
+def _adapted_change_oracle(k, q):
+    """rank_le2_adapted_change built from the radical of q, a basis
+    completed one unit vector at a time, and the kernels of two
+    isotropic lines."""
+    a = loci.quadric_matrices(k, q)
+    am = Matrix(k, a)
+    r = am.rank()
+    if r > 2:
+        raise ValueError("element has rank > 2")
+    rad = am.right_kernel()  # dim 4 - r
+    if r == 1:
+        row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
+        minv = Matrix(k, _complete_basis(k, [row])).inverse().data
+        return minv, 1, loci._normal_coefficient(k, a, minv, 1)
+    c1, c2 = pair = np.stack(_complete_basis(k, list(rad.data))[rad.rows:])
+    gram = dot(k, dot(k, pair, a), pair.T)
+    iso = loci._isotropic_pair(k, gram[0, 0], gram[0, 1], gram[1, 1])
+    if iso is None:
+        return None
+    (s1, t1), (s2, t2) = iso
+    e1 = k.reduce(s1 * c1 + t1 * c2)
+    e2 = k.reduce(s2 * c1 + t2 * c2)
+    u, v = (Matrix(k, np.vstack([e, rad.data])).right_kernel().data[0]
+            for e in (e2, e1))
+    minv = Matrix(k, _complete_basis(k, [u, v])).inverse().data
+    c = loci._normal_coefficient(k, a, minv, 2)
+    return None if c is None else (minv, 2, c)
+
+
+def _non_residue(k):
+    """The least non-square of F_p, or 2 over Q."""
+    if k.kind == "rationals":
+        return 2
+    return next(n for n in range(2, k.p) if pow(n, (k.p - 1) // 2, k.p) != 1)
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(11), PrimeField(13), K,
+                        PrimeField(2147483647), RationalField()]),
+       st.sampled_from(["square", "split", "nonsplit"]))
+@settings(max_examples=80, deadline=None)
+def test_adapted_change_matches_the_completed_basis(seed, k, kind):
+    """The change read off one RREF agrees with the completed-basis
+    oracle on the rank and on which quadrics get None, and normalizes q:
+    on l^2, on l1*l2, and on x0^2 - n x1^2 with n a non-square, moved by
+    a random invertible change."""
+    rng = random.Random(seed)
+    l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
+    if kind == "square":
+        q = l1 * l1
+    elif kind == "split":
+        q = l1 * l2
+    else:
+        q = Poly(k, 4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -_non_residue(k)})
+        q = q.substitute_linear(_random_change(k, rng))
+    assume(not q.is_zero())
+    row = q.coeff_vector(2)
+    got, want = (loci.rank_le2_adapted_change(k, row),
+                 _adapted_change_oracle(k, row))
+    assert (got is None) == (want is None)
+    if kind == "nonsplit":
+        assert got is None
+    if got is None:
+        return
+    change, rank, c = got
+    assert rank == want[1] == loci.symmetric_rank(q)
+    normal = (1, 1, 0, 0) if rank == 2 else (2, 0, 0, 0)
+    assert c != k.zero
+    assert q.substitute_linear(change) == Poly(k, 4, {normal: c})
+
+
 @given(st.integers(0, 10**6), st.sampled_from(FIELDS),
        st.sampled_from(["rank1", "rank2", "moved"]))
 @settings(max_examples=40, deadline=None)
@@ -386,6 +470,33 @@ def test_normal_form_by_congruence_matches_substitute_linear(seed, k, kind):
             loci.rank2_sextic_witness(plane, row, change)
     else:
         assert len(loci.rank2_sextic_witness(plane, row, change)) == 3
+
+
+def _rref_calls(fn) -> int:
+    """The number of linalg._rref calls that fn() makes."""
+    real, calls = linalg._rref, []
+
+    def spy(a, field):
+        calls.append(a.shape)
+        return real(a, field)
+
+    with mock.patch.object(linalg, "_rref", spy):
+        fn()
+    return len(calls)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_matrix_is_row_reduced_once(seed):
+    """Later steps read the RREFs already taken: classify row-reduces at
+    most 5 matrices on a random plane and 20 on one through l1*l2 (where
+    the probes miss), and initial_system 7 on an 8-point tuple."""
+    rng = random.Random(seed)
+    general, secant = _random_plane(rng), _secant_plane(rng)
+    pts = constructions.random_affine_points(K, 4, 8, rng)
+    assert loci.classify(secant).certificates["witness_sextics"] is not None
+    assert _rref_calls(lambda: loci.classify(general)) <= 5
+    assert _rref_calls(lambda: loci.classify(secant)) <= 20
+    assert _rref_calls(lambda: constructions.initial_system(pts)) <= 7
 
 
 def test_witness_sextics():
