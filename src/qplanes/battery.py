@@ -104,19 +104,18 @@ def criterion_4(k: Field, trials: int = 50, seed: int = 0) -> dict:
         while True:
             l1, l2 = (random_form(k, 4, 1, rng) for _ in range(2))
             q = dense_mul(k, l1, l2, 4, 1, 1)
-            if Matrix(k, loci.quadric_matrices(k, q)).rank() != 2:
-                continue
             try:
+                # a product of two forms over k splits: never None
+                coords, rank = loci.rank_le2_adapted_change(k, q)
+                if rank != 2:
+                    continue
                 plane = QuadricPlane.from_rows(
                     k, [q, random_form(k, 4, 2, rng), random_form(k, 4, 2, rng)])
                 break
-            except ValueError:
+            except ValueError:  # q = 0, or dependent quadrics
                 continue
         jd = loci.jump_dimension(plane)[0]
-        adapted = loci.rank_le2_adapted_change(k, q)
-        if adapted is None:
-            continue
-        witnesses = loci.rank2_sextic_witness(plane, q, adapted[0])
+        witnesses = loci.rank2_sextic_witness(plane, coords, rank)
         if jd >= 3 and len(witnesses) == 3:
             good += 1
     ok = good == trials

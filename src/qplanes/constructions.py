@@ -316,8 +316,7 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
     return RationalMap(k, 3, 2, rows)
 
 
-def gale_dual(gamma2: PointSet, q,
-              projection: RationalMap) -> tuple[PointSet, RationalMap]:
+def gale_dual(gamma2: PointSet, q, projection: RationalMap) -> PointSet:
     """8 points in P^4: images of the plane points under the Veronese
     followed by the projection from the image of q (projection_from_point)."""
     k = gamma2.field
@@ -330,7 +329,7 @@ def gale_dual(gamma2: PointSet, q,
         if im is None:
             raise NonGenericConfiguration("point maps to the center")
         images.append(im)
-    return PointSet(k, "projective", 4, images), projection
+    return PointSet(k, "projective", 4, images)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +671,7 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     pencil = _cubic_pencil(k, rng)
     gamma2, _, ninth = pencil
     proj = projection_from_point(ninth, k, rng)
-    gamma4, proj = gale_dual(gamma2, ninth, projection=proj)
+    gamma4 = gale_dual(gamma2, ninth, projection=proj)
     quads = forms_through(gamma4, 2)
     if quads.dim != 7:
         raise NonGenericConfiguration("quadrics through the dual points: dim != 7")

@@ -36,8 +36,8 @@ from .apolarity import annihilator  # noqa: F401  (perfbench patches it here by 
 from .fields import Field, PrimeField
 from .linalg import (FormSpace, Matrix, det_stack, eliminate_stack,
                      kernel_from_images, null_basis, pfaffian, pfaffian_stack)
-from .poly import (Poly, compose, contraction_rows, dense_mul, dot,
-                   monomial_basis, monomial_index, monomial_values, mult_table,
+from .poly import (Poly, compose, contraction_rows, dot, monomial_basis,
+                   monomial_index, monomial_values, mult_table, power_products,
                    random_form)
 from .unipoly import UniPoly, interpolate, squarefree_and_power
 
@@ -364,17 +364,19 @@ def _find_rank_le2(plane: QuadricPlane, hessians, reduced: dict, dims: dict):
 
 
 def rank_le2_adapted_change(k: Field, q):
-    """A coordinate substitution sending the quadric with coefficient row
-    q to x0*x1 (rank 2) or x0^2 (rank 1), up to scalar; None when q
-    splits only over an extension.
+    """Coordinates adapted to the quadric with coefficient row q: an
+    invertible 4x4 matrix C whose rows are linear forms, with q a nonzero
+    multiple of C_0 * C_1 (rank 2) or of C_0^2 (rank 1); None when q
+    splits only over an extension.  Raises ValueError at any other rank.
 
     With B the r nonzero rows of the RREF of the matrix A of q and J its
     pivots, A = A[:, J] B, so A = B^T G B with G = A[J, J]: q is G in
     s = B_0 x and t = B_1 x, with factors l_i = t_i B_0 - s_i B_1 for the
-    isotropic (s_i, t_i) of G (at rank 1, q = G_00 s^2).  M is the
-    inverse of the rows l_1, l_2 (B_0) and the units at the free columns.
+    isotropic (s_i, t_i) of G (at rank 1, q = G_00 s^2).  The rows of C
+    are l_1, l_2 (B_0) and the units at the free columns: l_1, l_2 span
+    the rows of B, and B with those units is invertible.
 
-    Returns (change matrix M with q(Mx) = c * normal form, rank, c)."""
+    Returns (C, rank)."""
     a = quadric_matrices(k, q)
     red, pivots = Matrix(k, a).rref()
     r = len(pivots)
@@ -389,20 +391,7 @@ def rank_le2_adapted_change(k: Field, q):
         forms = np.stack([k.reduce(t * forms[0] - s * forms[1])
                           for s, t in iso])
     units = np.delete(Matrix.identity(k, 4).data, pivots, axis=0)
-    change = Matrix(k, np.vstack([forms, units])).inverse().data
-    return change, r, _normal_coefficient(k, a, change, r)
-
-
-def _normal_coefficient(k: Field, a, change, rank: int):
-    """The c with q(change x) = c x0*x1 (rank 2) or c x0^2 (otherwise),
-    for q(x) = x^T a x; None when q(change x) is no such nonzero
-    multiple.  The matrix of q(change x) is change^T a change: c is its
-    entry (0, 0), or twice its entry (0, 1)."""
-    b = dot(k, dot(k, change.T, a), change)
-    j = int(rank == 2)
-    c = k.of(b[0, j] * (1 + j))
-    b[0, j] = b[j, 0] = k.zero
-    return None if c == k.zero or np.any(b != k.zero) else c
+    return np.vstack([forms, units]), r
 
 
 def _sqrt_mod(k: PrimeField, a):
@@ -447,8 +436,9 @@ def _sqrt(k: Field, a):
 
 
 def _isotropic_pair(k, q11, q12, q22):
-    """Two independent isotropic (s, t) for the binary form
-    q11 s^2 + 2 q12 s t + q22 t^2, or None if anisotropic over k."""
+    """Two independent isotropic (s, t) for the nonsingular binary form
+    q11 s^2 + 2 q12 s t + q22 t^2, or None if anisotropic over k.  Its
+    discriminant q12^2 - q11 q22 is minus its determinant, so not 0."""
     q11, q12, q22 = k.of(q11), k.of(q12), k.of(q22)
     if q11 == k.zero and q22 == k.zero:
         return ((k.one, k.zero), (k.zero, k.one))
@@ -456,7 +446,7 @@ def _isotropic_pair(k, q11, q12, q22):
         # t = 0 is one root; the other satisfies 2 q12 s + q22 t = 0
         return ((k.one, k.zero), (q22, k.neg(k.mul(k.of(2), q12))))
     root = _sqrt(k, k.sub(k.mul(q12, q12), k.mul(q11, q22)))
-    if root is None or root == k.zero:
+    if root is None:
         return None
     inv = k.inv(q11)
     s1 = k.mul(k.sub(root, q12), inv)
@@ -464,48 +454,37 @@ def _isotropic_pair(k, q11, q12, q22):
     return ((s1, k.one), (s2, k.one))
 
 
-def rank2_sextic_witness(plane: QuadricPlane, element, change):
+def rank2_sextic_witness(plane: QuadricPlane, coords, rank: int):
     """Witness sextics annihilated by all cubic products of the
-    perpendicular space, in coordinates adapted to the supplied
-    rank <= 2 element, a coefficient row.
+    perpendicular space, in the coordinates y = coords x and with the
+    rank that rank_le2_adapted_change returns for a rank <= 2 element of
+    the plane: the element is a multiple of y0*y1 (rank 2) or y0^2
+    (rank 1).
 
-    ``change`` must send the element to x0*x1 (rank 2) or x0^2 (rank 1)
-    up to scalar.  Returns the exponents beta of the witnesses x^beta;
-    raises if the element has rank > 2 or the adapted-coordinate check
-    fails."""
+    Returns the exponents beta of the witnesses y^beta; raises
+    AssertionError if one is not annihilated, which adapted coordinates
+    exclude: that check is the certificate."""
     k = plane.field
-    a = quadric_matrices(k, element)
-    rank = Matrix(k, a).rank()
-    if rank > 2:
-        raise ValueError("supplied element has rank > 2")
-    if Matrix(k, np.vstack([plane.space.basis.data, element])
-              ).rank() != plane.space.dim:
-        raise ValueError("element does not lie in the plane")
     if rank == 2:
         betas = [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     else:
         betas = [(6, 0, 0, 0), (5, 1, 0, 0), (5, 0, 1, 0)]
-    if _normal_coefficient(k, a, change, rank) is None:
-        raise ValueError("change does not normalize the element")
-    # a cubic product of the perpendicular quadrics sends x^beta to
-    # beta! times its x^beta coefficient, and beta! is a unit (p > 6):
-    # x^beta is annihilated by all 84 products iff those coefficients
+    # a cubic product of the perpendicular quadrics sends y^beta to
+    # beta! times its y^beta coefficient, and beta! is a unit (p > 6):
+    # y^beta is annihilated by all 84 products iff those coefficients
     # vanish.  They depend only on the factors restricted to the variables
-    # of supp(beta), x2 = x3 = 0 (rank 2) or x3 = 0 (rank 1); the ordered
-    # triples of the 7 restricted duals cover the 84 products.  The duals
-    # of the moved plane are those of the plane moved by change^-T, so
-    # the restriction sends x_i to sum_j change^-1[j, i] x_j over j < nv.
+    # of supp(beta), y2 = y3 = 0 (rank 2) or y3 = 0 (rank 1).  The
+    # quadrics in y are q(coords^-1 y), so their duals move by coords^T:
+    # the restriction sends x_i to sum_j coords[j, i] y_j over j < nv.
     # Over Q the quadrics in those forms and the perpendicular rows are
     # scaled to integers (integral_rows), which scales each sextic by a
     # nonzero constant, so that the products multiply no Fraction
     nv = 2 if rank == 2 else 3
-    inverse = Matrix(k, change).inverse().data
     duals = compose(k, integral_rows(k, lperp(plane).basis.data),
-                    integral_rows(k, inverse[:nv].T), nv, 1, 2)
-    quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
-    sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
+                    integral_rows(k, coords[:nv].T), nv, 1, 2)
+    sextics = power_products(k, duals, nv, 2, 3)
     idx = monomial_index(nv, 6)
-    if any(np.any(sextics[..., idx[b[:nv]]] != k.zero) for b in betas):
+    if any(np.any(sextics[:, idx[b[:nv]]] != k.zero) for b in betas):
         raise AssertionError("witness sextic not annihilated")
     return betas
 
@@ -547,7 +526,7 @@ def classify(plane: QuadricPlane) -> Classification:
         secant["element"] = Poly.from_coeff_vector(k, 4, 2, elem)
         adapted = rank_le2_adapted_change(k, elem)
         if adapted is not None:
-            betas = rank2_sextic_witness(plane, elem, adapted[0])
+            betas = rank2_sextic_witness(plane, *adapted)
             certs["witness_sextics"] = [Poly.monomial(k, b) for b in betas]
     return Classification(pf, hit, dim, verdict, certs)
 

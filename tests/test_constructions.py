@@ -323,8 +323,7 @@ def _pencil_setup(seed):
 def test_gale_dual_basic():
     rng, gamma2, c1, c2, ninth = _pencil_setup(5)
     proj = con.projection_from_point(ninth, K)
-    gamma4, got = con.gale_dual(gamma2, ninth, proj)
-    assert got is proj
+    gamma4 = con.gale_dual(gamma2, ninth, proj)
     assert len(gamma4) == 8 and gamma4.n == 4
     assert con.forms_through(gamma4, 2).dim == 7
     # the center itself maps nowhere
@@ -349,7 +348,7 @@ def test_elliptic_member_quadrics():
         assert m.quadrics.dim == 5
         inter = inter.intersect(m.quadrics)
     assert inter.dim == 3
-    gamma4, _ = con.gale_dual(gamma2, ninth, projection=proj)
+    gamma4 = con.gale_dual(gamma2, ninth, projection=proj)
     seven = con.forms_through(gamma4, 2)
     for m in members:
         assert seven.contains_space(m.quadrics)

@@ -15,8 +15,9 @@ from qplanes import constructions, linalg, loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix, pfaffian
-from qplanes.poly import (Poly, dot, monomial_basis, monomial_values,
-                          mult_table, parse_poly, power_products)
+from qplanes.poly import (Poly, compose, dense_mul, dot, monomial_basis,
+                          monomial_index, monomial_values, mult_table,
+                          parse_poly, power_products)
 from qplanes.unipoly import interpolate
 
 from test_linalg import _images_mod
@@ -322,21 +323,29 @@ def test_secant_detects_rank1():
     assert hit
 
 
+def _nonzero_multiple(k, a, b):
+    """Whether the row a is c * b for some nonzero c."""
+    i = int(np.flatnonzero(b != k.zero)[0])
+    c = k.div(a[i], b[i])
+    return c != k.zero and np.array_equal(k.reduce(c * b), a)
+
+
+def _adapted_product(k, coords, rank):
+    """The row of C_0 * C_1 (rank 2) or C_0^2 (rank 1)."""
+    return dense_mul(k, coords[0], coords[rank - 1], 4, 1, 1)
+
+
 def test_rank_le2_adapted_change():
+    """C is invertible and q is a nonzero multiple of C_0 * C_1 (rank 2)
+    or C_0^2 (rank 1)."""
     rng = random.Random(10)
     l1, l2 = (_random_form(K, rng, 4, 1) for _ in range(2))
-    q = l1 * l2
-    got = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
-    assert got is not None
-    change, rank, c = got
-    assert rank == 2
-    moved = q.substitute_linear(change)
-    assert moved == Poly(K, 4, {(1, 1, 0, 0): c})
-    # rank one
-    got1 = loci.rank_le2_adapted_change(K, (l1 * l1).coeff_vector(2))
-    change1, rank1, c1 = got1
-    assert rank1 == 1
-    assert (l1 * l1).substitute_linear(change1) == Poly(K, 4, {(2, 0, 0, 0): c1})
+    for q, rank in [(l1 * l2, 2), (l1 * l1, 1)]:
+        row = q.coeff_vector(2)
+        coords, got = loci.rank_le2_adapted_change(K, row)
+        assert got == rank
+        assert Matrix(K, coords).rank() == 4
+        assert _nonzero_multiple(K, row, _adapted_product(K, coords, rank))
 
 
 def _random_change(k, rng):
@@ -360,10 +369,22 @@ def _complete_basis(k, rows):
     return out
 
 
+def _normal_coefficient(k, a, change, rank):
+    """The c with q(change x) = c x0*x1 (rank 2) or c x0^2 (otherwise),
+    for q(x) = x^T a x; None when q(change x) is no such nonzero
+    multiple.  The matrix of q(change x) is change^T a change: c is its
+    entry (0, 0), or twice its entry (0, 1)."""
+    b = dot(k, dot(k, change.T, a), change)
+    j = int(rank == 2)
+    c = k.of(b[0, j] * (1 + j))
+    b[0, j] = b[j, 0] = k.zero
+    return None if c == k.zero or np.any(b != k.zero) else c
+
+
 def _adapted_change_oracle(k, q):
-    """rank_le2_adapted_change built from the radical of q, a basis
-    completed one unit vector at a time, and the kernels of two
-    isotropic lines."""
+    """A change M with q(Mx) = c x0*x1 (rank 2) or c x0^2 (rank 1), as
+    (M, rank, c), built from the radical of q, a basis completed one unit
+    vector at a time, and the kernels of two isotropic lines."""
     a = loci.quadric_matrices(k, q)
     am = Matrix(k, a)
     r = am.rank()
@@ -373,7 +394,7 @@ def _adapted_change_oracle(k, q):
     if r == 1:
         row = next(a[i] for i in range(4) if np.any(a[i] != k.zero))
         minv = Matrix(k, _complete_basis(k, [row])).inverse().data
-        return minv, 1, loci._normal_coefficient(k, a, minv, 1)
+        return minv, 1, _normal_coefficient(k, a, minv, 1)
     c1, c2 = pair = np.stack(_complete_basis(k, list(rad.data))[rad.rows:])
     gram = dot(k, dot(k, pair, a), pair.T)
     iso = loci._isotropic_pair(k, gram[0, 0], gram[0, 1], gram[1, 1])
@@ -385,7 +406,7 @@ def _adapted_change_oracle(k, q):
     u, v = (Matrix(k, np.vstack([e, rad.data])).right_kernel().data[0]
             for e in (e2, e1))
     minv = Matrix(k, _complete_basis(k, [u, v])).inverse().data
-    c = loci._normal_coefficient(k, a, minv, 2)
+    c = _normal_coefficient(k, a, minv, 2)
     return None if c is None else (minv, 2, c)
 
 
@@ -402,10 +423,11 @@ def _non_residue(k):
        st.sampled_from(["square", "split", "nonsplit"]))
 @settings(max_examples=80, deadline=None)
 def test_adapted_change_matches_the_completed_basis(seed, k, kind):
-    """The change read off one RREF agrees with the completed-basis
-    oracle on the rank and on which quadrics get None, and normalizes q:
-    on l^2, on l1*l2, and on x0^2 - n x1^2 with n a non-square, moved by
-    a random invertible change."""
+    """The coordinates read off one RREF agree with the completed-basis
+    oracle on the rank and on which quadrics get None, are invertible,
+    and have q as a nonzero multiple of C_0 * C_1 (C_0^2 at rank 1): on
+    l^2, on l1*l2, and on x0^2 - n x1^2 with n a non-square, moved by a
+    random invertible change."""
     rng = random.Random(seed)
     l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
     if kind == "square":
@@ -424,52 +446,10 @@ def test_adapted_change_matches_the_completed_basis(seed, k, kind):
         assert got is None
     if got is None:
         return
-    change, rank, c = got
+    coords, rank = got
     assert rank == want[1] == loci.symmetric_rank(q)
-    normal = (1, 1, 0, 0) if rank == 2 else (2, 0, 0, 0)
-    assert c != k.zero
-    assert q.substitute_linear(change) == Poly(k, 4, {normal: c})
-
-
-@given(st.integers(0, 10**6), st.sampled_from(FIELDS),
-       st.sampled_from(["rank1", "rank2", "moved"]))
-@settings(max_examples=40, deadline=None)
-def test_normal_form_by_congruence_matches_substitute_linear(seed, k, kind):
-    """The coefficient of the normal form of q(Mx), read off M^T A M,
-    against q.substitute_linear(M): c for the adapted change of a rank-1
-    or rank-2 element, None for a random change that does not normalize;
-    and rank2_sextic_witness accepts exactly the changes that do."""
-    rng = random.Random(seed)
-    l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
-    q = l1 * l1 if kind == "rank1" else l1 * l2
-    rank = loci.symmetric_rank(q)
-    assume(rank == (1 if kind == "rank1" else 2))
-    row = q.coeff_vector(2)
-    if kind == "moved":
-        change = _random_change(k, rng)
-    else:
-        change, got_rank, c = loci.rank_le2_adapted_change(k, row)
-        assert got_rank == rank
-    moved = q.substitute_linear(change)
-    normal = (1, 1, 0, 0) if rank == 2 else (2, 0, 0, 0)
-    want = moved.coefficient(normal)
-    if want == k.zero or moved != Poly(k, 4, {normal: want}):
-        want = None
-    got = loci._normal_coefficient(k, loci.quadric_matrices(k, row), change,
-                                   rank)
-    assert got == want
-    if kind != "moved":
-        assert got is not None and got == c
-    try:
-        plane = QuadricPlane.from_polys(
-            [q, _random_form(k, rng, 4, 2), _random_form(k, rng, 4, 2)])
-    except ValueError:  # dependent quadrics, at p = 11
-        return
-    if want is None:
-        with pytest.raises(ValueError, match="does not normalize"):
-            loci.rank2_sextic_witness(plane, row, change)
-    else:
-        assert len(loci.rank2_sextic_witness(plane, row, change)) == 3
+    assert Matrix(k, coords).rank() == 4
+    assert _nonzero_multiple(k, row, _adapted_product(k, coords, rank))
 
 
 def _rref_calls(fn) -> int:
@@ -488,14 +468,14 @@ def _rref_calls(fn) -> int:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_each_matrix_is_row_reduced_once(seed):
     """Later steps read the RREFs already taken: classify row-reduces at
-    most 5 matrices on a random plane and 20 on one through l1*l2 (where
+    most 5 matrices on a random plane and 14 on one through l1*l2 (where
     the probes miss), and initial_system 7 on an 8-point tuple."""
     rng = random.Random(seed)
     general, secant = _random_plane(rng), _secant_plane(rng)
     pts = constructions.random_affine_points(K, 4, 8, rng)
     assert loci.classify(secant).certificates["witness_sextics"] is not None
     assert _rref_calls(lambda: loci.classify(general)) <= 5
-    assert _rref_calls(lambda: loci.classify(secant)) <= 20
+    assert _rref_calls(lambda: loci.classify(secant)) <= 14
     assert _rref_calls(lambda: constructions.initial_system(pts)) <= 7
 
 
@@ -505,18 +485,75 @@ def test_witness_sextics():
     q = l1 * l2
     plane = QuadricPlane.from_polys(
         [q, _random_form(K, rng, 4, 2), _random_form(K, rng, 4, 2)])
-    change, _, _ = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
-    witnesses = loci.rank2_sextic_witness(plane, q.coeff_vector(2), change)
+    coords, rank = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
+    witnesses = loci.rank2_sextic_witness(plane, coords, rank)
     assert witnesses == [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     assert loci.jump_dimension(plane)[0] >= 3
 
 
 def test_witness_sextics_rejects_high_rank():
+    """A quadric of rank >= 3 gets no adapted coordinates."""
     rng = random.Random(12)
     plane = _random_plane(rng)
-    ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    with pytest.raises(ValueError):
-        loci.rank2_sextic_witness(plane, plane.space.basis.data[0], ident)
+    for row in plane.space.basis.data:
+        assert loci.symmetric_rank(Poly.from_coeff_vector(K, 4, 2, row)) >= 3
+        with pytest.raises(ValueError, match="rank"):
+            loci.rank_le2_adapted_change(K, row)
+
+
+def _witness_oracle(plane, change, rank):
+    """The witness check as it was taken with a change M sending the
+    element to its normal form: M inverted back to coordinates, and the
+    7^3 ordered products of the restricted duals by dense_mul."""
+    k = plane.field
+    if rank == 2:
+        betas = [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
+    else:
+        betas = [(6, 0, 0, 0), (5, 1, 0, 0), (5, 0, 1, 0)]
+    nv = 2 if rank == 2 else 3
+    inverse = Matrix(k, change).inverse().data
+    duals = compose(k, loci.integral_rows(k, loci.lperp(plane).basis.data),
+                    loci.integral_rows(k, inverse[:nv].T), nv, 1, 2)
+    quartics = dense_mul(k, duals[:, None], duals, nv, 2, 2)
+    sextics = dense_mul(k, quartics[:, :, None], duals, nv, 4, 2)
+    idx = monomial_index(nv, 6)
+    if any(np.any(sextics[..., idx[b[:nv]]] != k.zero) for b in betas):
+        raise AssertionError("witness sextic not annihilated")
+    return betas
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(11), PrimeField(13), K,
+                        PrimeField(2147483647), RationalField()]),
+       st.sampled_from(["secant", "rank1"]))
+@settings(max_examples=40, deadline=None)
+def test_witness_in_adapted_coordinates_matches_the_inverse(seed, k, kind):
+    """On a plane through l1*l2 or l^2, the check in the coordinates C of
+    the element's RREF returns the betas of the oracle fed M = C^-1; with
+    a factor of C replaced by a random linear form, both raise."""
+    rng = random.Random(seed)
+    l1, l2 = (_random_form(k, rng, 4, 1) for _ in range(2))
+    q = l1 * l2 if kind == "secant" else l1 * l1
+    rank = 2 if kind == "secant" else 1
+    assume(loci.symmetric_rank(q) == rank)
+    try:
+        plane = QuadricPlane.from_polys(
+            [q, _random_form(k, rng, 4, 2), _random_form(k, rng, 4, 2)])
+    except ValueError:  # dependent quadrics, at p = 11 or 13
+        assume(False)
+    coords, got = loci.rank_le2_adapted_change(k, q.coeff_vector(2))
+    assert got == rank
+    want = _witness_oracle(plane, Matrix(k, coords).inverse().data, rank)
+    assert loci.rank2_sextic_witness(plane, coords, rank) == want
+    broken = coords.copy()
+    broken[rng.randrange(rank)] = _random_form(k, rng, 4, 1).coeff_vector(1)
+    # a row proportional to the one replaced leaves C adapted (1 in p^3)
+    assume(Matrix(k, broken).rank() == 4 and not _nonzero_multiple(
+        k, q.coeff_vector(2), _adapted_product(k, broken, rank)))
+    with pytest.raises(AssertionError, match="not annihilated"):
+        loci.rank2_sextic_witness(plane, broken, rank)
+    with pytest.raises(AssertionError, match="not annihilated"):
+        _witness_oracle(plane, Matrix(k, broken).inverse().data, rank)
 
 
 def test_classify_verdicts():
