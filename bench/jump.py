@@ -153,10 +153,11 @@ def kernel_rows(seed: int, repeat: int) -> list[dict]:
     out = []
     for kind, plane in planes(k, seed).items():
         def before(plane=plane):
-            return Matrix(k, loci.jump_matrix(plane).data).right_kernel()
+            rows = loci.integral_rows(k, loci.lperp(plane).basis.data)
+            return loci.jump_matrix_from_quadrics(k, rows).right_kernel()
 
         def after(plane=plane):
-            return loci.jump_dimension(plane)[1]
+            return loci.jump_dimension(loci.lperp(plane))[1]
 
         ker = before()
         if after() != ker:

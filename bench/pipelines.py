@@ -3,7 +3,8 @@ pipelines.
 
 Times ``ninth_base_point(k, cubics, known)`` on the cubic pencils (their
 coefficient rows) through 8 random plane points, ``elliptic_member`` at seeded parameters of those
-pencils, ``segre_cubic`` on the members of the Gale runs,
+pencils, ``segre_cubics`` on the members and perpendicular spaces of
+the Gale runs,
 ``gale_pipeline(k, seed)`` and the fast ``cremona_pipeline(k, seed)`` at
 p = 31, 32003 and 1000003, and records a sha256 digest of each result
 (the ninth points, the member quadric spaces or refusals, the Segre
@@ -92,8 +93,15 @@ def _member(item):
 
 
 def _segre(item):
-    members, plane = item
-    return [s.basis.data.tolist() for s in cons.segre_cubics(members, plane)]
+    members, perp = item
+    return [s.basis.data.tolist() for s in cons.segre_cubics(members, perp)]
+
+
+def _segre_input(res):
+    """The perpendicular space of the Gale run's limit plane, which
+    segre_cubics takes; the plane itself on a source tree whose
+    segre_cubics took the plane, so that one script times both trees."""
+    return getattr(res, "perp", res.plane)
 
 
 def _gale(k, seed):
@@ -138,7 +146,7 @@ def main():
                 ("ninth_base_point", _ninth, pencils),
                 ("elliptic_member", _member, _members(k, pencils)),
                 ("segre_cubics", _segre,
-                 [(res.members, res.plane) for res in gales]),
+                 [(res.members, _segre_input(res)) for res in gales]),
                 ("gale_pipeline", lambda s: _gale(k, s), PIPELINE_SEEDS),
                 ("cremona_pipeline", lambda s: _cremona(k, s),
                  PIPELINE_SEEDS)):

@@ -8,13 +8,14 @@ partials of a cubic), whose kernels have dimension 0, 3 and 3.  Times on
 each the Fraction Gauss-Jordan loop, the only path over Q before, against
 ``linalg._rref``, and counts the images modulo word-size primes the
 modular path takes.  Then, for each of those planes and one through l^2,
-times the 84x84 jump build from Fraction products (before) against
-``loci.jump_matrix``, which builds V c^3 J in Python ints (after, V the
-invertible matrix of sextic monomial values at the points of
-``loci.sextic_points``), checking the two equal up to V c^3, and one
-whole ``loci.classify`` with the kernel of the Fraction build (before)
-and as the library takes it (after).  Writes BENCH_rationals.json at the
-repository root.
+times the 84x84 jump build of the perpendicular space from Fraction
+products (before) against ``loci.jump_matrix_from_quadrics`` of its rows
+scaled to integers (``loci.integral_rows``), which builds V c^3 J in
+Python ints (after, V the invertible matrix of sextic monomial values at
+the points of ``loci.sextic_points``), checking the two equal up to
+V c^3, and one whole ``loci.classify`` with the kernel of the Fraction
+build (before) and as the library takes it (after).  Writes
+BENCH_rationals.json at the repository root.
 
     PYTHONPATH=src python3 bench/rationals.py [--seed 3] [--repeat 3]
 """
@@ -101,7 +102,8 @@ def capture(k: RationalField, seed: int) -> list[tuple[str, np.ndarray]]:
         loci.classify(ps["general"])
     out = [(f"general {r}x{c}", a) for (r, c), a in sorted(found.items())]
     for kind in ("general", "secant", "smoothable"):
-        out.append((f"{kind} jump 84x84", loci.jump_matrix(ps[kind]).data))
+        out.append((f"{kind} jump 84x84",
+                    integer_jump(loci.lperp(ps[kind])).data))
     return out
 
 
@@ -112,17 +114,24 @@ def images_taken(a: np.ndarray, k: RationalField) -> int:
     return spy.call_count
 
 
-def fraction_jump(plane) -> Matrix:
+def fraction_jump(perp) -> Matrix:
     """J from Fraction products of the perpendicular quadrics."""
-    perp = loci.lperp(plane)
-    return Matrix(plane.field, _fraction_power_products(perp.polys(), 3).T)
+    return Matrix(perp.field, _fraction_power_products(perp.polys(), 3).T)
+
+
+def integer_jump(perp) -> Matrix:
+    """V c^3 J in Python ints, c the lcm of the denominators of the rows
+    of the perpendicular space: the build jump_dimension checks with."""
+    k = perp.field
+    return loci.jump_matrix_from_quadrics(
+        k, loci.integral_rows(k, perp.basis.data))
 
 
 def classify_with(jump_matrix, plane):
     """classify, with the jump kernel the right_kernel of the given
-    build."""
-    def jump_dimension(plane):
-        ker = jump_matrix(plane).right_kernel()
+    build of the perpendicular space."""
+    def jump_dimension(perp):
+        ker = jump_matrix(perp).right_kernel()
         return ker.rows, ker
 
     with mock.patch.object(loci, "jump_dimension", jump_dimension):
@@ -138,17 +147,18 @@ def jump_rows(ps: dict) -> list[tuple[str, dict]]:
     out = []
     v = monomial_values(RationalField(), 4, 6, monomial_basis(4, 6))
     for kind, plane in ps.items():
-        c = lcm(*(x.denominator for x in loci.lperp(plane).basis.data.flat))
-        if not np.array_equal(loci.jump_matrix(plane).data,
-                              v.dot(c ** 3 * fraction_jump(plane).data)):
+        perp = loci.lperp(plane)
+        c = lcm(*(x.denominator for x in perp.basis.data.flat))
+        if not np.array_equal(integer_jump(perp).data,
+                              v.dot(c ** 3 * fraction_jump(perp).data)):
             raise SystemExit(f"{kind}: the integer jump matrix is not "
                              "V c^3 times the Fraction one")
         if (classify_with(fraction_jump, plane).certificates["cubics"]
                 != loci.classify(plane).certificates["cubics"]):
             raise SystemExit(f"{kind}: classify finds other kernel cubics")
         out.append((f"{kind} jump build 84x84",
-                    {"before": lambda p=plane: fraction_jump(p),
-                     "after": lambda p=plane: loci.jump_matrix(p)}))
+                    {"before": lambda p=perp: fraction_jump(p),
+                     "after": lambda p=perp: integer_jump(p)}))
         out.append((f"{kind} classify",
                     {"before": lambda p=plane: classify_with(fraction_jump, p),
                      "after": lambda p=plane: loci.classify(p)}))

@@ -65,16 +65,6 @@ class HilbertFunction:
 
 
 @dataclass
-class GradedIdeal:
-    """Graded pieces of an ideal, degree -> FormSpace (dual variables)."""
-
-    pieces: dict[int, FormSpace]
-
-    def piece(self, d: int) -> FormSpace:
-        return self.pieces[d]
-
-
-@dataclass
 class QuadricPlane:
     """A 3-dimensional space of quadrics in four variables."""
 
@@ -122,13 +112,12 @@ def annihilator_piece(space: FormSpace, d: int) -> FormSpace:
                      _contraction_constraint_matrix(space, d).right_kernel())
 
 
-def annihilator(space: FormSpace, up_to: int) -> GradedIdeal:
+def annihilator(space: FormSpace, up_to: int) -> dict[int, FormSpace]:
     """Graded pieces of the ideal of dual operators annihilating the
-    given space of forms, degrees 0..up_to."""
+    given space of forms: degree -> FormSpace, degrees 0..up_to."""
     if up_to < space.degree:
         raise ValueError("up_to must be at least the degree of the space")
-    return GradedIdeal({d: annihilator_piece(space, d)
-                        for d in range(up_to + 1)})
+    return {d: annihilator_piece(space, d) for d in range(up_to + 1)}
 
 
 @dataclass
@@ -147,10 +136,9 @@ def apolar_hilbert_function(plane: QuadricPlane) -> ApolarHF:
     the first partials of the plane span a proper subspace.
     """
     ann = annihilator(plane.space, 3)
-    k = plane.field
     dims = [len(monomial_basis(4, d)) for d in range(4)]
-    plain = [dims[d] - ann.piece(d).dim for d in range(4)]
-    with_linear = [1, 4] + [dims[d] - ann.piece(d).dim for d in range(2, 4)]
+    plain = [dims[d] - ann[d].dim for d in range(4)]
+    with_linear = [1, 4] + plain[2:]
     return ApolarHF(HilbertFunction(with_linear), HilbertFunction(plain))
 
 

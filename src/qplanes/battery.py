@@ -68,7 +68,7 @@ def criterion_2(k: Field, trials: int = 200, seed: int = 0) -> dict:
                 resamples += 1
         if loci.smoothable_pfaffian(plane) == k.zero:
             pf_zero += 1
-        if loci.jump_dimension(plane)[0] == 3:
+        if loci.jump_dimension(loci.lperp(plane))[0] == 3:
             jump_three += 1
     ok = pf_zero == trials and jump_three == trials
     return {"criterion": 2, "ok": bool(ok), "trials": trials,
@@ -114,8 +114,9 @@ def criterion_4(k: Field, trials: int = 50, seed: int = 0) -> dict:
                 break
             except ValueError:  # q = 0, or dependent quadrics
                 continue
-        jd = loci.jump_dimension(plane)[0]
-        witnesses = loci.rank2_sextic_witness(plane, coords, rank)
+        perp = loci.lperp(plane)
+        jd = loci.jump_dimension(perp)[0]
+        witnesses = loci.rank2_sextic_witness(perp, coords, rank)
         if jd >= 3 and len(witnesses) == 3:
             good += 1
     ok = good == trials
@@ -145,13 +146,13 @@ def criterion_6(k: Field, trials: int = 50, seed: int = 0) -> dict:
         while True:
             pts = cons.random_affine_points(k, 4, 8, rng)
             try:
-                _, hf, plane = cons.initial_system(pts)
+                perp, hf, plane = cons.initial_system(pts)
                 break
             except cons.NonGenericConfiguration:
                 resamples += 1
         if (hf == [1, 4, 3]
                 and loci.smoothable_pfaffian(plane) == k.zero
-                and loci.jump_dimension(plane)[0] == 3):
+                and loci.jump_dimension(perp)[0] == 3):
             good += 1
     ok = good == trials
     return {"criterion": 6, "ok": bool(ok), "trials": trials, "good": good,

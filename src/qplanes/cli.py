@@ -117,7 +117,7 @@ def cmd_gale(args) -> int:
         sub = cons.subseed(args.seed, i)
         res = cons.gale_pipeline(k, sub)
         pf_zero = loci.smoothable_pfaffian(res.plane) == k.zero
-        jump = loci.jump_dimension(res.plane)[0]
+        jump = loci.jump_dimension(res.perp)[0]
         ok = (res.chain_dims == (3, 5, 7) and res.segre_span_dim == 3
               and pf_zero and jump == 3)
         all_ok = all_ok and ok

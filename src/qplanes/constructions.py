@@ -21,12 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .apolarity import (GradedIdeal, HilbertFunction, QuadricPlane,
-                        annihilator_piece)
+from .apolarity import HilbertFunction, QuadricPlane, annihilator_piece
 from .fields import Field, PrimeField
 from .linalg import FormSpace, Matrix, null_basis
 from .loci import (GenericityError, ideal_piece_values, integral_rows,
-                   jump_matrix_from_quadrics, lattice_points, lperp)
+                   jump_matrix_from_quadrics, lattice_points)
 from .poly import (Poly, compose, contraction_rows, dot, monomial_basis,
                    monomial_values, mult_table, var_shift)
 from .unipoly import interpolate  # noqa: F401  (importable from here, as before)
@@ -193,19 +192,23 @@ def forms_through(points: PointSet, d: int) -> FormSpace:
 
 
 def initial_system(points: PointSet, require_143: bool = True):
-    """Graded ideal of the scaled limit of an affine point tuple.
+    """The scaled limit of an affine point tuple: the degree-2 piece of
+    its ideal, its Hilbert function in degrees 0..3, and its plane.
 
     Scaling the points toward the origin turns every polynomial
     vanishing on them into its top-degree form, so the degree-d piece of
     the limit ideal is the image in Sym^d of the polynomials of degree
     at most d vanishing on the points.  One RREF of the values
     [V_0 | V_1 | V_2 | V_3] of the monomials of degrees 0..3 there gives
-    it all: the Hilbert function at d is the number of pivots in block d,
-    and the null_basis rows of the free columns in block d, which vanish
-    after their own column, cut to block d span the degree-d piece.
+    the Hilbert function, at d the number of pivots in block d, and the
+    degree-2 piece: the null_basis rows of the free columns in block 2,
+    which vanish after their own column, cut to block 2.
 
-    Returns (ideal, hilbert_function, plane) where the plane is the
-    contraction-perp of the degree-2 piece; with ``require_143`` a
+    Returns (perp, hilbert_function, plane) with perp the degree-2 piece
+    and the plane L its contraction-perp.  The contraction pairing on
+    quadrics is perfect for p >= 11 and over Q, so L⊥⊥ = L and perp is
+    L⊥ = lperp(plane): the caller hands it to jump_dimension and
+    segre_cubics without taking it again.  With ``require_143`` a
     Hilbert function other than (1, 4, 3) raises NonGenericConfiguration,
     otherwise the plane comes back as None.
     """
@@ -220,17 +223,16 @@ def initial_system(points: PointSet, require_143: bool = True):
     bounds = np.cumsum([0] + [len(monomial_basis(nvars, d)) for d in range(4)])
     before = np.searchsorted(pivots, bounds)  # the pivots before each block
     cut = bounds - before  # the free columns, so null_basis rows, before it
-    pieces = {d: FormSpace.from_matrix(k, nvars, d, Matrix(
-        k, null[cut[d]:cut[d + 1], bounds[d]:bounds[d + 1]])) for d in range(4)}
-    ideal = GradedIdeal(pieces)
+    perp = FormSpace.from_matrix(k, nvars, 2, Matrix(
+        k, null[cut[2]:cut[3], bounds[2]:bounds[3]]))
     hf = HilbertFunction(np.diff(before).tolist())
     plane = None
     if hf == [1, 4, 3]:
-        plane = QuadricPlane(annihilator_piece(pieces[2], 2))
+        plane = QuadricPlane(annihilator_piece(perp, 2))
     elif require_143:
         raise NonGenericConfiguration(
             f"limit Hilbert function is {hf}, not (1, 4, 3)")
-    return ideal, hf, plane
+    return perp, hf, plane
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +384,30 @@ def elliptic_member(k: Field, cubics, q, s,
 
 
 def segre_cubics(members: list[EllipticMember],
-                 plane: QuadricPlane) -> list[FormSpace]:
+                 perp: FormSpace) -> list[FormSpace]:
     """For each member, the cubic relations among its quadrics restricted
     to the hyperplane at infinity of the limit chart, expressed in the 7
-    coordinates dual to the canonical basis of the perpendicular space.
+    coordinates dual to the canonical basis of perp = L⊥, the degree-2
+    piece of the limit ideal that initial_system returns (L⊥⊥ = L, since
+    the contraction pairing on quadrics is perfect for p >= 11 and over
+    Q).
 
     The restrictions are the coefficients free of x4.  In the RREF basis
-    of the perpendicular space a form's coordinates are its coefficients
-    at the pivots, so one product checks that the restrictions lie in
-    it.  Every output cubic is checked to lie in the kernel of the jump
-    matrix of the plane.  The perpendicular space and the jump matrix
-    are built once for all members.
+    of perp a form's coordinates are its coefficients at the pivots, so
+    one product checks that the restrictions lie in it.  Every output
+    cubic is checked to lie in the kernel of the jump matrix of perp,
+    which is built once for all members.
     """
-    k = plane.field
+    k = perp.field
     free = [i for i, e in enumerate(monomial_basis(5, 2)) if e[4] == 0]
-    perp = lperp(plane).basis.data
-    pivots = [int(np.flatnonzero(row)[0]) for row in perp]
-    jump = jump_matrix_from_quadrics(k, integral_rows(k, perp)).data
+    rows = perp.basis.data
+    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
+    jump = jump_matrix_from_quadrics(k, integral_rows(k, rows)).data
     out = []
     for member in members:
         restricted = member.quadrics.basis.data[:, free]
         incl = restricted[:, pivots]
-        if np.any(dot(k, incl, perp) != restricted):
+        if np.any(dot(k, incl, rows) != restricted):
             raise AssertionError(
                 "restricted quadrics do not land in the perpendicular "
                 "space; the chart identifications are inconsistent")
@@ -655,6 +659,7 @@ class GalePipelineResult:
     gamma4: PointSet
     projection: RationalMap
     hf: HilbertFunction
+    perp: FormSpace
     plane: QuadricPlane
     members: list[EllipticMember]
     chain_dims: tuple[int, int, int]
@@ -676,7 +681,7 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     if quads.dim != 7:
         raise NonGenericConfiguration("quadrics through the dual points: dim != 7")
     affine = dehomogenize(gamma4)
-    _, hf, plane = initial_system(affine)
+    perp, hf, plane = initial_system(affine)
     mems = _smooth_members(k, rng, pencil, GALE_MEMBERS, proj)
     spaces = [m.quadrics for m in mems]
     inter = spaces[0]
@@ -687,9 +692,9 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
         if not quads.contains_space(sp):
             raise NonGenericConfiguration("member quadrics not inside the 7")
     span = Matrix(k, np.concatenate(
-        [sp.basis.data for sp in segre_cubics(mems, plane)])).rank()
-    return GalePipelineResult(gamma2, ninth, gamma4, proj, hf, plane, mems,
-                              chain, span, attempt)
+        [sp.basis.data for sp in segre_cubics(mems, perp)])).rank()
+    return GalePipelineResult(gamma2, ninth, gamma4, proj, hf, perp, plane,
+                              mems, chain, span, attempt)
 
 
 @dataclass

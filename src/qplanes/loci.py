@@ -97,7 +97,10 @@ def smoothable_pfaffian(plane: QuadricPlane):
 
 
 def lperp(plane: QuadricPlane) -> FormSpace:
-    """The 7-dimensional space of dual quadrics annihilating the plane."""
+    """The 7-dimensional space L⊥ of dual quadrics annihilating the plane
+    L.  The contraction pairing on quadrics is perfect for p >= 11 and
+    over Q (Iarrobino and Kanev, Power Sums, Gorenstein Algebras, and
+    Determinantal Loci, 1999, 1.1), so L⊥⊥ = L."""
     return annihilator_piece(plane.space, 2)
 
 
@@ -176,37 +179,26 @@ def integral_rows(k: Field, rows) -> np.ndarray:
                          1, 1)(rows)
 
 
-def jump_matrix(plane: QuadricPlane) -> Matrix:
-    """The 84x84 matrix of Sym^3 of the perpendicular space, evaluated at
-    the sextic points: V J (see jump_matrix_from_quadrics), built from
-    the rows of the perpendicular basis.
+def jump_dimension(perp: FormSpace):
+    """Dimension of the space of cubics through the projected image of a
+    plane L, and the RREF kernel Matrix whose rows are a basis of those
+    cubics in the 7 target coordinates y0..y6, dual to the canonical
+    basis of perp = L⊥ (lperp), which it takes: the contraction pairing
+    on quadrics is perfect for p >= 11 and over Q, so L⊥⊥ = L.
 
-    Over Q it is c^3 V J in Python ints, with c the lcm of the
-    denominators of the perpendicular basis (integral_rows): J has the
-    same kernel, and no Fraction is multiplied on the way.  Over Q
-    jump_dimension builds its images mod p instead, and this matrix only
-    to check a rank-deficient image."""
-    k = plane.field
-    rows = integral_rows(k, lperp(plane).basis.data)
-    return jump_matrix_from_quadrics(k, rows)
-
-
-def jump_dimension(plane: QuadricPlane):
-    """Dimension of the space of cubics through the projected image,
-    together with the RREF kernel Matrix whose rows are a basis of those
-    cubics in the 7 target coordinates y0..y6 (dual basis to the
-    canonical basis of the perpendicular space).
-
-    Over Q the kernel of c^3 V J (jump_matrix) comes from its images
-    modulo primes p, each built over F_p from the integer rows reduced
-    mod p (kernel_from_images).  The rank mod p never exceeds the rank
-    over Q, so an image of rank 84 proves the kernel is 0, and c^3 V J
-    is built in Python ints only to check a rank-deficient image."""
-    k = plane.field
+    The kernel is that of V J (jump_matrix_from_quadrics) of the rows of
+    perp, over Q scaled to Python ints by the lcm c of their
+    denominators (integral_rows).  There it comes from the images of
+    c^3 V J modulo primes p, each built over F_p from the integer rows
+    reduced mod p (kernel_from_images).  The rank mod p never exceeds
+    the rank over Q, so an image of rank 84 proves the kernel is 0, and
+    c^3 V J is built in Python ints only to check a rank-deficient
+    image."""
+    k = perp.field
+    rows = integral_rows(k, perp.basis.data)
     if k.kind != "rationals":
-        ker = jump_matrix(plane).right_kernel()
+        ker = jump_matrix_from_quadrics(k, rows).right_kernel()
         return ker.rows, ker
-    rows = integral_rows(k, lperp(plane).basis.data)
     ker = kernel_from_images(
         (len(sextic_points(k)), len(monomial_basis(len(rows), 3))),
         lambda p: jump_matrix_from_quadrics(
@@ -454,17 +446,18 @@ def _isotropic_pair(k, q11, q12, q22):
     return ((s1, k.one), (s2, k.one))
 
 
-def rank2_sextic_witness(plane: QuadricPlane, coords, rank: int):
-    """Witness sextics annihilated by all cubic products of the
-    perpendicular space, in the coordinates y = coords x and with the
-    rank that rank_le2_adapted_change returns for a rank <= 2 element of
-    the plane: the element is a multiple of y0*y1 (rank 2) or y0^2
+def rank2_sextic_witness(perp: FormSpace, coords, rank: int):
+    """Witness sextics annihilated by all cubic products of perp = L⊥
+    (lperp; L⊥⊥ = L, since the contraction pairing on quadrics is
+    perfect for p >= 11 and over Q), in the coordinates y = coords x and
+    with the rank that rank_le2_adapted_change returns for a rank <= 2
+    element of L: the element is a multiple of y0*y1 (rank 2) or y0^2
     (rank 1).
 
     Returns the exponents beta of the witnesses y^beta; raises
     AssertionError if one is not annihilated, which adapted coordinates
     exclude: that check is the certificate."""
-    k = plane.field
+    k = perp.field
     if rank == 2:
         betas = [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
     else:
@@ -480,7 +473,7 @@ def rank2_sextic_witness(plane: QuadricPlane, coords, rank: int):
     # scaled to integers (integral_rows), which scales each sextic by a
     # nonzero constant, so that the products multiply no Fraction
     nv = 2 if rank == 2 else 3
-    duals = compose(k, integral_rows(k, lperp(plane).basis.data),
+    duals = compose(k, integral_rows(k, perp.basis.data),
                     integral_rows(k, coords[:nv].T), nv, 1, 2)
     sextics = power_products(k, duals, nv, 2, 3)
     idx = monomial_index(nv, 6)
@@ -504,11 +497,13 @@ class Classification:
 
 
 def classify(plane: QuadricPlane) -> Classification:
-    """Run all three conditions and assemble the verdict."""
+    """Run all three conditions and assemble the verdict.  The
+    perpendicular space is taken once, for the jump and the witness."""
     pf = smoothable_pfaffian(plane)
     k = plane.field
     hit, secant_cert = secant_intersects(plane)
-    dim, kernel = jump_dimension(plane)
+    perp = lperp(plane)
+    dim, kernel = jump_dimension(perp)
     on_divisor = pf == k.zero
     if on_divisor and hit:
         verdict = "both"
@@ -526,7 +521,7 @@ def classify(plane: QuadricPlane) -> Classification:
         secant["element"] = Poly.from_coeff_vector(k, 4, 2, elem)
         adapted = rank_le2_adapted_change(k, elem)
         if adapted is not None:
-            betas = rank2_sextic_witness(plane, *adapted)
+            betas = rank2_sextic_witness(perp, *adapted)
             certs["witness_sextics"] = [Poly.monomial(k, b) for b in betas]
     return Classification(pf, hit, dim, verdict, certs)
 
@@ -604,10 +599,10 @@ def _pencil_frame(k: PrimeField, rng):
     pairing = contraction_rows(k, quads, 4, 2, 0)
     rows0, row_w = pairing[:3, :, 0], pairing[3, :, 0]
     mj = Matrix(k, rows0[:, j_cols])
-    if mj.rank() != 3:
+    detj = mj.det()
+    if detj == 0:  # rank below 3
         return None
     mj_inv_t = mj.inverse().data.T
-    detj = mj.det()
     # frame vectors: v_c(t) = base_c + t * dir_c, with v_c[c] = det(M_J)
     base, dirv = k.zeros((7, 10)), k.zeros((7, 10))
     base[np.arange(7), free_cols] = detj

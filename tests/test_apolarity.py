@@ -69,8 +69,8 @@ def test_hilbert_function_trimming():
 def _closure_holds(ideal) -> bool:
     """Every variable times piece d lies in piece d + 1, for each stored
     pair of consecutive degrees."""
-    for d, lower in ideal.pieces.items():
-        upper = ideal.pieces.get(d + 1)
+    for d, lower in ideal.items():
+        upper = ideal.get(d + 1)
         if upper is None:
             continue
         for p in lower.polys():
@@ -86,9 +86,9 @@ def test_worked_annihilator_example():
         "x0*x1", "x0*x2", "x0*x3", "x1*x2", "x1*x3", "x2*x3",
         "x2^2 + x3^2")])
     ann = annihilator(plane.space, 3)
-    assert ann.piece(1).dim == 0
-    assert ann.piece(2) == listed
-    assert ann.piece(3).dim == 20
+    assert ann[1].dim == 0
+    assert ann[2] == listed
+    assert ann[3].dim == 20
     assert _closure_holds(ann)
     hf = apolar_hilbert_function(plane)
     assert hf.with_linear == [1, 4, 3]

@@ -11,6 +11,7 @@ import pytest
 
 import qplanes
 from qplanes import constructions as cons
+from qplanes import loci
 from qplanes.apolarity import QuadricPlane
 from qplanes.cli import build_parser, main
 from qplanes.fields import PrimeField
@@ -145,11 +146,15 @@ def test_gale_members_are_distinct_at_a_small_prime(capsys):
 
 def test_gale_raises_a_broken_segre_invariant(monkeypatch):
     """Restricted member quadrics outside the perpendicular space are a
-    program fault: they raise, not exit 2 as a usage error would."""
+    program fault: they raise, not exit 2 as a usage error would.  The
+    foreign space comes in where segre_cubics reads it, as the
+    perpendicular space that initial_system returns."""
     k = PrimeField()
-    other = cons.lperp(QuadricPlane.from_polys(
+    other = loci.lperp(QuadricPlane.from_polys(
         [parse_poly(s, VARS_P3, k) for s in ("x0^2", "x1^2", "x2^2")]))
-    monkeypatch.setattr(cons, "lperp", lambda plane: other)
+    real = cons.initial_system
+    monkeypatch.setattr(cons, "initial_system",
+                        lambda points: (other, *real(points)[1:]))
     with pytest.raises(AssertionError, match="perpendicular space"):
         main(["gale", "--samples", "1"])
 

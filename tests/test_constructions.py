@@ -11,8 +11,9 @@ from qplanes import constructions as con
 from qplanes.apolarity import HilbertFunction, annihilator, contract
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix
-from qplanes.loci import (GenericityError, jump_dimension, secant_intersects,
-                          smoothable_pfaffian)
+from qplanes.apolarity import annihilator_piece
+from qplanes.loci import (GenericityError, jump_dimension, lperp,
+                          secant_intersects, smoothable_pfaffian)
 from qplanes.poly import (Poly, monomial_basis, monomial_values, parse_poly,
                           random_form)
 from qplanes.unipoly import UniPoly, roots_in_field
@@ -159,17 +160,16 @@ def test_forms_through_vanishing():
 def test_initial_system_hf_143():
     rng = random.Random(3)
     pts = con.random_affine_points(K, 4, 8, rng)
-    ideal, hf, plane = con.initial_system(pts)
+    perp, hf, plane = con.initial_system(pts)
     assert hf == [1, 4, 3]
     assert sum(hf.values) == 8
-    assert ideal.piece(2).dim == 7
+    assert perp.dim == 7
     assert plane is not None
     # round trip: the annihilator of the plane reproduces the degree-2 piece
-    ann2 = annihilator(plane.space, 2).piece(2)
-    assert ann2 == ideal.piece(2)
+    assert annihilator(plane.space, 2)[2] == perp
     # the limit plane satisfies the degeneracy conditions
     assert smoothable_pfaffian(plane) == K.zero
-    assert jump_dimension(plane)[0] == 3
+    assert jump_dimension(perp)[0] == 3
     assert not secant_intersects(plane)[0]
 
 
@@ -220,17 +220,32 @@ def _limit_tuple(k, kind, nvars, count, rng):
 @settings(max_examples=60, deadline=None)
 def test_initial_system_matches_the_prefix_kernels(seed, k, kind, nvars,
                                                    count):
-    """The pieces and Hilbert function read off one RREF equal those of
-    the four prefix kernels, on 8-point tuples and degenerate ones."""
+    """The degree-2 piece and the Hilbert function read off one RREF
+    equal those of the four prefix kernels, on 8-point tuples and
+    degenerate ones."""
     rng = random.Random(seed)
     if kind == "random" and nvars == 4:
         count = 8
     pts = _limit_tuple(k, kind, nvars, count, rng)
-    ideal, hf, plane = con.initial_system(pts, require_143=False)
+    perp, hf, plane = con.initial_system(pts, require_143=False)
     pieces, want = _prefix_kernel_system(pts)
     assert hf == want
-    assert all(ideal.piece(d) == pieces[d] for d in range(4))
+    assert perp == pieces[2]
     assert (plane is None) == (hf != [1, 4, 3])
+
+
+@given(st.integers(0, 10**6), st.sampled_from([PrimeField(11), K,
+                                               RationalField()]))
+@settings(max_examples=30, deadline=None)
+def test_the_limit_perp_is_the_perp_of_its_plane(seed, k):
+    """L⊥⊥ = L on the scaled limits of 8-point tuples in A^4: the degree-2
+    piece that initial_system returns is lperp of its plane, and its own
+    degree-2 annihilator is the plane."""
+    pts = con.random_affine_points(k, 4, 8, random.Random(seed))
+    perp, _, plane = con.initial_system(pts, require_143=False)
+    assume(plane is not None)
+    assert perp == lperp(plane)
+    assert annihilator_piece(perp, 2) == plane.space
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +432,11 @@ def test_segre_cubic_span():
     assert res.chain_dims == (3, 5, 7)
     assert res.segre_span_dim == 3
     # the span equals the full cubic kernel of the limit plane
-    dim, kernel = jump_dimension(res.plane)
+    assert res.perp == lperp(res.plane)
+    dim, kernel = jump_dimension(res.perp)
     assert dim == 3
     kernel_space = FormSpace.from_matrix(K, 7, 3, kernel)
-    segres = con.segre_cubics(res.members, res.plane)
+    segres = con.segre_cubics(res.members, res.perp)
     union = FormSpace.from_polys(
         [c for s in segres for c in s.polys()], degree=3)
     assert union == kernel_space
@@ -441,7 +457,7 @@ def test_segre_cubic_rejects_foreign_plane():
         except ValueError:
             continue
     with pytest.raises(AssertionError, match="perpendicular space"):
-        con.segre_cubics(res.members, other)
+        con.segre_cubics(res.members, lperp(other))
 
 
 # ---------------------------------------------------------------------------

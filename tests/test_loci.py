@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qplanes import constructions, linalg, loci
+from qplanes import battery, constructions, linalg, loci
 from qplanes.apolarity import QuadricPlane, contract, plane_from_cubic
 from qplanes.fields import PrimeField, RationalField
 from qplanes.linalg import FormSpace, Matrix, pfaffian
@@ -147,21 +147,28 @@ def test_lperp_dimension_and_annihilation():
             assert contract(d, q).is_zero()
 
 
+def _jump_matrix(plane):
+    """The jump matrix V J of the plane's perpendicular space, over Q
+    c^3 V J in Python ints (integral_rows)."""
+    k = plane.field
+    return loci.jump_matrix_from_quadrics(
+        k, loci.integral_rows(k, loci.lperp(plane).basis.data))
+
+
 def test_jump_dimension_generic_and_divisor():
     rng = random.Random(6)
     plane = _random_plane(rng)
-    assert loci.jump_dimension(plane)[0] == 0
+    assert loci.jump_dimension(loci.lperp(plane))[0] == 0
     f = _random_form(K, rng, 4, 3)
     ds = [_random_form(K, rng, 4, 1) for _ in range(3)]
-    special = plane_from_cubic(f, *ds)
-    dim, kernel = loci.jump_dimension(special)
+    perp = loci.lperp(plane_from_cubic(f, *ds))
+    dim, kernel = loci.jump_dimension(perp)
     assert dim == 3
     assert kernel.rows == 3 and kernel.rref()[0] == kernel
     # kernel cubics are genuine relations among the perpendicular quadrics
-    perp = loci.lperp(special).polys()
     for row in kernel.data:
         assert Poly.from_coeff_vector(K, 7, 3, row).substitute_polys(
-            perp).is_zero()
+            perp.polys()).is_zero()
 
 
 def test_secant_generic_false():
@@ -467,16 +474,21 @@ def _rref_calls(fn) -> int:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_each_matrix_is_row_reduced_once(seed):
-    """Later steps read the RREFs already taken: classify row-reduces at
-    most 5 matrices on a random plane and 14 on one through l1*l2 (where
-    the probes miss), and initial_system 7 on an 8-point tuple."""
+    """Later steps read the RREFs already taken, and the perpendicular
+    space is taken once per plane: classify row-reduces at most 5
+    matrices on a random plane and 12 on one through l1*l2 (where the
+    probes miss), initial_system 4 on an 8-point tuple, criterion 6 60 in
+    10 trials, and one Gale pipeline 50."""
     rng = random.Random(seed)
     general, secant = _random_plane(rng), _secant_plane(rng)
     pts = constructions.random_affine_points(K, 4, 8, rng)
     assert loci.classify(secant).certificates["witness_sextics"] is not None
     assert _rref_calls(lambda: loci.classify(general)) <= 5
-    assert _rref_calls(lambda: loci.classify(secant)) <= 14
-    assert _rref_calls(lambda: constructions.initial_system(pts)) <= 7
+    assert _rref_calls(lambda: loci.classify(secant)) <= 12
+    assert _rref_calls(lambda: constructions.initial_system(pts)) <= 4
+    assert _rref_calls(lambda: battery.criterion_6(K, trials=10,
+                                                   seed=seed)) <= 60
+    assert _rref_calls(lambda: constructions.gale_pipeline(K, seed)) <= 50
 
 
 def test_witness_sextics():
@@ -486,9 +498,10 @@ def test_witness_sextics():
     plane = QuadricPlane.from_polys(
         [q, _random_form(K, rng, 4, 2), _random_form(K, rng, 4, 2)])
     coords, rank = loci.rank_le2_adapted_change(K, q.coeff_vector(2))
-    witnesses = loci.rank2_sextic_witness(plane, coords, rank)
+    perp = loci.lperp(plane)
+    witnesses = loci.rank2_sextic_witness(perp, coords, rank)
     assert witnesses == [(5, 1, 0, 0), (3, 3, 0, 0), (1, 5, 0, 0)]
-    assert loci.jump_dimension(plane)[0] >= 3
+    assert loci.jump_dimension(perp)[0] >= 3
 
 
 def test_witness_sextics_rejects_high_rank():
@@ -544,14 +557,15 @@ def test_witness_in_adapted_coordinates_matches_the_inverse(seed, k, kind):
     coords, got = loci.rank_le2_adapted_change(k, q.coeff_vector(2))
     assert got == rank
     want = _witness_oracle(plane, Matrix(k, coords).inverse().data, rank)
-    assert loci.rank2_sextic_witness(plane, coords, rank) == want
+    perp = loci.lperp(plane)
+    assert loci.rank2_sextic_witness(perp, coords, rank) == want
     broken = coords.copy()
     broken[rng.randrange(rank)] = _random_form(k, rng, 4, 1).coeff_vector(1)
     # a row proportional to the one replaced leaves C adapted (1 in p^3)
     assume(Matrix(k, broken).rank() == 4 and not _nonzero_multiple(
         k, q.coeff_vector(2), _adapted_product(k, broken, rank)))
     with pytest.raises(AssertionError, match="not annihilated"):
-        loci.rank2_sextic_witness(plane, broken, rank)
+        loci.rank2_sextic_witness(perp, broken, rank)
     with pytest.raises(AssertionError, match="not annihilated"):
         _witness_oracle(plane, Matrix(k, broken).inverse().data, rank)
 
@@ -630,7 +644,7 @@ def test_classify_rationals_on_special_planes(kind, seed):
     plane = _special_plane(kind, q, forms)
     c = loci.classify(plane)
     assert c.jump_dim == 3
-    jump = loci.jump_matrix(plane).data
+    jump = _jump_matrix(plane).data
     for cubic in c.certificates["cubics"]:
         assert not np.any(jump.dot(cubic.coeff_vector(3)))
     cp = loci.classify(_special_plane(kind, K, forms))
@@ -795,7 +809,8 @@ def test_evaluation_jump_matrix_is_v_times_the_coefficient_build(seed, kind,
         want = v.dot(coeff)
     else:
         want = dot(k, v, coeff)
-    jump = loci.jump_matrix(plane)
+    jump = loci.jump_matrix_from_quadrics(
+        k, loci.integral_rows(k, perp.basis.data))
     assert np.array_equal(jump.data, want)
     assert jump.rref() == Matrix(k, coeff).rref()
 
@@ -826,7 +841,8 @@ def test_integer_jump_matrix_matches_fraction_oracle(seed, kind):
     perp = loci.lperp(plane)
     oracle = _fraction_power_products(perp.polys(), 3).T
     c = lcm(*(x.denominator for x in perp.basis.data.flat))
-    jump = loci.jump_matrix(plane)
+    jump = loci.jump_matrix_from_quadrics(
+        q, loci.integral_rows(q, perp.basis.data))
     assert all(type(x) is int for x in jump.data.flat)
     want = _as_ints(_sextic_values(q)).dot(_as_ints(c ** 3 * oracle))
     assert np.array_equal(jump.data, want)
@@ -848,10 +864,11 @@ def test_rational_jump_kernel_from_images_matches_the_integer_kernel(seed,
     q = RationalField()
     rng = random.Random(seed)
     plane = {**PLANES, "smoothable": _smoothable_plane}[kind](rng, q)
-    jump = loci.jump_matrix(plane).data
+    perp = loci.lperp(plane)
+    jump = _jump_matrix(plane).data
     with mock.patch.object(linalg, "_gauss_jordan",
                            wraps=linalg._gauss_jordan) as spy:
-        dim, ker = loci.jump_dimension(plane)
+        dim, ker = loci.jump_dimension(perp)
     images = [c.args for c in spy.call_args_list
               if c.args[0].shape == jump.shape]
     assert images
@@ -868,10 +885,10 @@ def test_rational_jump_matrix_is_built_only_to_check(kind, built):
     84: c^3 V J is built once, over F_p, and never in Python ints.  A
     plane of nullity 3 builds it in Python ints once, for the check."""
     q = RationalField()
-    plane = _rational_plane(kind, random.Random(0))
+    perp = loci.lperp(_rational_plane(kind, random.Random(0)))
     with mock.patch.object(loci, "jump_matrix_from_quadrics",
                            wraps=loci.jump_matrix_from_quadrics) as spy:
-        dim = loci.jump_dimension(plane)[0]
+        dim = loci.jump_dimension(perp)[0]
     fields = [c.args[0] for c in spy.call_args_list]
     assert dim == JUMP_NULLITY[kind]
     assert fields.count(q) == built
@@ -892,9 +909,10 @@ def test_rational_jump_kernel_outvotes_a_rank_deficient_first_image():
     noise = np.array([[p * c for c in _integer_form(rng, 2).values()]
                       for _ in range(3)], dtype=object)
     plane = QuadricPlane.from_rows(q, partials + noise)
-    jump = loci.jump_matrix(plane).data
+    jump = _jump_matrix(plane).data
     assert Matrix(PrimeField(p), (jump % p).astype(np.int64)).rank() < 84
-    (dim, ker), used = _images_mod(lambda: loci.jump_dimension(plane),
+    perp = loci.lperp(plane)
+    (dim, ker), used = _images_mod(lambda: loci.jump_dimension(perp),
                                    (p,) + linalg._PRIMES)
     assert p in used
     assert (dim, ker) == (0, Matrix(q, jump).right_kernel())
