@@ -10,8 +10,8 @@ the matrices of at most 128 columns that the program sends to the loop
 (bench/elimination.py times the wider ones), captured as they reach it:
 
 * the 84x84 jump matrices of a random, a secant and a smoothable plane
-  (``loci.classify``), and the 7x10 RREF behind ``lperp`` of the random
-  one;
+  (``loci.classify``), and the 3x10 constraint matrix behind ``lperp``
+  of the random one, turned by 180 degrees as ``right_kernel`` turns it;
 * the 84x35 Segre system of a Gale member (``constructions.
   gale_pipeline``);
 * the 40x41 interpolation system of the pencil's determinant
@@ -74,7 +74,7 @@ def capture(k: PrimeField, seed: int) -> list[tuple[str, np.ndarray]]:
     run("secant jump", (84, 84), lambda: loci.classify(ps["secant"]))
     run("smoothable jump", (84, 84),
         lambda: loci.classify(ps["smoothable"]))
-    run("lperp", (7, 10), lambda: loci.lperp(ps["general"]))
+    run("lperp", (3, 10), lambda: loci.lperp(ps["general"]))
     run("Segre system", (84, 35),
         lambda: constructions.gale_pipeline(k, seed))
     run("interpolation", (40, 41), lambda: loci.pencil_experiment(k, seed))

@@ -43,7 +43,7 @@ from unittest import mock
 
 import numpy as np
 
-from qplanes import battery, loci, poly
+from qplanes import battery, poly
 from qplanes import constructions as cons
 from qplanes.fields import DEFAULT_PRIME, PrimeField
 from qplanes.poly import dot, monomial_basis
@@ -103,7 +103,6 @@ def capture_products(k: PrimeField, seed: int) -> dict:
         return real(k, a, b, nvars, d1, d2)
 
     with mock.patch.object(poly, "dense_mul", spy), \
-            mock.patch.object(loci, "dense_mul", spy), \
             mock.patch.object(battery, "dense_mul", spy):
         cons.cremona_pipeline(k, seed, slow=True)
         battery.criterion_4(k, trials=2, seed=seed)

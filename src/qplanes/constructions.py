@@ -356,8 +356,8 @@ def elliptic_member(k: Field, cubics, q, s,
     linear form l.  Both sides are plane quartics, which agree exactly
     when they agree at the 15 points of lattice_points(k, 3, 4); so the
     quadrics are the Q-parts of the kernel of [Q(proj) | x_j*c] evaluated
-    there, a 15 x 18 matrix (l = 0 when Q = 0, so the Q-part keeps the
-    dimension).
+    there, a 15 x 18 matrix (l = 0 when Q = 0, so each row of the RREF
+    kernel leads in its Q-part, and those parts are already an RREF).
 
     One pipeline run must use one projection throughout; pass the same
     map that produced the point configuration."""
@@ -371,7 +371,7 @@ def elliptic_member(k: Field, cubics, q, s,
     pulled = monomial_values(k, 5, 2, _plane_values(k, proj.rows, 2, 4))
     times_c = _plane_piece(k, cs[None], 3, 4).T
     ker = Matrix(k, np.concatenate([pulled, times_c], axis=1)).right_kernel()
-    quadrics = FormSpace.from_matrix(k, 5, 2, Matrix(k, ker.data[:, :15]))
+    quadrics = FormSpace(k, 5, 2, Matrix(k, ker.data[:, :15]))
     if quadrics.dim != 5:
         raise NonGenericConfiguration(
             f"member quadrics have dimension {quadrics.dim}, not 5")

@@ -2,8 +2,8 @@
 
 Prime-field matrices are numpy int64 arrays reduced mod p; rational
 matrices are object arrays of Fractions or Python ints.  Row reduction
-(behind rank, rref, right_kernel, inverse and solve) takes one of two
-paths:
+(behind rank, rref, inverse, solve and right_kernel, one RREF of the
+matrix turned by 180 degrees) takes one of two paths:
 
 * over F_p, the Gauss–Jordan loop (_gauss_jordan), one vectorized
   rank-1 update per pivot with delayed reduction (below), for every
@@ -357,20 +357,25 @@ def null_basis(field: Field, r: np.ndarray, pivots: list[int]) -> np.ndarray:
 
 
 def _kernel(field: Field, r: np.ndarray, pivots: list[int]) -> Matrix:
-    """The row-reduced basis Matrix of the kernel of a matrix, from its
-    RREF r and pivot columns: null_basis, canonicalized, so that kernel
-    bases compare by equality."""
-    red, _ = _rref(null_basis(field, r, pivots), field)
-    return Matrix(field, red)
+    """The RREF Matrix of the kernel of A, from the RREF r and pivot
+    columns of A turned by 180 degrees, T = A[::-1, ::-1], whose kernel
+    is that of A with the coordinates reversed.  The null_basis row of T
+    for a free column f is 1 at f, 0 at the other free columns, and
+    nonzero elsewhere only at pivot columns before f, since an RREF row
+    is zero before its pivot.  Turned back, each row starts with that 1,
+    the rows lead in ascending columns, and each is 0 where the others
+    lead: the unique RREF of ker A, so kernel bases compare by equality."""
+    return Matrix(field, null_basis(field, r, pivots)[::-1, ::-1])
 
 
 def kernel_from_images(shape, image, integers) -> Matrix:
     """Row-reduced basis over Q of {v : A v = 0}, for the integer matrix
     A of the given shape with images image(p) = A mod p and, for the
     check of a rank-deficient image only, integers() = A in Python ints
-    (see _rref_rationals).  An image of full column rank proves the
-    kernel is 0 without A."""
-    return _kernel(RationalField(), *_rref_rationals(shape, image, integers))
+    (see _rref_rationals), read off the RREF of A turned (_kernel).  An
+    image of full column rank proves the kernel is 0 without A."""
+    return _kernel(RationalField(), *_rref_rationals(
+        shape, lambda p: image(p)[::-1, ::-1], lambda: integers()[::-1, ::-1]))
 
 
 class Matrix:
@@ -414,8 +419,8 @@ class Matrix:
         return len(pivots)
 
     def right_kernel(self) -> "Matrix":
-        """Row-reduced basis of {v : Mv = 0}, one basis vector per row."""
-        return _kernel(self.field, *_rref(self.data, self.field))
+        """Row-reduced basis of {v : Mv = 0}, one vector per row (_kernel)."""
+        return _kernel(self.field, *_rref(self.data[::-1, ::-1], self.field))
 
     def det(self):
         if self.rows != self.cols:

@@ -318,9 +318,10 @@ def _find_rank_le2(plane: QuadricPlane, hessians, reduced: dict, dims: dict):
     1.  Several points or a curve give a lam at which some minor does
     not vanish, hence None.
 
-    K = mu V_d, mu the null_basis of the piece's RREF, spans the
-    coefficient kernel; row operations on K keep the pivots of B_c and
-    the traces, so K need not be reduced."""
+    K = mu V_d, mu the piece RREF's null_basis, spans the coefficient kernel;
+    row operations on K keep the pivots of B_c and the traces, so K need
+    not be reduced.  In the RREF of [B_c | I_r], the last pivot lies in
+    B_c iff rank B_c = r, and the right block is then B_c[:, cols]^-1."""
     k = plane.field
     rows = plane.space.basis.data
     probes = _PROBES.astype(object) if k.kind == "rationals" else _PROBES
@@ -337,13 +338,14 @@ def _find_rank_le2(plane: QuadricPlane, hessians, reduced: dict, dims: dict):
     ker = dot(k, mu, monomial_values(k, 3, d, lattice_points(k, 3, d)))
     r = ker.shape[0]
     blocks = [ker[:, col] for col in mult_table(3, d - 1, 1).T]
+    eye = Matrix.identity(k, r).data
     for c in (2, 1, 0):
-        _, cols = Matrix(k, blocks[c]).rref()
-        if len(cols) == r:
+        red, cols = Matrix(k, np.hstack([blocks[c], eye])).rref()
+        if cols[-1] < blocks[c].shape[1]:
             break
     else:
         return None
-    inv = Matrix(k, blocks[c][:, cols]).inverse().data
+    inv = red.data[:, -r:]
     lam = k.array([k.div(k.of(sum(np.diagonal(dot(k, b[:, cols], inv)))),
                          k.of(r)) for b in blocks])
     at_lam = _minors_at(k, hessians, integral_rows(k, lam[None]))

@@ -827,3 +827,90 @@ def test_certificate_rejects_a_candidate_right_only_mod_the_first_prime():
                                    linalg._PRIMES)
     assert piv == [0] and list(red.data[0]) == [1, 1 + p]
     assert len(used) > 1
+
+
+# -- one elimination per kernel, against the two-step kernel ----------------
+
+
+def _two_step_kernel(field, a):
+    """The kernel as two eliminations take it: the RREF of a, its
+    null_basis, and the RREF of that basis.  The oracle for the kernel
+    read off one RREF of a turned by 180 degrees."""
+    r, pivots = linalg._rref(a, field)
+    red, _ = linalg._rref(linalg.null_basis(field, r, pivots), field)
+    return Matrix(field, red)
+
+
+KERNEL_FIELDS = {"F_11": PrimeField(11), "F_32003": K,
+                 "F_2^31-1": PrimeField(2147483647), "Q": Q}
+KERNEL_KINDS = ("no rows", "no columns", "zero", "full column rank",
+                "deficient rank")
+
+
+def _kernel_case(rng, k, kind, rows, cols):
+    """A rows x cols integer matrix of the given kind, with entries that
+    are residues over F_p and of up to 40 bits over Q."""
+    if kind == "no rows":
+        rows = 0
+    if kind == "no columns":
+        cols = 0
+    bound = 2 ** 40 if k.kind == "rationals" else k.p
+
+    def entry():
+        return rng.randrange(-bound + 1, bound)
+
+    if kind == "full column rank":  # an identity among random rows
+        a = [[entry() for _ in range(cols)] for _ in range(rows)]
+        a += [[int(i == j) for j in range(cols)] for i in range(cols)]
+        rng.shuffle(a)
+        return np.array(a, dtype=object).reshape(-1, cols)
+    rank = 0 if kind == "zero" else rng.randrange(min(rows, cols) + 1)
+    if kind == "deficient rank":
+        rank = min(rank, min(rows, cols) - 1)
+    left = np.array([[entry() for _ in range(rank)] for _ in range(rows)],
+                    dtype=object).reshape(rows, rank)
+    right = np.array([[rng.randrange(-9, 10) for _ in range(cols)]
+                      for _ in range(rank)], dtype=object).reshape(rank, cols)
+    return left.dot(right) if rank else np.zeros((rows, cols), dtype=object)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(sorted(KERNEL_FIELDS)),
+       st.sampled_from(KERNEL_KINDS), st.integers(1, 9), st.integers(1, 9))
+@settings(max_examples=80, deadline=None)
+def test_right_kernel_is_one_elimination_of_the_turned_matrix(seed, name,
+                                                              kind, rows,
+                                                              cols):
+    """right_kernel row-reduces the matrix turned by 180 degrees once and
+    reads off the same RREF kernel that two eliminations give, over
+    F_11, F_32003, F_(2^31-1) and Q."""
+    k = KERNEL_FIELDS[name]
+    m = Matrix(k, _kernel_case(random.Random(seed), k, kind, rows, cols))
+    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as spy:
+        ker = m.right_kernel()
+    [(turned, field)] = [c.args for c in spy.call_args_list]
+    assert field == k and np.array_equal(turned, m.data[::-1, ::-1])
+    assert ker == _two_step_kernel(k, m.data)
+    assert ker.rows == m.cols - m.rank()
+    if kind == "full column rank":
+        assert ker.rows == 0
+    assert not np.any(dot(k, m.data, ker.data.T) != k.zero)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_kernel_from_images_is_one_elimination_of_the_turned_matrix(kind):
+    """kernel_from_images hands _rref_rationals the turned images and the
+    turned integer matrix, and returns the two-step kernel over Q."""
+    rng = random.Random(KERNEL_KINDS.index(kind))
+    a = _kernel_case(rng, Q, kind, 6, 5)
+    image, integers, _ = _image_source(a)
+    with mock.patch.object(linalg, "_rref", wraps=linalg._rref) as rref, \
+            mock.patch.object(linalg, "_rref_rationals",
+                              wraps=linalg._rref_rationals) as spy:
+        ker = linalg.kernel_from_images(a.shape, image, integers)
+    assert rref.call_count == 0 and spy.call_count == 1
+    shape, turned_image, turned_integers = spy.call_args.args
+    p = linalg._PRIMES[0]
+    assert shape == a.shape
+    assert np.array_equal(turned_image(p), image(p)[::-1, ::-1])
+    assert np.array_equal(turned_integers(), a[::-1, ::-1])
+    assert ker == _two_step_kernel(Q, Q.array(a))
