@@ -18,10 +18,12 @@ the matrices of at most 128 columns that the program sends to the loop
   (``loci.pencil_experiment``).
 
 at p = 32003 and p = 2^31 - 1, and every pair of outputs (the RREF and
-the pivot columns) is checked equal.  Writes
-BENCH_gauss_jordan.json at the repository root.
+the pivot columns) is checked equal.  The rows, each with its machine,
+seed and repeat count, go into BENCH_gauss_jordan.json at the repository
+root under ``--label``; other labels already in the file are kept.
 
-    PYTHONPATH=src python3 bench/gauss_jordan.py [--seed 1] [--repeat 20]
+    PYTHONPATH=src python3 bench/gauss_jordan.py --label after \\
+        [--seed 1] [--repeat 20]
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ def capture(k: PrimeField, seed: int) -> list[tuple[str, np.ndarray]]:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
@@ -115,11 +119,13 @@ def main():
             print(json.dumps({key: rows[-1][key] for key in
                               ("prime", "matrix", "rank", "before_median_ms",
                                "after_median_ms")}), flush=True)
-    out = {"what": "the unblocked Gauss-Jordan loop: the whole matrix "
-                   "reduced after every pivot (before) against delayed "
-                   "reduction (after), milliseconds per call",
-           "results": rows}
     path = ROOT / "BENCH_gauss_jordan.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out["what"] = ("the unblocked Gauss-Jordan loop: the whole matrix "
+                   "reduced after every pivot (before) against delayed "
+                   "reduction (after), milliseconds per call, one entry "
+                   "per run")
+    out.setdefault("runs", {})[args.label] = rows
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -23,10 +23,12 @@ V J, V the invertible matrix of sextic monomial values there.  Timed:
 
 Every result is checked: the evaluation build equals V times the product
 build, the pencil's dets are det V times the product build's, and the
-two kernels of each plane are equal.  Writes BENCH_jump.json at the
-repository root.
+two kernels of each plane are equal.  The results go into
+BENCH_jump.json at the repository root under ``--label``, with the
+machine, seed and repeat count of that run; other labels already in the
+file are kept.
 
-    PYTHONPATH=src python3 bench/jump.py [--seed 1] [--repeat 20]
+    PYTHONPATH=src python3 bench/jump.py --label after [--seed 1] [--repeat 20]
 """
 
 from __future__ import annotations
@@ -171,25 +173,32 @@ def kernel_rows(seed: int, repeat: int) -> list[dict]:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
     rows = plane_rows(args.seed, args.repeat)
     rows.append(pencil_row(args.seed, args.repeat))
     rows += kernel_rows(args.seed, args.repeat)
-    out = {"what": "milliseconds for the jump build from form products "
-                   "(before) against evaluation at the 84 sextic lattice "
-                   "points (after), results checked equal up to V; and for "
-                   "the Q jump kernel from c^3 V J in Python ints (before) "
-                   "against prime images built from the reduced rows "
-                   "(after), kernels checked equal",
-           "machine": {"cpu": cpu_model(),
-                       "cores": len(os.sched_getaffinity(0)),
-                       "python": platform.python_version()},
-           "numpy": np.__version__, "primes": [DEFAULT_PRIME, 2147483647],
-           "image_primes": list(linalg._PRIMES),
-           "seed": args.seed, "repeat": args.repeat, "results": rows}
-    (ROOT / "BENCH_jump.json").write_text(json.dumps(out, indent=2) + "\n")
+    path = ROOT / "BENCH_jump.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out.update({"what": "milliseconds for the jump build from form products "
+                        "(before) against evaluation at the 84 sextic "
+                        "lattice points (after), results checked equal up "
+                        "to V; and for the Q jump kernel from c^3 V J in "
+                        "Python ints (before) against prime images built "
+                        "from the reduced rows (after), kernels checked "
+                        "equal; one entry per run",
+                "primes": [DEFAULT_PRIME, 2147483647],
+                "image_primes": list(linalg._PRIMES)})
+    out.setdefault("runs", {})[args.label] = {
+        "machine": {"cpu": cpu_model(),
+                    "cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version()},
+        "numpy": np.__version__, "seed": args.seed, "repeat": args.repeat,
+        "results": rows}
+    path.write_text(json.dumps(out, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -17,10 +17,13 @@ Both are checked equal to the dets of the jump matrices built one sample
 at a time (``loci.jump_matrix_from_quadrics``) and taken by the
 one-matrix pivot loop, the oracle of tests/test_linalg.py.  Each path's
 tracemalloc peak is taken on a separate untimed pass, and one whole
-``loci.pencil_experiment`` per seed is timed with either path.  Writes
-BENCH_pencil.json at the repository root.
+``loci.pencil_experiment`` per seed is timed with either path.  The
+rows, each with its machine, seeds and repeat count, go into
+BENCH_pencil.json at the repository root under ``--label``; other labels
+already in the file are kept.
 
-    PYTHONPATH=src python3 bench/pencil.py [--seeds 0 1 2] [--repeat 3]
+    PYTHONPATH=src python3 bench/pencil.py --label after \\
+        [--seeds 0 1 2] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def _peak_mb(fn) -> float:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
@@ -168,18 +173,18 @@ def main():
                                        2),
                      "peak_traced_mb": peak})
         print(json.dumps(rows[-1]), flush=True)
-    out = {
-        "what": "milliseconds per pencil for the 40 jump determinants: "
-                "84x84 jump matrices stacked 8 at a time (before; build "
-                "and det split) against one shared elimination of the "
-                "columns constant in t (after), and for a whole "
-                "pencil_experiment with either; medians over seeds and "
-                "interleaved repeats, and the tracemalloc peak of one "
-                "pencil's path; every det checked against the per-sample "
-                "oracle",
-        "rows": rows,
-    }
-    (ROOT / "BENCH_pencil.json").write_text(json.dumps(out, indent=2) + "\n")
+    path = ROOT / "BENCH_pencil.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out["what"] = ("milliseconds per pencil for the 40 jump determinants: "
+                   "84x84 jump matrices stacked 8 at a time (before; build "
+                   "and det split) against one shared elimination of the "
+                   "columns constant in t (after), and for a whole "
+                   "pencil_experiment with either; medians over seeds and "
+                   "interleaved repeats, and the tracemalloc peak of one "
+                   "pencil's path; every det checked against the "
+                   "per-sample oracle; one entry per run")
+    out.setdefault("runs", {})[args.label] = rows
+    path.write_text(json.dumps(out, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -14,10 +14,13 @@ scaled to integers (``loci.integral_rows``), which builds V c^3 J in
 Python ints (after, V the invertible matrix of sextic monomial values at
 the points of ``loci.sextic_points``), checking the two equal up to
 V c^3, and one whole ``loci.classify`` with the kernel of the Fraction
-build (before) and as the library takes it (after).  Writes
-BENCH_rationals.json at the repository root.
+build (before) and as the library takes it (after).  The results go
+into BENCH_rationals.json at the repository root under ``--label``, with
+the machine, seed and repeat count of that run; other labels already in
+the file are kept.
 
-    PYTHONPATH=src python3 bench/rationals.py [--seed 3] [--repeat 3]
+    PYTHONPATH=src python3 bench/rationals.py --label after \\
+        [--seed 3] [--repeat 3]
 """
 
 from __future__ import annotations
@@ -182,6 +185,8 @@ def timed(fns: dict, repeat: int) -> dict:
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
@@ -201,18 +206,20 @@ def main():
     for label, fns in jump_rows(planes(k, args.seed)):
         rows.append({"matrix": label, **timed(fns, args.repeat)})
         print(json.dumps(rows[-1]), flush=True)
-    out = {"what": "over Q: row reduction by the Fraction loop (before) vs "
+    path = ROOT / "BENCH_rationals.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out["what"] = ("over Q: row reduction by the Fraction loop (before) vs "
                    "_rref (after); the 84x84 jump build from Fraction "
                    "products (before) vs V c^3 J in Python ints (after); "
                    "classify with either build.  Results are checked "
-                   "equal",
-           "machine": {"cpu": cpu_model(),
-                       "cores": len(os.sched_getaffinity(0)),
-                       "python": platform.python_version()},
-           "numpy": np.__version__, "seed": args.seed,
-           "repeat": args.repeat, "results": rows}
-    (ROOT / "BENCH_rationals.json").write_text(json.dumps(out, indent=2)
-                                               + "\n")
+                   "equal; one entry per run")
+    out.setdefault("runs", {})[args.label] = {
+        "machine": {"cpu": cpu_model(),
+                    "cores": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version()},
+        "numpy": np.__version__, "seed": args.seed, "repeat": args.repeat,
+        "results": rows}
+    path.write_text(json.dumps(out, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -120,26 +120,12 @@ def annihilator(space: FormSpace, up_to: int) -> dict[int, FormSpace]:
     return {d: annihilator_piece(space, d) for d in range(up_to + 1)}
 
 
-@dataclass
-class ApolarHF:
-    """Hilbert functions of the apolar algebra of L + V and of L alone."""
-
-    with_linear: HilbertFunction
-    plain: HilbertFunction
-
-
-def apolar_hilbert_function(plane: QuadricPlane) -> ApolarHF:
-    """Hilbert function of the apolar algebra of the plane.
-
-    ``with_linear`` always comes out (1, 4, 3): adjoining the linear
-    forms stabilizes the length at 8.  ``plain`` can be smaller when
-    the first partials of the plane span a proper subspace.
-    """
+def apolar_hilbert_function(plane: QuadricPlane) -> HilbertFunction:
+    """Hilbert function of the apolar algebra of the plane: (1, 4, 3)
+    unless the first partials of the plane span a proper subspace."""
     ann = annihilator(plane.space, 3)
     dims = [len(monomial_basis(4, d)) for d in range(4)]
-    plain = [dims[d] - ann[d].dim for d in range(4)]
-    with_linear = [1, 4] + plain[2:]
-    return ApolarHF(HilbertFunction(with_linear), HilbertFunction(plain))
+    return HilbertFunction([dims[d] - ann[d].dim for d in range(4)])
 
 
 def plane_of_contractions(k: Field, f, ds) -> QuadricPlane:

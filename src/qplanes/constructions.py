@@ -23,7 +23,7 @@ import numpy as np
 
 from .apolarity import HilbertFunction, QuadricPlane, annihilator_piece
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, null_basis
+from .linalg import FormSpace, Matrix, null_basis, row_space_residual
 from .loci import (GenericityError, ideal_piece_values, integral_rows,
                    jump_matrix_from_quadrics, lattice_points)
 from .poly import (Poly, compose, contraction_rows, dot, monomial_basis,
@@ -272,13 +272,12 @@ def ninth_base_point(k: Field, cubics, known: PointSet):
     """
     if len(known) != 8:
         raise ValueError("need exactly 8 known points")
-    ideal4 = _plane_piece(k, cubics, 3, 4)
-    rank4 = Matrix(k, ideal4).rank()
+    ideal4 = Matrix(k, _plane_piece(k, cubics, 3, 4)).rref()[0].data
     # the quartics through the known points have dimension at least 7,
     # (c1, c2) at most 6, so one of them lies outside
-    f = next(f for f in forms_through(known, 4).basis.data
-             if Matrix(k, np.vstack([ideal4, _plane_piece(k, f[None], 4, 4)])
-                       ).rank() > rank4)
+    quartics = forms_through(known, 4).basis.data
+    _, off = row_space_residual(k, ideal4, _plane_piece(k, quartics, 4, 4))
+    f = quartics[np.flatnonzero(np.any(off != k.zero, axis=1))[0]]
     rows = np.concatenate([_plane_piece(k, f[None], 4, 5),
                            _plane_piece(k, cubics, 3, 5)])
     lines = Matrix(k, rows.T).right_kernel()
@@ -401,13 +400,12 @@ def segre_cubics(members: list[EllipticMember],
     k = perp.field
     free = [i for i, e in enumerate(monomial_basis(5, 2)) if e[4] == 0]
     rows = perp.basis.data
-    pivots = [int(np.flatnonzero(row)[0]) for row in rows]
     jump = jump_matrix_from_quadrics(k, integral_rows(k, rows)).data
     out = []
     for member in members:
         restricted = member.quadrics.basis.data[:, free]
-        incl = restricted[:, pivots]
-        if np.any(dot(k, incl, rows) != restricted):
+        incl, off = row_space_residual(k, rows, restricted)
+        if np.any(off != k.zero):
             raise AssertionError(
                 "restricted quadrics do not land in the perpendicular "
                 "space; the chart identifications are inconsistent")

@@ -356,6 +356,15 @@ def null_basis(field: Field, r: np.ndarray, pivots: list[int]) -> np.ndarray:
     return basis
 
 
+def row_space_residual(field: Field, r: np.ndarray, v: np.ndarray):
+    """The coordinates c = v[:, P] of the rows v in the basis of the RREF
+    r with pivot columns P, and the residual v - c r, whose zero rows are
+    exactly the rows of v in the row space of r: a row of r is 1 at its
+    pivot and every other row is 0 there (a zero row of r adds 0)."""
+    coords = v[:, np.argmax(r != field.zero, axis=1)]
+    return coords, field.reduce(v - dot(field, coords, r))
+
+
 def _kernel(field: Field, r: np.ndarray, pivots: list[int]) -> Matrix:
     """The RREF Matrix of the kernel of A, from the RREF r and pivot
     columns of A turned by 180 degrees, T = A[::-1, ::-1], whose kernel
@@ -554,15 +563,14 @@ class FormSpace:
                 for i in range(self.dim)]
 
     def contains(self, p: Poly) -> bool:
-        if p.is_zero():
-            return True
-        vec = p.coeff_vector(self.degree)
-        stacked = np.concatenate([self.basis.data, vec.reshape(1, -1)], axis=0)
-        return Matrix(self.field, stacked).rank() == self.dim
+        return p.is_zero() or self._spans(p.coeff_vector(self.degree)[None])
 
     def contains_space(self, other: "FormSpace") -> bool:
-        stacked = np.concatenate([self.basis.data, other.basis.data], axis=0)
-        return Matrix(self.field, stacked).rank() == self.dim
+        return self._spans(other.basis.data)
+
+    def _spans(self, rows) -> bool:
+        _, off = row_space_residual(self.field, self.basis.data, rows)
+        return not np.any(off != self.field.zero)
 
     def intersect(self, other: "FormSpace") -> "FormSpace":
         """Intersection via the kernel of the stacked coordinate matrix."""

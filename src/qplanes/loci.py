@@ -684,12 +684,8 @@ def _pencil_once(k: PrimeField, rng) -> PencilReport | None:
         return None
     quotient, rem = det_poly.divmod(pf_poly.pow(3))
     sp = squarefree_and_power(quotient, 3) if rem.is_zero() else None
-    if sp is None:
-        return PencilReport(det_poly, pf_poly, None,
-                            (det_poly.degree(), pf_poly.degree(), -1),
-                            False, 0)
-    s_poly, _ = sp
-    ok = s_poly.degree() == 10
+    s_poly = None if sp is None else sp[0]
+    s_deg = -1 if s_poly is None else s_poly.degree()
     return PencilReport(det_poly, pf_poly, s_poly,
-                        (det_poly.degree(), pf_poly.degree(), s_poly.degree()),
-                        ok, 0)
+                        (det_poly.degree(), pf_poly.degree(), s_deg),
+                        s_deg == 10, 0)

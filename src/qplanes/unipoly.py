@@ -1,13 +1,15 @@
-"""Univariate polynomials: interpolation, squarefree structure, roots.
+"""Univariate polynomials: interpolation, k-th roots, roots.
 
 These realize the pencil-degree experiments: determinants along a pencil
 are recovered by evaluation and interpolation, which is one solve of the
 Vandermonde system of the samples, and the cube structure of the
-resulting degree-36 polynomial is detected with a gcd-based squarefree
-decomposition (valid since p exceeds every degree in play).  The root
-scans evaluate on all of F_p, so their memory grows with p.  No code in
-the package calls them: roots_in_field is the scan oracle of the tests,
-and both stay while the perfbench tracer wraps them by name.
+resulting degree-36 polynomial is detected by taking the monic cube root
+off its top coefficients and checking it by one exact product (valid
+since p exceeds every degree in play).  The root scans evaluate on all
+of F_p, so their memory grows with p.  No code in the package calls gcd,
+resultant or the root scans: roots_in_field is the scan oracle of the
+tests, and all of them stay while the perfbench tracer wraps them by
+name.
 """
 
 from __future__ import annotations
@@ -123,17 +125,6 @@ class UniPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def exact_div(self, other) -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def derivative(self) -> "UniPoly":
-        f = self.field
-        return UniPoly(f, [f.mul(f.of(i), c)
-                           for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
@@ -202,43 +193,32 @@ def resultant(f: UniPoly, g: UniPoly):
 def squarefree_and_power(f: UniPoly, k: int):
     """If f = c * g^k, return (g monic, c); otherwise None.
 
-    Uses Yun's squarefree decomposition, which needs a prime field with
-    p > deg f so derivatives behave.
+    No squarefree part is taken (the name stays for the perfbench
+    tracer).  With n = deg f = k m and F(x) = x^n f(1/x) / c = 1 + F_1 x
+    + ..., the reversed root G = F^(1/k) mod x^(m+1) comes from the power
+    recurrence i G_i = sum_{j=1..i} ((1/k + 1) j - i) F_j G_(i-j)
+    (J. C. P. Miller; Knuth, TAOCP vol. 2, section 4.7), which divides
+    only by i <= m and by k, both at most n < p when m > 0.  A monic k-th
+    root is unique when it exists, so g^k c == f decides.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     field = f.field
     if not isinstance(field, PrimeField):
-        raise ValueError("squarefree decomposition implemented for prime fields")
+        raise ValueError("k-th roots implemented for prime fields")
     if field.p <= f.degree():
-        raise ValueError("field too small for derivative-based decomposition")
-    c = f.leading()
-    fm = f.monic()
-    # Yun: fm = prod a_i^i with a_i squarefree and pairwise coprime
-    parts = {}
-    a = gcd(fm, fm.derivative())
-    b = fm.exact_div(a)
-    d = fm.derivative().exact_div(a) - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        ai = gcd(b, d)
-        if ai.degree() > 0:
-            parts[i] = ai
-        b2 = b.exact_div(ai)
-        d = d.exact_div(ai) - b2.derivative()
-        b = b2
-        i += 1
-    for mult in parts:
-        if mult % k != 0:
-            return None
-    g = UniPoly(field, [field.one])
-    for mult, ai in parts.items():
-        g = g * ai.pow(mult // k)
-    # exact verification
-    check = g.pow(k).scale(c)
-    if check != f:
+        raise ValueError("field too small: p must exceed the degree")
+    n, c, p = f.degree(), f.leading(), field.p
+    if n % k:
         return None
-    return g, c
+    rev = [field.div(a, c) for a in reversed(f.coeffs)]  # F_0 = 1, F_1, ...
+    root = [1]  # G_0, G_1, ...
+    for i in range(1, n // k + 1):
+        acc = sum(((k + 1) * j - k * i) * rev[j] * root[i - j]
+                  for j in range(1, i + 1))
+        root.append(acc * pow(i * k, -1, p) % p)
+    g = UniPoly(field, root[::-1])
+    return (g, c) if g.pow(k).scale(c) == f else None
 
 
 def roots_in_field(f: UniPoly) -> list:

@@ -90,9 +90,7 @@ def test_worked_annihilator_example():
     assert ann[2] == listed
     assert ann[3].dim == 20
     assert _closure_holds(ann)
-    hf = apolar_hilbert_function(plane)
-    assert hf.with_linear == [1, 4, 3]
-    assert hf.plain == [1, 4, 3]
+    assert apolar_hilbert_function(plane) == [1, 4, 3]
 
 
 def test_apolar_hf_random_planes():
@@ -104,17 +102,15 @@ def test_apolar_hf_random_planes():
         except ValueError:
             continue
         hf = apolar_hilbert_function(plane)
-        assert hf.with_linear == [1, 4, 3]
-        assert sum(hf.with_linear.values) == 8
+        assert hf == [1, 4, 3]
+        assert sum(hf.values) == 8
 
 
 def test_apolar_hf_degenerate_partials():
-    # partials of the plane span only <x0, x1>, so the plain Hilbert
-    # function is smaller while the augmented one stays (1, 4, 3)
+    # partials of the plane span only <x0, x1>, so the Hilbert function
+    # is smaller than (1, 4, 3)
     plane = QuadricPlane.from_polys([_p("x0^2"), _p("x0*x1"), _p("x1^2")])
-    hf = apolar_hilbert_function(plane)
-    assert hf.with_linear == [1, 4, 3]
-    assert hf.plain == [1, 2, 3]
+    assert apolar_hilbert_function(plane) == [1, 2, 3]
 
 
 def test_plane_from_cubic_and_recovery():

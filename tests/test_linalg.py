@@ -468,6 +468,30 @@ def _loop_rref(a, field):
     return a, pivots
 
 
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(11), K, PrimeField(2147483647),
+                        RationalField()]),
+       st.integers(1, 5), st.integers(1, 9), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_row_space_residual_matches_rank(seed, k, rows, cols, more):
+    """A row lies in the row space of an RREF (zero rows allowed) exactly
+    when stacking it keeps the rank, and then its coordinates rebuild it:
+    combinations of the rows and random rows, over F_p and Q."""
+    rng = random.Random(seed)
+    base = _random_matrix(k, rng, rows, cols)
+    r = base.rref()[0].data
+    combos = k.array([[rng.randrange(-2, 3) for _ in range(rows)]
+                      for _ in range(more)])
+    v = np.concatenate([dot(k, combos, base.data),
+                        _random_matrix(k, rng, more, cols).data])
+    coords, off = linalg.row_space_residual(k, r, v)
+    for i in range(2 * more):
+        inside = Matrix(k, np.vstack([r, v[i:i + 1]])).rank() == base.rank()
+        assert inside == (not np.any(off[i] != k.zero))
+        if inside:
+            assert np.all(dot(k, coords[i], r) == v[i])
+
+
 def _test_matrix(k, rng, rows, cols, rank, zero_cols, dup_cols):
     """A rows x cols matrix of rank <= rank, with some columns zeroed and
     some copied over others."""

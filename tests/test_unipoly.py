@@ -27,14 +27,6 @@ def test_divmod_round_trip():
         assert r.is_zero() or r.degree() < g.degree()
 
 
-def test_exact_div():
-    f = UniPoly(K, [1, 1])  # 1 + t
-    g = UniPoly(K, [2, 3, 1])  # (1 + t)(2 + t)
-    assert g.exact_div(f) == UniPoly(K, [2, 1])
-    with pytest.raises(ValueError):
-        UniPoly(K, [1, 0, 1]).exact_div(f)
-
-
 def test_gcd():
     a = UniPoly(K, [K.of(-1), 1])  # t - 1
     b = UniPoly(K, [K.of(-2), 1])  # t - 2
@@ -126,6 +118,88 @@ def test_squarefree_and_power():
     assert g == s and c == 17
     # not a perfect cube
     assert squarefree_and_power(s * s, 3) is None
+
+
+def _yun_power(f, k):
+    """Yun's squarefree decomposition f = c prod a_i^i, then g = prod
+    a_i^(i/k) when k divides every multiplicity, checked by g^k c == f:
+    the oracle for squarefree_and_power (p > deg f)."""
+    field = f.field
+
+    def derivative(u):
+        return UniPoly(field, [field.mul(field.of(i), c)
+                               for i, c in enumerate(u.coeffs)][1:])
+
+    def exact_div(u, v):
+        q, r = u.divmod(v)
+        assert r.is_zero()
+        return q
+
+    c, fm = f.leading(), f.monic()
+    parts = {}
+    a = gcd(fm, derivative(fm))
+    b = exact_div(fm, a)
+    d = exact_div(derivative(fm), a) - derivative(b)
+    i = 1
+    while b.degree() > 0:
+        ai = gcd(b, d)
+        if ai.degree() > 0:
+            parts[i] = ai
+        b2 = exact_div(b, ai)
+        d = exact_div(d, ai) - derivative(b2)
+        b = b2
+        i += 1
+    if any(mult % k for mult in parts):
+        return None
+    g = UniPoly(field, [field.one])
+    for mult, ai in parts.items():
+        g = g * ai.pow(mult // k)
+    return (g, c) if g.pow(k).scale(c) == f else None
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([PrimeField(41), PrimeField(32003),
+                        PrimeField(2147483647)]),
+       st.sampled_from([2, 3]), st.integers(0, 12),
+       st.sampled_from(["power", "perturbed", "times", "mixed", "odd"]))
+@settings(max_examples=200, deadline=None)
+def test_power_root_matches_yun(seed, k, e, deg, kind):
+    """c g^e for a monic g of degree 0..12 and c != 0; the same with one
+    coefficient perturbed, times a non-power, times h^(e+1), or times one
+    more linear factor, so that e does not divide the degree.  Inputs of
+    degree p or more are refused (test_power_root_refusals) and skipped."""
+    rng = random.Random(seed)
+    g = _random_upoly(k, rng, deg).monic()
+    c = 1 + rng.randrange(k.p - 1)
+    f = g.pow(e).scale(c)
+    if kind == "perturbed":
+        i = rng.randrange(f.degree() + 1)
+        f = f + UniPoly(k, [0] * i + [1 + rng.randrange(k.p - 1)])
+    elif kind == "times":
+        f = f * _random_upoly(k, rng, rng.randrange(1, 4))
+    elif kind == "mixed":
+        f = f * _random_upoly(k, rng, rng.randrange(1, 3)).pow(e + 1)
+    elif kind == "odd":
+        f = f * UniPoly(k, [k.random_element(rng), 1])
+    if f.is_zero() or f.degree() >= k.p:
+        return
+    got = squarefree_and_power(f, e)
+    assert got == _yun_power(f, e)
+    if kind == "power":
+        assert got == (g, c)
+
+
+def test_power_root_refusals():
+    """p <= deg f and fields other than prime fields are refused."""
+    k = PrimeField(41)
+    with pytest.raises(ValueError, match="too small"):
+        squarefree_and_power(UniPoly(k, [1, 1]).pow(42), 3)
+    with pytest.raises(ValueError, match="too small"):
+        squarefree_and_power(UniPoly(k, [1, 1]).pow(41), 41)
+    assert squarefree_and_power(UniPoly(k, [1, 1]).pow(40), 2) is not None
+    q = RationalField()
+    with pytest.raises(ValueError, match="prime fields"):
+        squarefree_and_power(UniPoly(q, [1, 2, 1]), 2)
 
 
 def test_roots_in_field():
