@@ -8,7 +8,8 @@ times ``linalg._rref`` on each, checks that its RREF and pivots equal
 those of ``_loop_rref``, the one-pivot-at-a-time oracle of
 tests/test_linalg.py, and records the rank and a sha256 digest of the
 RREF, so that two runs can be checked to agree.  The results go into
-BENCH_elimination.json at the repository root under ``--label``; other
+BENCH_elimination.json at the repository root under ``--label``, with
+the machine, numpy version, seeds and repeat count of that run; other
 labels already in the file are kept, so running the script once against
 each of two source trees puts both side by side:
 
@@ -118,21 +119,17 @@ def main():
             print(json.dumps(rows[-1]), flush=True)
     path = ROOT / "BENCH_elimination.json"
     out = json.loads(path.read_text()) if path.exists() else {}
-    out.update({
-        "what": "milliseconds per linalg._rref on the matrices of more "
-                f"than {WIDE} columns that cremona_pipeline(slow=True) "
-                "row-reduces, one entry per source tree; every RREF "
-                "equals _loop_rref's, and equal digests mean equal RREFs "
-                "and pivots",
+    out["what"] = ("milliseconds per linalg._rref on the matrices of more "
+                   f"than {WIDE} columns that cremona_pipeline(slow=True) "
+                   "row-reduces, one entry per source tree; every RREF "
+                   "equals _loop_rref's, and equal digests mean equal "
+                   "RREFs and pivots")
+    out.setdefault("runs", {})[args.label] = {
         "machine": {"cpu": cpu_model(),
                     "cores": len(os.sched_getaffinity(0)),
                     "python": platform.python_version()},
-        "numpy": np.__version__,
-        "prime": k.p,
-        "seeds": args.seeds,
-        "repeat": args.repeat,
-    })
-    out.setdefault("runs", {})[args.label] = rows
+        "numpy": np.__version__, "prime": k.p, "seeds": args.seeds,
+        "repeat": args.repeat, "results": rows}
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -9,10 +9,11 @@ the batched ``constructions._inverse_samples``, and the dense system's
 solve ``constructions._proportionality_kernel``, and checks that each
 pair agrees.  Then times whole pipelines, slow and fast, at seeds 0-2
 and records a digest of their results.  The results go into
-BENCH_inverse.json at the repository root; pipeline runs go under
-``--label``, and other labels already in the file are kept, so the
-pipelines of two source trees can be put side by side (a tree without
-the block solve times its pipelines only):
+BENCH_inverse.json at the repository root under ``--label``, with the
+machine, numpy version, seeds and repeat count of that run; other labels
+already in the file are kept, so the pipelines of two source trees can
+be put side by side (a tree without the block solve times its pipelines
+only):
 
     PYTHONPATH=<other tree>/src python3 bench/inverse.py --label before
     PYTHONPATH=src python3 bench/inverse.py --label after
@@ -142,31 +143,33 @@ def time_pipelines(k: PrimeField, repeat: int) -> list:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True,
-                    help="key of this run's pipelines, e.g. before/after")
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seed", type=int, default=1,
                     help="pipeline seed whose systems are timed")
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     k = PrimeField(DEFAULT_PRIME)
+    run = {"machine": {"cpu": cpu_model(),
+                       "cores": len(os.sched_getaffinity(0)),
+                       "python": platform.python_version()},
+           "numpy": np.__version__, "prime": k.p,
+           "pipeline_seeds": list(SEEDS), "repeat": args.repeat}
+    if hasattr(cons, "_proportionality_kernel"):
+        run["systems"] = {"pipeline_seed": args.seed,
+                          "results": time_systems(k, args.seed, args.repeat)}
+        if not all(r["samples_equal"] and r["kernels_equal"]
+                   for r in run["systems"]["results"]):
+            raise SystemExit("batched sampling or the block solve disagrees "
+                             "with its oracle")
+    run["pipelines"] = time_pipelines(k, args.repeat)
     path = ROOT / "BENCH_inverse.json"
     out = json.loads(path.read_text()) if path.exists() else {}
-    if hasattr(cons, "_proportionality_kernel"):
-        out["systems"] = {"pipeline_seed": args.seed,
-                          "results": time_systems(k, args.seed, args.repeat)}
-    out.update({
-        "what": "Cremona inverse search: per system, the point-by-point "
-                "sampling loop against batched sampling and the dense "
-                "kernel against the block solve; seconds per call of "
-                "cremona_pipeline, one entry per source tree (equal digests "
-                "mean equal results)",
-        "machine": {"cpu": cpu_model(),
-                    "cores": len(os.sched_getaffinity(0)),
-                    "python": platform.python_version()},
-        "numpy": np.__version__, "prime": k.p,
-        "pipeline_seeds": list(SEEDS), "repeat": args.repeat,
-    })
-    out.setdefault("pipelines", {})[args.label] = time_pipelines(
-        k, args.repeat)
+    out["what"] = ("Cremona inverse search: per system, the point-by-point "
+                   "sampling loop against batched sampling and the dense "
+                   "kernel against the block solve; seconds per call of "
+                   "cremona_pipeline, one entry per source tree (equal "
+                   "digests mean equal results)")
+    out.setdefault("runs", {})[args.label] = run
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -18,9 +18,10 @@ of seeded random triples of quadrics (A_i from ``loci.quadric_to_matrix``):
 
 Each row records a sha256 digest of its results, so that two runs can be
 checked to agree.  The results go into BENCH_pfaffian.json at the
-repository root under ``--label``; other labels already in the file are
-kept, so running the script once against each of two source trees puts
-both side by side:
+repository root under ``--label``, with the machine, numpy version and
+seed of that run; other labels already in the file are kept, so running
+the script once against each of two source trees puts both side by
+side:
 
     PYTHONPATH=<other tree>/src python3 bench/pfaffian.py --label parent
     PYTHONPATH=src python3 bench/pfaffian.py --label change
@@ -138,19 +139,17 @@ def main():
         print(json.dumps(rows[-1]), flush=True)
     path = ROOT / "BENCH_pfaffian.json"
     out = json.loads(path.read_text()) if path.exists() else {}
-    out.update({
-        "what": "milliseconds per call (median and minimum over repeat "
-                "calls after one warm-up) of Pfaffians of 12x12 "
-                "certificate matrices, alone and in stacks, of the "
-                "interpolation of 40 samples and of one pencil, one entry "
-                "per source tree; equal digests mean equal results",
+    out["what"] = ("milliseconds per call (median and minimum over repeat "
+                   "calls after one warm-up) of Pfaffians of 12x12 "
+                   "certificate matrices, alone and in stacks, of the "
+                   "interpolation of 40 samples and of one pencil, one "
+                   "entry per source tree; equal digests mean equal "
+                   "results")
+    out.setdefault("runs", {})[args.label] = {
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version()},
-        "numpy": np.__version__,
-        "prime": k.p,
-        "seed": args.seed,
-    })
-    out.setdefault("runs", {})[args.label] = rows
+        "numpy": np.__version__, "prime": k.p, "seed": args.seed,
+        "results": rows}
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -10,10 +10,11 @@ p = 31, 32003 and 1000003, and records a sha256 digest of each result
 (the ninth points, the member quadric spaces or refusals, the Segre
 spaces, the member quadric spaces and Segre data of the Gale runs, the
 c_E inverses of the Cremona runs), so that two runs can be checked to
-agree.  The results go into
-BENCH_pipelines.json at the repository root under ``--label``; other
-labels already in the file are kept, so running the script once against
-each of two source trees puts both side by side:
+agree; a ninth point enters its digest as a tuple of Python ints.  The
+results go into BENCH_pipelines.json at the repository root under
+``--label``, with the machine, numpy version, seeds and repeat count of
+that run; other labels already in the file are kept, so running the
+script once against each of two source trees puts both side by side:
 
     PYTHONPATH=<other tree>/src python3 bench/pipelines.py --label before
     PYTHONPATH=src python3 bench/pipelines.py --label after
@@ -54,16 +55,15 @@ def _pencils(k, seeds):
     out = []
     for seed in seeds:
         pts = cons.random_projective_points(k, 2, 8, random.Random(seed))
-        pencil = cons.forms_through(pts, 3)
+        pencil = cons.forms_through(k, pts, 3)
         if pencil.dim == 2:
-            out.append((pts, pencil.basis.data))
+            out.append((k, pencil.basis.data, pts))
     return out
 
 
 def _ninth(pencil):
-    pts, cubics = pencil
     try:
-        return cons.ninth_base_point(pts.field, cubics, pts)
+        return tuple(cons.ninth_base_point(*pencil).tolist())
     except (cons.NonGenericConfiguration, GenericityError) as exc:
         return type(exc).__name__
 
@@ -77,6 +77,7 @@ def _members(k, pencils):
         if isinstance(ninth, str):
             continue
         rng = random.Random(i)
+        ninth = k.array(ninth)
         proj = cons.projection_from_point(ninth, k, rng)
         out.extend((pencil[1], ninth, k.random_element(rng), proj)
                    for _ in range(MEMBERS_PER_PENCIL))
@@ -97,16 +98,10 @@ def _segre(item):
     return [s.basis.data.tolist() for s in cons.segre_cubics(members, perp)]
 
 
-def _segre_input(res):
-    """The perpendicular space of the Gale run's limit plane, which
-    segre_cubics takes; the plane itself on a source tree whose
-    segre_cubics took the plane, so that one script times both trees."""
-    return getattr(res, "perp", res.plane)
-
-
 def _gale(k, seed):
     res = cons.gale_pipeline(k, seed)
-    return (res.ninth, res.chain_dims, res.segre_span_dim, res.resamples,
+    return (tuple(res.ninth.tolist()), res.chain_dims, res.segre_span_dim,
+            res.resamples,
             [m.quadrics.basis.data.tolist() for m in res.members])
 
 
@@ -146,7 +141,7 @@ def main():
                 ("ninth_base_point", _ninth, pencils),
                 ("elliptic_member", _member, _members(k, pencils)),
                 ("segre_cubics", _segre,
-                 [(res.members, _segre_input(res)) for res in gales]),
+                 [(res.members, res.perp) for res in gales]),
                 ("gale_pipeline", lambda s: _gale(k, s), PIPELINE_SEEDS),
                 ("cremona_pipeline", lambda s: _cremona(k, s),
                  PIPELINE_SEEDS)):
@@ -156,20 +151,17 @@ def main():
             print(json.dumps(rows[-1]), flush=True)
     path = ROOT / "BENCH_pipelines.json"
     out = json.loads(path.read_text()) if path.exists() else {}
-    out.update({
-        "what": "seconds per call of the ninth base point, the pencil "
-                "members, the Segre cubics and the Gale and fast Cremona "
-                "pipelines, one entry per source tree; equal digests mean "
-                "equal results",
+    out["what"] = ("seconds per call of the ninth base point, the pencil "
+                   "members, the Segre cubics and the Gale and fast "
+                   "Cremona pipelines, one entry per source tree; equal "
+                   "digests mean equal results")
+    out.setdefault("runs", {})[args.label] = {
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version()},
-        "numpy": np.__version__,
-        "pencil_seeds": list(PENCIL_SEEDS),
+        "numpy": np.__version__, "pencil_seeds": list(PENCIL_SEEDS),
         "pipeline_seeds": list(PIPELINE_SEEDS),
-        "members_per_pencil": MEMBERS_PER_PENCIL,
-        "repeat": args.repeat,
-    })
-    out.setdefault("runs", {})[args.label] = rows
+        "members_per_pencil": MEMBERS_PER_PENCIL, "repeat": args.repeat,
+        "results": rows}
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

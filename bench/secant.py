@@ -7,7 +7,8 @@ from seeded random linear forms and quadrics, at each prime of
 integer coefficients in [-50, 50].  It records a sha256 digest of each
 verdict with its rank <= 2 element and witness sextics, so that two runs
 can be checked to agree.  The results go into BENCH_secant.json at the
-repository root under ``--label``; other labels already in the file are
+repository root under ``--label``, with the machine, numpy version,
+seeds and repeat count of that run; other labels already in the file are
 kept, so running the script once against each of two source trees puts
 both side by side:
 
@@ -118,19 +119,16 @@ def main():
             print(json.dumps(rows[-1]), flush=True)
     path = ROOT / "BENCH_secant.json"
     out = json.loads(path.read_text()) if path.exists() else {}
-    out.update({
-        "what": "seconds per loci.classify, and per secant stage "
-                "(secant_median_s), on planes through l1*l2 and l^2 and, "
-                "over Q, random planes, one entry per source tree; equal "
-                "digests mean equal verdicts, elements and witnesses; "
-                "max_rss_mb is the process peak so far",
+    out["what"] = ("seconds per loci.classify, and per secant stage "
+                   "(secant_median_s), on planes through l1*l2 and l^2 "
+                   "and, over Q, random planes, one entry per source "
+                   "tree; equal digests mean equal verdicts, elements and "
+                   "witnesses; max_rss_mb is the process peak so far")
+    out.setdefault("runs", {})[args.label] = {
         "machine": {"cpu": cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version()},
-        "numpy": np.__version__,
-        "seeds": list(SEEDS),
-        "repeat": args.repeat,
-    })
-    out.setdefault("runs", {})[args.label] = rows
+        "numpy": np.__version__, "seeds": list(SEEDS),
+        "repeat": args.repeat, "results": rows}
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -17,10 +17,10 @@ all degree-d2 power products against compose, and ``cremona --slow``.
   time and a digest of stdout, for the source tree on PYTHONPATH.
 
 The in-process parts run only on a tree that has ``poly.compose``.  The
-results go into BENCH_substitution.json at the repository root; the
-command's runs go under ``--label``, and other labels already in the
-file are kept, so the commands of two source trees can be put side by
-side:
+results go into BENCH_substitution.json at the repository root under
+``--label``, with the machine, numpy version, seeds and repeat count of
+that run; other labels already in the file are kept, so the commands of
+two source trees can be put side by side:
 
     PYTHONPATH=<other tree>/src python3 bench/substitution.py --label before
     PYTHONPATH=src python3 bench/substitution.py --label after
@@ -188,15 +188,17 @@ def time_command(repeat: int) -> list:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True,
-                    help="key of this run's command timings, "
-                         "e.g. before/after")
+                    help="key of this run in the output, e.g. before/after")
     ap.add_argument("--seed", type=int, default=0,
                     help="pipeline seed whose products and inverse are timed")
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
     k = PrimeField(DEFAULT_PRIME)
-    path = ROOT / "BENCH_substitution.json"
-    out = json.loads(path.read_text()) if path.exists() else {}
+    run = {"machine": {"cpu": cpu_model(),
+                       "cores": len(os.sched_getaffinity(0)),
+                       "python": platform.python_version()},
+           "numpy": np.__version__, "prime": k.p, "seed": args.seed,
+           "command_seeds": list(COMMAND_SEEDS), "repeat": args.repeat}
     if hasattr(poly, "compose"):
         products = time_products(k, args.seed, args.repeat)
         inverse = time_inverse(k, args.seed, args.repeat)
@@ -206,20 +208,17 @@ def main():
               and inverse["compose_matches_power_products"])
         if not ok:
             raise SystemExit("compose or dense_mul disagrees with its oracle")
-        out.update({"dense_mul": products, "find_inverse_cs8_4": inverse})
-    out.update({
-        "what": "ms per dense_mul call at each shape reached, np.add.at "
-                "scatter against sorted reduceat; find_inverse(cs8, 4) "
-                "split into kernel and certificate, all degree-4 power "
-                "products against compose; seconds of wall time per "
-                "`qplanes cremona --slow` process, one entry per source tree",
-        "machine": {"cpu": cpu_model(),
-                    "cores": len(os.sched_getaffinity(0)),
-                    "python": platform.python_version()},
-        "numpy": np.__version__, "prime": k.p, "seed": args.seed,
-        "command_seeds": list(COMMAND_SEEDS), "repeat": args.repeat,
-    })
-    out.setdefault("cremona_slow", {})[args.label] = time_command(args.repeat)
+        run.update({"dense_mul": products, "find_inverse_cs8_4": inverse})
+    run["cremona_slow"] = time_command(args.repeat)
+    path = ROOT / "BENCH_substitution.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out["what"] = ("ms per dense_mul call at each shape reached, np.add.at "
+                   "scatter against sorted reduceat; find_inverse(cs8, 4) "
+                   "split into kernel and certificate, all degree-4 power "
+                   "products against compose; seconds of wall time per "
+                   "`qplanes cremona --slow` process, one entry per source "
+                   "tree")
+    out.setdefault("runs", {})[args.label] = run
     path.write_text(json.dumps(out, indent=2) + "\n")
 
 

@@ -146,7 +146,7 @@ def criterion_6(k: Field, trials: int = 50, seed: int = 0) -> dict:
         while True:
             pts = cons.random_affine_points(k, 4, 8, rng)
             try:
-                perp, hf, plane = cons.initial_system(pts)
+                perp, hf, plane = cons.initial_system(k, pts)
                 break
             except cons.NonGenericConfiguration:
                 resamples += 1
@@ -176,23 +176,22 @@ def criterion_7(k: Field, trials: int = 10, seed: int = 0) -> dict:
 def _roundtrips(k, f, g, rng, count):
     """How many of ``count`` random points p satisfy g(f(p)) = p.
 
-    A point whose image lies on the base locus of g is skipped, and
-    drawn again, up to 50 draws per point."""
-    ok = 0
-    done = 0
-    for _ in range(50 * count):
-        p = tuple(k.random_element(rng) for _ in range(f.source_vars))
+    A point on the base locus of f, or whose image lies on that of g, is
+    skipped, and drawn again, up to 50 draws per point.  Draws come in
+    batches no larger than the points still missing, so the points are
+    those a one-at-a-time loop takes."""
+    ok = done = tries = 0
+    while done < count and tries < 50 * count:
+        batch = min(count - done, 50 * count - tries)
+        tries += batch
+        p = k.array([[k.random_element(rng) for _ in range(f.source_vars)]
+                     for _ in range(batch)])
         fp = cons.apply_map(f, p)
-        if fp is None or all(c == k.zero for c in p):
-            continue
-        gp = cons.apply_map(g, fp)
-        if gp is None:
-            continue
-        done += 1
-        if gp == cons._normalize_projective(k, p):
-            ok += 1
-        if done == count:
-            break
+        gp = cons.apply_map(g, fp)  # a zero row of fp maps to zero
+        taken = np.any(gp != k.zero, axis=1)
+        done += int(taken.sum())
+        ok += int(np.all(gp[taken] == cons.normalize_rows(k, p[taken]),
+                         axis=1).sum())
     return ok
 
 

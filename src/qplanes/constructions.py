@@ -23,7 +23,8 @@ import numpy as np
 
 from .apolarity import HilbertFunction, QuadricPlane, annihilator_piece
 from .fields import Field, PrimeField
-from .linalg import FormSpace, Matrix, null_basis, row_space_residual
+from .linalg import (FormSpace, Matrix, _inverses, null_basis,
+                     row_space_residual)
 from .loci import (GenericityError, ideal_piece_values, integral_rows,
                    jump_matrix_from_quadrics, lattice_points)
 from .poly import (Poly, compose, contraction_rows, dot, monomial_basis,
@@ -44,91 +45,52 @@ def subseed(master: int, counter: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Point sets
+# Points: rows of a (count, coordinates) array over the field
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PointSet:
-    """Points in affine or projective space over the configured field.
-
-    Projective points are normalized so the first nonzero coordinate is
-    1; duplicates are rejected.
-    """
-
-    field: Field
-    ambient: str  # "affine" or "projective"
-    n: int  # dimension of the ambient space
-    points: list[tuple]
-
-    def __post_init__(self):
-        if self.ambient not in ("affine", "projective"):
-            raise ValueError("ambient must be 'affine' or 'projective'")
-        ncoords = self.n if self.ambient == "affine" else self.n + 1
-        pts = []
-        for p in self.points:
-            p = tuple(self.field.of(c) for c in p)
-            if len(p) != ncoords:
-                raise ValueError("wrong coordinate count")
-            if self.ambient == "projective":
-                p = _normalize_projective(self.field, p)
-            pts.append(p)
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points")
-        self.points = pts
-
-    def __len__(self):
-        return len(self.points)
+def normalize_rows(k: Field, pts: np.ndarray) -> np.ndarray:
+    """Projective points, the rows of a field array, scaled so that the
+    first nonzero coordinate of each is 1; a zero row stays zero."""
+    first = pts[np.arange(len(pts)), np.argmax(pts != k.zero, axis=1)]
+    return k.reduce(pts * _inverses(k, first)[:, None])
 
 
-def _normalize_projective(k: Field, p: tuple) -> tuple:
-    for c in p:
-        if c != k.zero:
-            inv = k.inv(c)
-            return tuple(k.mul(x, inv) for x in p)
-    raise ValueError("projective point cannot be zero")
+def _random_rows(k: Field, width: int, count: int, rng, projective: bool):
+    """count distinct random rows of width coordinates, normalized and
+    nonzero when projective; a repeated draw is skipped.  Draws come in
+    batches no larger than the rows still missing, so the rows are those
+    a one-at-a-time loop accepts."""
+    rows = []
+    seen = {(k.zero,) * width} if projective else set()
+    while len(rows) < count:
+        batch = k.array([[k.random_element(rng) for _ in range(width)]
+                         for _ in range(count - len(rows))])
+        for row in normalize_rows(k, batch) if projective else batch:
+            key = tuple(row.tolist())
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+    return np.stack(rows)
 
 
-def random_projective_points(k: Field, n: int, count: int, rng) -> PointSet:
-    pts = []
-    seen = set()
-    while len(pts) < count:
-        p = tuple(k.random_element(rng) for _ in range(n + 1))
-        if all(c == k.zero for c in p):
-            continue
-        p = _normalize_projective(k, p)
-        if p in seen:
-            continue
-        seen.add(p)
-        pts.append(p)
-    return PointSet(k, "projective", n, pts)
+def random_projective_points(k: Field, n: int, count: int, rng) -> np.ndarray:
+    """count distinct random points of P^n, as normalized rows."""
+    return _random_rows(k, n + 1, count, rng, projective=True)
 
 
-def random_affine_points(k: Field, n: int, count: int, rng) -> PointSet:
-    pts = []
-    seen = set()
-    while len(pts) < count:
-        p = tuple(k.random_element(rng) for _ in range(n))
-        if p in seen:
-            continue
-        seen.add(p)
-        pts.append(p)
-    return PointSet(k, "affine", n, pts)
+def random_affine_points(k: Field, n: int, count: int, rng) -> np.ndarray:
+    """count distinct random points of A^n, as rows."""
+    return _random_rows(k, n, count, rng, projective=False)
 
 
-def dehomogenize(points: PointSet) -> PointSet:
+def dehomogenize(k: Field, pts: np.ndarray) -> np.ndarray:
     """Affine chart at the last coordinate; errors if a point lies on
     the hyperplane at infinity."""
-    if points.ambient != "projective":
-        raise ValueError("need projective points")
-    k = points.field
-    pts = []
-    for p in points.points:
-        if p[-1] == k.zero:
-            raise NonGenericConfiguration("point at infinity in the chart")
-        inv = k.inv(p[-1])
-        pts.append(tuple(k.mul(c, inv) for c in p[:-1]))
-    return PointSet(k, "affine", points.n, pts)
+    last = pts[:, -1]
+    if np.any(last == k.zero):
+        raise NonGenericConfiguration("point at infinity in the chart")
+    return k.reduce(pts[:, :-1] * _inverses(k, last)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +120,14 @@ class RationalMap:
                                        self.degree, row) for row in self.rows]
 
 
-def apply_map(f: RationalMap, p) -> tuple | None:
-    """Image of a projective point; None when p is in the base locus."""
-    k = f.field
-    p = tuple(k.of(c) for c in p)
-    if len(p) != f.source_vars:
+def apply_map(f: RationalMap, pts: np.ndarray) -> np.ndarray:
+    """Images of projective points, the rows of pts, as normalized rows;
+    a point of the base locus maps to a zero row."""
+    if pts.shape[-1] != f.source_vars:
         raise ValueError("point dimension mismatch")
-    vals = tuple(map(k.of, dot(k, f.rows, monomial_values(
-        k, f.source_vars, f.degree, p)[0])))
-    if all(v == k.zero for v in vals):
-        return None
-    return _normalize_projective(k, vals)
+    k = f.field
+    return normalize_rows(k, dot(k, monomial_values(
+        k, f.source_vars, f.degree, pts), f.rows.T))
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +135,12 @@ def apply_map(f: RationalMap, p) -> tuple | None:
 # ---------------------------------------------------------------------------
 
 
-def forms_through(points: PointSet, d: int) -> FormSpace:
-    """Degree-d forms vanishing at every point (kernel of evaluation)."""
-    if points.ambient != "projective":
-        raise ValueError("forms_through expects projective points")
-    k = points.field
-    nvars = points.n + 1
+def forms_through(k: Field, pts: np.ndarray, d: int) -> FormSpace:
+    """Degree-d forms vanishing at every projective point, the rows of
+    pts (kernel of evaluation)."""
+    nvars = pts.shape[1]
     return FormSpace(k, nvars, d, Matrix(
-        k, monomial_values(k, nvars, d, points.points)).right_kernel())
+        k, monomial_values(k, nvars, d, pts)).right_kernel())
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +148,10 @@ def forms_through(points: PointSet, d: int) -> FormSpace:
 # ---------------------------------------------------------------------------
 
 
-def initial_system(points: PointSet, require_143: bool = True):
-    """The scaled limit of an affine point tuple: the degree-2 piece of
-    its ideal, its Hilbert function in degrees 0..3, and its plane.
+def initial_system(k: Field, pts: np.ndarray, require_143: bool = True):
+    """The scaled limit of a tuple of affine points, the rows of pts: the
+    degree-2 piece of its ideal, its Hilbert function in degrees 0..3,
+    and its plane.
 
     Scaling the points toward the origin turns every polynomial
     vanishing on them into its top-degree form, so the degree-d piece of
@@ -212,12 +170,9 @@ def initial_system(points: PointSet, require_143: bool = True):
     Hilbert function other than (1, 4, 3) raises NonGenericConfiguration,
     otherwise the plane comes back as None.
     """
-    if points.ambient != "affine":
-        raise ValueError("initial_system expects affine points")
-    k = points.field
-    nvars = points.n
+    nvars = pts.shape[1]
     red, pivots = Matrix(k, np.concatenate(
-        [monomial_values(k, nvars, d, points.points) for d in range(4)],
+        [monomial_values(k, nvars, d, pts) for d in range(4)],
         axis=1)).rref()
     null = null_basis(k, red.data, pivots)
     bounds = np.cumsum([0] + [len(monomial_basis(nvars, d)) for d in range(4)])
@@ -258,9 +213,10 @@ def _plane_piece(k: Field, rows, e: int, d: int) -> np.ndarray:
     return ideal_piece_values(k, 3, e, d, _plane_values(k, rows, e, d))
 
 
-def ninth_base_point(k: Field, cubics, known: PointSet):
+def ninth_base_point(k: Field, cubics, known: np.ndarray) -> np.ndarray:
     """The residual ninth common zero of two plane cubics c1, c2 (the
-    coefficient rows ``cubics``) through 8 known points.
+    coefficient rows ``cubics``) through 8 known points (normalized
+    rows), as a normalized row.
 
     (c1, c2) is the saturated ideal of the nine base points, so a quartic
     f through the 8 known points outside (c1, c2) misses the ninth, and
@@ -275,7 +231,7 @@ def ninth_base_point(k: Field, cubics, known: PointSet):
     ideal4 = Matrix(k, _plane_piece(k, cubics, 3, 4)).rref()[0].data
     # the quartics through the known points have dimension at least 7,
     # (c1, c2) at most 6, so one of them lies outside
-    quartics = forms_through(known, 4).basis.data
+    quartics = forms_through(k, known, 4).basis.data
     _, off = row_space_residual(k, ideal4, _plane_piece(k, quartics, 4, 4))
     f = quartics[np.flatnonzero(np.any(off != k.zero, axis=1))[0]]
     rows = np.concatenate([_plane_piece(k, f[None], 4, 5),
@@ -285,8 +241,8 @@ def ninth_base_point(k: Field, cubics, known: PointSet):
     if lines.rows != 2 or point.rows != 1:
         raise NonGenericConfiguration(
             "the pencil's base locus is not 9 points")
-    q = tuple(k.of(c) for c in point.data[0])  # RREF: leading coordinate 1
-    if q in known.points:
+    q = point.data[0]  # RREF: leading coordinate 1
+    if np.any(np.all(known == q, axis=1)):
         raise NonGenericConfiguration(
             "ninth base point coincides with a known point")
     return q
@@ -307,8 +263,7 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
     coordinates special; passing an rng mixes the basis by a random
     invertible matrix so all five target functionals are generic.
     """
-    pts = PointSet(k, "projective", 2, [q])
-    conics = forms_through(pts, 2)
+    conics = forms_through(k, q[None], 2)
     if conics.dim != 5:
         raise NonGenericConfiguration("conics through the point are degenerate")
     rows = conics.basis.data
@@ -317,20 +272,14 @@ def projection_from_point(q, k: Field, rng=None) -> RationalMap:
     return RationalMap(k, 3, 2, rows)
 
 
-def gale_dual(gamma2: PointSet, q, projection: RationalMap) -> PointSet:
+def gale_dual(gamma2: np.ndarray, projection: RationalMap) -> np.ndarray:
     """8 points in P^4: images of the plane points under the Veronese
-    followed by the projection from the image of q (projection_from_point)."""
-    k = gamma2.field
-    q = _normalize_projective(k, tuple(k.of(c) for c in q))
-    if q in gamma2.points:
-        raise ValueError("projection center among the points")
-    images = []
-    for p in gamma2.points:
-        im = apply_map(projection, p)
-        if im is None:
-            raise NonGenericConfiguration("point maps to the center")
-        images.append(im)
-    return PointSet(k, "projective", 4, images)
+    followed by the projection from the image of a point q
+    (projection_from_point), whose base locus is q alone."""
+    images = apply_map(projection, gamma2)
+    if np.any(np.all(images == projection.field.zero, axis=1)):
+        raise NonGenericConfiguration("point maps to the center")
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +376,13 @@ def segre_cubics(members: list[EllipticMember],
 # ---------------------------------------------------------------------------
 
 
-def octic_surface(z: PointSet):
-    """Embedding of the plane blown up in 8 points by quartics, the 7
-    quadrics through the image surface, and the induced self-map of P^6."""
-    if z.ambient != "projective" or z.n != 2 or len(z) != 8:
+def octic_surface(k: Field, z: np.ndarray):
+    """Embedding of the plane blown up in 8 points, the rows of z, by
+    quartics, the 7 quadrics through the image surface, and the induced
+    self-map of P^6."""
+    if z.shape != (8, 3):
         raise ValueError("need 8 points in the projective plane")
-    k = z.field
-    quartics = forms_through(z, 4)
+    quartics = forms_through(k, z, 4)
     if quartics.dim != 7:
         raise NonGenericConfiguration(
             f"quartics through the points have dimension {quartics.dim}, not 7")
@@ -620,7 +569,7 @@ def _cubic_pencil(k: Field, rng):
     """8 random plane points, the coefficient rows of the pencil of cubics
     through them and its ninth base point: (gamma2, cubics, ninth)."""
     gamma2 = random_projective_points(k, 2, 8, rng)
-    pencil = forms_through(gamma2, 3)
+    pencil = forms_through(k, gamma2, 3)
     if pencil.dim != 2:
         raise NonGenericConfiguration("cubics through the 8 points: dim != 2")
     cubics = pencil.basis.data
@@ -652,9 +601,9 @@ def _smooth_members(k: Field, rng, pencil, wanted: int, projection=None):
 
 @dataclass
 class GalePipelineResult:
-    gamma2: PointSet
-    ninth: tuple
-    gamma4: PointSet
+    gamma2: np.ndarray
+    ninth: np.ndarray
+    gamma4: np.ndarray
     projection: RationalMap
     hf: HilbertFunction
     perp: FormSpace
@@ -674,12 +623,11 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
     pencil = _cubic_pencil(k, rng)
     gamma2, _, ninth = pencil
     proj = projection_from_point(ninth, k, rng)
-    gamma4 = gale_dual(gamma2, ninth, projection=proj)
-    quads = forms_through(gamma4, 2)
+    gamma4 = gale_dual(gamma2, proj)
+    quads = forms_through(k, gamma4, 2)
     if quads.dim != 7:
         raise NonGenericConfiguration("quadrics through the dual points: dim != 7")
-    affine = dehomogenize(gamma4)
-    perp, hf, plane = initial_system(affine)
+    perp, hf, plane = initial_system(k, dehomogenize(k, gamma4))
     mems = _smooth_members(k, rng, pencil, GALE_MEMBERS, proj)
     spaces = [m.quadrics for m in mems]
     inter = spaces[0]
@@ -697,7 +645,7 @@ def _gale_once(k: Field, rng, attempt: int) -> GalePipelineResult:
 
 @dataclass
 class CremonaResult:
-    z: PointSet
+    z: np.ndarray
     octic_quadrics: FormSpace
     ce: RationalMap
     ce_inverse: RationalMap
@@ -723,7 +671,7 @@ def _cremona_once(k: Field, rng, attempt: int, slow: bool) -> CremonaResult:
         raise NonGenericConfiguration("c_E inverse not found at degree 3")
     ce_inv, lam = inv
     z = random_projective_points(k, 2, 8, rng)
-    _, octq, cs8 = octic_surface(z)
+    _, octq, cs8 = octic_surface(k, z)
     cs8_inv = None
     absent3 = None
     if slow:

@@ -90,12 +90,18 @@ def _lazy_bound(p: int) -> int:
     return (2 ** 63 - 1 - p) // (p - 1) ** 2
 
 
-def _inverses(x: np.ndarray, p: int) -> np.ndarray:
-    """The inverses over F_p of the residues x, with 0 for 0, by one
-    modular inversion (Montgomery's trick): with P_i the product of the
-    nonzero x_j for j <= i, x_i^-1 = P_i^-1 P_(i-1), and P_(i-1)^-1 =
-    P_i^-1 x_i, walking down from the one inverse of the full product."""
+def _inverses(k: Field, x: np.ndarray) -> np.ndarray:
+    """The inverses over k of the entries of the vector x (residues in
+    [0, p) over F_p), with 0 for 0.
+
+    Over Q they are Fractions.  Over F_p one modular inversion gives them
+    all (Montgomery's trick): with P_i the product of the nonzero x_j for
+    j <= i, x_i^-1 = P_i^-1 P_(i-1), and P_(i-1)^-1 = P_i^-1 x_i, walking
+    down from the one inverse of the full product."""
     xs = x.tolist()
+    if k.kind != "prime":
+        return k.array([k.inv(v) if v else k.zero for v in xs])
+    p = k.p
     prefix = []  # the product of the nonzero x before each one
     acc = 1
     for v in xs:
@@ -195,7 +201,7 @@ def eliminate_stack(k: PrimeField, a, m: int):
         row = a[at, c + r, c + 1:] % p
         a[at, c + r, c + 1:] = a[:, c, c + 1:]
         col[at, r] = col[:, 0]
-        inv = _inverses(piv, p)
+        inv = _inverses(k, piv)
         if pending == lazy:
             a[:, c + 1:, c + 1:] %= p
             pending = 0
@@ -493,7 +499,7 @@ def pfaffian_stack(k: Field, a) -> np.ndarray:
         perm = np.tile(np.arange(m), (count, 1))
         perm[at, j], perm[:, 1] = 1, j
         rest = perm[:, 2:]
-        inv = k.array([k.inv(x) if x != k.zero else k.zero for x in piv])
+        inv = _inverses(k, piv)
         u = k.reduce(a[at[:, None], 0, rest] * inv[:, None])
         v = a[at[:, None], j[:, None], rest]
         vu = k.reduce(v[:, :, None] * u[:, None, :])

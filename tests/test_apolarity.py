@@ -274,7 +274,7 @@ def _search_plane(k, rng, family):
     linear form."""
     if family == "limit":
         try:
-            return initial_system(random_affine_points(k, 4, 8, rng))[2]
+            return initial_system(k, random_affine_points(k, 4, 8, rng))[2]
         except NonGenericConfiguration:
             return None
     if family == "random":

@@ -154,7 +154,7 @@ def test_gale_raises_a_broken_segre_invariant(monkeypatch):
         [parse_poly(s, VARS_P3, k) for s in ("x0^2", "x1^2", "x2^2")]))
     real = cons.initial_system
     monkeypatch.setattr(cons, "initial_system",
-                        lambda points: (other, *real(points)[1:]))
+                        lambda k, pts: (other, *real(k, pts)[1:]))
     with pytest.raises(AssertionError, match="perpendicular space"):
         main(["gale", "--samples", "1"])
 

@@ -664,12 +664,19 @@ def test_lazy_bound():
 
 def test_inverses():
     for p in (11, 32003, 2147483647):
+        k = PrimeField(p)
         x = np.array([0, 1, 2, p - 1, 0, 7, 3], dtype=np.int64)
-        assert linalg._inverses(x, p).tolist() == [
+        assert linalg._inverses(k, x).tolist() == [
             pow(int(v), -1, p) if v else 0 for v in x]
-    assert linalg._inverses(np.zeros(0, dtype=np.int64), 11).tolist() == []
-    assert linalg._inverses(np.zeros(3, dtype=np.int64), 11).tolist() == \
+    k11 = PrimeField(11)
+    assert linalg._inverses(k11, np.zeros(0, dtype=np.int64)).tolist() == []
+    assert linalg._inverses(k11, np.zeros(3, dtype=np.int64)).tolist() == \
         [0, 0, 0]
+    q = RationalField()
+    x = q.array([0, 1, Fraction(-2, 3), 7, 0])
+    assert linalg._inverses(q, x).tolist() == [0, 1, Fraction(-3, 2),
+                                                Fraction(1, 7), 0]
+    assert linalg._inverses(q, q.array([])).tolist() == []
 
 
 # -- the multi-modular RREF over Q against the Fraction loop --------------

@@ -486,7 +486,7 @@ def test_each_matrix_is_row_reduced_once(seed):
     assert loci.classify(secant).certificates["witness_sextics"] is not None
     assert _rref_calls(lambda: loci.classify(general)) <= 3
     assert _rref_calls(lambda: loci.classify(secant)) <= 9
-    assert _rref_calls(lambda: constructions.initial_system(pts)) <= 3
+    assert _rref_calls(lambda: constructions.initial_system(K, pts)) <= 3
     for criterion in (battery.criterion_4, battery.criterion_6):
         assert _rref_calls(lambda: criterion(K, trials=10, seed=seed)) <= 40
     assert _rref_calls(lambda: constructions.gale_pipeline(K, seed)) <= 28
